@@ -10,25 +10,17 @@ package dssmem_test
 import (
 	"bytes"
 	"context"
-	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"strconv"
 	"sync"
 	"testing"
 
 	"dssmem/internal/cache"
 	"dssmem/internal/db/btree"
-	"dssmem/internal/db/engine"
 	"dssmem/internal/db/storage"
 	"dssmem/internal/experiments"
-	"dssmem/internal/fleet"
 	"dssmem/internal/machine"
 	"dssmem/internal/memsys"
 	"dssmem/internal/oltp"
 	"dssmem/internal/rescache"
-	"dssmem/internal/service"
 	"dssmem/internal/sim"
 	"dssmem/internal/tpch"
 	"dssmem/internal/trace"
@@ -293,42 +285,10 @@ func benchSingleRun8(b *testing.B, parallel bool) {
 	}
 }
 
-// --- warm-state checkpoints and interval sampling (DESIGN.md §15) ---
-
-// BenchmarkColdPrelude measures the warmup prelude every cold run pays before
-// its measured region: engine open plus the TPC-H bulk load, at the small
-// preset. BenchmarkWarmRestore is the same state reached via a checkpoint.
-func BenchmarkColdPrelude(b *testing.B) {
-	data := smallData()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := workload.CaptureWarm(workload.Options{Data: data}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWarmRestore measures rebuilding the warm state from a captured
-// image (engine.FromImage) instead of re-running the prelude. The checkpoint
-// acceptance bar is this beating BenchmarkColdPrelude by at least 3x.
-func BenchmarkWarmRestore(b *testing.B) {
-	data := smallData()
-	img, err := workload.CaptureWarm(workload.Options{Data: data})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := engine.Config{PoolPages: tpch.PoolPagesFor(data)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.FromImage(img, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// --- interval sampling (DESIGN.md §14) ---
 
 // benchSampledFigure regenerates one figure per iteration on the fast path
-// dssbench -ckpt -sample-quanta takes: warm-state checkpoints on (one capture,
-// fourteen restores per figure) and SMARTS interval sampling at the gate's
+// dssbench -sample-quanta takes: SMARTS interval sampling at the gate's
 // default period. The reported metric is the sampled estimate of the same
 // headline number the exact benchmark reports, so the exact-vs-sampled pair
 // shows both the speedup and the estimation error side by side.
@@ -338,7 +298,6 @@ func benchSampledFigure(b *testing.B, id int, metric func(*experiments.Result) (
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		env := experiments.NewEnvWith(experiments.Small, smallData())
-		env.Checkpoints = true
 		env.SampleQuanta = experiments.DefaultSamplingQuanta
 		r, err := experiments.RunFigure(env, id, nil)
 		if err != nil {
@@ -352,7 +311,7 @@ func benchSampledFigure(b *testing.B, id int, metric func(*experiments.Result) (
 	}
 }
 
-// BenchmarkSampledFig5 is BenchmarkFig5 under checkpoints + sampling.
+// BenchmarkSampledFig5 is BenchmarkFig5 under sampling.
 func BenchmarkSampledFig5(b *testing.B) {
 	benchSampledFigure(b, 5, func(r *experiments.Result) (string, float64) {
 		if p := point(r, "Q6", 8); p != nil {
@@ -362,7 +321,7 @@ func BenchmarkSampledFig5(b *testing.B) {
 	})
 }
 
-// BenchmarkSampledFig9 is BenchmarkFig9 under checkpoints + sampling.
+// BenchmarkSampledFig9 is BenchmarkFig9 under sampling.
 func BenchmarkSampledFig9(b *testing.B) {
 	benchSampledFigure(b, 9, func(r *experiments.Result) (string, float64) {
 		if p := point(r, "Q6", 2); p != nil {
@@ -421,85 +380,6 @@ func BenchmarkTraceCaptureReplay(b *testing.B) {
 		mem := &trace.MachineMem{M: m, CPU: 0}
 		if _, err := trace.Replay(bytes.NewReader(buf.Bytes()), mem); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// cannedTransport plays a fleet of in-process fake workers: every
-// /v1/measure call is answered from canned bytes keyed by the procs
-// parameter, with the X-Digest the coordinator will verify. No sockets, no
-// simulation — the benchmark isolates the coordinator itself.
-type cannedTransport struct {
-	resp map[string]cannedResp
-}
-
-type cannedResp struct {
-	digest string
-	body   []byte
-}
-
-func (t cannedTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	cr, ok := t.resp[req.URL.Query().Get("procs")]
-	if !ok {
-		return nil, fmt.Errorf("canned worker: unexpected call %s", req.URL)
-	}
-	h := make(http.Header)
-	h.Set("Content-Type", "application/json")
-	h.Set("X-Digest", cr.digest)
-	return &http.Response{
-		StatusCode: http.StatusOK,
-		Status:     "200 OK",
-		Header:     h,
-		Body:       io.NopCloser(bytes.NewReader(cr.body)),
-		Request:    req,
-	}, nil
-}
-
-// BenchmarkFleetFanout measures the coordinator's orchestration cost in
-// isolation: one /v1/sweep served over four fake workers answering from
-// canned bytes. DisableCache makes every iteration pay the full fan-out
-// path — parse, per-point digests, ring lookups, raced worker calls,
-// X-Digest verification, splice, encode — which is the fleet's own overhead
-// on top of whatever the workers do.
-func BenchmarkFleetFanout(b *testing.B) {
-	preset := experiments.Tiny
-	spec, err := service.ParseMachine("vclass", "", preset.MemScale)
-	if err != nil {
-		b.Fatal(err)
-	}
-	canned := make(map[string]cannedResp, len(experiments.ProcCounts))
-	for _, n := range experiments.ProcCounts {
-		dig := service.MeasureDigest(preset, tpch.Q6, n, workload.Options{Spec: spec})
-		meas := fmt.Sprintf(
-			`{"Procs":%d,"CyclesPerMInstr":%d.5,"L1MissesPerM":%d,"L2MissesPerM":%d,"MemLatencyCycles":%d}`,
-			n, 1000+n, 40+n, 10+n, 90+n)
-		canned[strconv.Itoa(n)] = cannedResp{
-			digest: string(dig),
-			body:   []byte(fmt.Sprintf(`{"digest":%q,"cache":"hit","measurement":%s}`, dig, meas)),
-		}
-	}
-	workers := make([]fleet.Worker, 4)
-	for i := range workers {
-		workers[i] = fleet.Worker{Name: fmt.Sprintf("w%d", i), URL: fmt.Sprintf("http://fake-w%d", i)}
-	}
-	coord, err := fleet.New(fleet.Config{
-		Preset:       preset,
-		Workers:      workers,
-		HTTP:         &http.Client{Transport: cannedTransport{canned}},
-		StealAfter:   -1,
-		DisableCache: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	h := coord.Handler()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rr := httptest.NewRecorder()
-		h.ServeHTTP(rr, httptest.NewRequest("GET", "/v1/sweep?machine=vclass&query=Q6", nil))
-		if rr.Code != http.StatusOK {
-			b.Fatalf("sweep fan-out: %d %s", rr.Code, rr.Body)
 		}
 	}
 }

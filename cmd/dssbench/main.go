@@ -3,6 +3,7 @@
 // Usage:
 //
 //	dssbench [-preset tiny|small|medium] [-fig N|all] [-ablation name|all|none]
+//	         [-format table|csv|json] [-json FILE] [-parallel] [-sample-quanta N]
 //	dssbench [-sample N] [-events trace.json] [-by-operator] [-query Q] [-machine M] [-procs N]
 //
 // Examples:
@@ -35,7 +36,6 @@ import (
 	"time"
 
 	"dssmem"
-	"dssmem/internal/rescache"
 	"dssmem/internal/telemetry"
 )
 
@@ -56,8 +56,6 @@ func main() {
 	query := flag.String("query", "Q6", "observed run: query (Q6, Q21, Q12)")
 	mach := flag.String("machine", "vclass", "observed run: machine (vclass or origin)")
 	procs := flag.Int("procs", 4, "observed run: number of parallel query processes")
-	ckpt := flag.Bool("ckpt", false, "restore the warmup prelude from warm-state checkpoints (captured once per dataset identity)")
-	ckptDir := flag.String("ckpt-dir", "", "persist results and warm-state checkpoints in this directory (implies -ckpt)")
 	sampleQuanta := flag.Int("sample-quanta", 0, "SMARTS sampling period in scheduling quanta: simulate 1 of every N in detail (0 or 1 = exact; estimates, cached under their own digests)")
 	flag.Parse()
 
@@ -88,17 +86,9 @@ func main() {
 	env := dssmem.NewEnv(p)
 	env.Parallel = *parallel
 	env.ParallelWindow = *parWindow
-	env.Checkpoints = *ckpt || *ckptDir != ""
 	env.SampleQuanta = *sampleQuanta
 	tally := &dssmem.RunTally{}
 	env.Tally = tally
-	if *ckptDir != "" {
-		store, err := rescache.Open(*ckptDir)
-		if err != nil {
-			fatal(err)
-		}
-		env.Results = store
-	}
 	if *format == "table" {
 		fmt.Printf("preset %s: SF=%.4f memScale=%d — %d lineitems, %d orders (%.1f MB raw)\n\n",
 			p.Name, p.SF, p.MemScale, len(env.Data.Lineitem), len(env.Data.Orders),
@@ -149,15 +139,14 @@ func main() {
 	}
 	timed := func(run func() (*dssmem.FigureResult, error)) *dssmem.FigureResult {
 		begin := time.Now()
-		runs0, restored0, warm0, meas0 := tally.Snapshot()
+		runs0, warm0, meas0 := tally.Snapshot()
 		r, err := run()
 		if err != nil {
 			fatal(err)
 		}
-		runs1, restored1, warm1, meas1 := tally.Snapshot()
+		runs1, warm1, meas1 := tally.Snapshot()
 		doc.add(r, time.Since(begin), runSplit{
 			Runs:       runs1 - runs0,
-			Restored:   restored1 - restored0,
 			WarmupMS:   float64((warm1-warm0)/1000 /*ns→µs*/) / 1e3,
 			MeasuredMS: float64((meas1-meas0)/1000) / 1e3,
 		})
@@ -212,10 +201,8 @@ type benchEntry struct {
 	WallMS        float64 `json:"wall_ms"`
 	SimSecondsMax float64 `json:"sim_seconds_max,omitempty"`
 	// The per-run host-time split: simulations executed for this entry (cache
-	// hits excluded — nothing ran), how many restored their warmup prelude
-	// from a warm-state checkpoint, and where the host wall-clock went.
+	// hits excluded — nothing ran) and where the host wall-clock went.
 	Runs       int                  `json:"runs"`
-	Restored   int                  `json:"restored"`
 	WarmupMS   float64              `json:"warmup_ms"`
 	MeasuredMS float64              `json:"measured_ms"`
 	Result     *dssmem.FigureResult `json:"result"`
@@ -224,7 +211,6 @@ type benchEntry struct {
 // runSplit is the tally delta attributed to one figure/ablation entry.
 type runSplit struct {
 	Runs       int
-	Restored   int
 	WarmupMS   float64
 	MeasuredMS float64
 }
@@ -235,7 +221,6 @@ func (d *benchDoc) add(r *dssmem.FigureResult, wall time.Duration, split runSpli
 		ID:         r.ID,
 		WallMS:     float64(wall.Microseconds()) / 1e3,
 		Runs:       split.Runs,
-		Restored:   split.Restored,
 		WarmupMS:   split.WarmupMS,
 		MeasuredMS: split.MeasuredMS,
 		Result:     r,

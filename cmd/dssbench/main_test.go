@@ -17,7 +17,6 @@ func TestBenchEntryJSONShape(t *testing.T) {
 		WallMS:        1.5,
 		SimSecondsMax: 2,
 		Runs:          15,
-		Restored:      14,
 		WarmupMS:      3.25,
 		MeasuredMS:    40.5,
 	}
@@ -25,7 +24,7 @@ func TestBenchEntryJSONShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{"id":"fig5","wall_ms":1.5,"sim_seconds_max":2,"runs":15,"restored":14,"warmup_ms":3.25,"measured_ms":40.5,"result":null}`
+	want := `{"id":"fig5","wall_ms":1.5,"sim_seconds_max":2,"runs":15,"warmup_ms":3.25,"measured_ms":40.5,"result":null}`
 	if string(b) != want {
 		t.Fatalf("benchEntry JSON shape changed:\nwant %s\ngot  %s", want, b)
 	}
@@ -36,12 +35,12 @@ func TestBenchEntryJSONShape(t *testing.T) {
 func TestBenchDocSplitAccounting(t *testing.T) {
 	var doc benchDoc
 	r := &dssmem.FigureResult{ID: "fig5"}
-	doc.add(r, 10*time.Millisecond, runSplit{Runs: 3, Restored: 2, WarmupMS: 1.5, MeasuredMS: 8})
+	doc.add(r, 10*time.Millisecond, runSplit{Runs: 3, WarmupMS: 1.5, MeasuredMS: 8})
 	if len(doc.Figures) != 1 {
 		t.Fatalf("fig5 not filed under figures: %+v", doc)
 	}
 	got := doc.Figures[0]
-	if got.Runs != 3 || got.Restored != 2 || got.WarmupMS != 1.5 || got.MeasuredMS != 8 {
+	if got.Runs != 3 || got.WarmupMS != 1.5 || got.MeasuredMS != 8 {
 		t.Fatalf("split not recorded: %+v", got)
 	}
 }

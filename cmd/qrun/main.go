@@ -5,14 +5,11 @@
 // Usage:
 //
 //	qrun [-query Q6|Q21|Q12] [-machine vclass|origin] [-procs N] [-sf 0.004] [-memscale 64]
-//	     [-ckpt dir] [-sample-quanta N]
+//	     [-parallel] [-parallel-window N] [-seed N] [-sample-quanta N]
 //	     [-sample N] [-sample-out f.csv|f.json] [-events trace.json] [-by-operator]
 //
-// -ckpt restores the warmup prelude (data generation + bulk load) from a
-// warm-state checkpoint directory, capturing one on first use; results are
-// byte-identical with or without it. -sample-quanta N runs SMARTS interval
-// sampling: only the first quantum of every N is simulated in detail and the
-// counters are estimates with printed confidence intervals (DESIGN.md §15).
+// -sample-quanta N runs SMARTS interval sampling: only the first quantum of every N is simulated in detail and the
+// counters are estimates with printed confidence intervals (DESIGN.md §14).
 //
 // The telemetry flags attach the observability layer: -sample N snapshots
 // each CPU's counters every N simulated cycles (sparklines on stdout,
@@ -22,7 +19,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -45,7 +41,6 @@ func main() {
 	byOperator := flag.Bool("by-operator", false, "attribute counters to query-plan operators")
 	parallel := flag.Bool("parallel", false, "run the simulation in bound–weave parallel mode (deterministic; falls back to serial when telemetry flags are set)")
 	parWindow := flag.Uint64("parallel-window", 0, "bound–weave window in cycles (0 = scheduling quantum)")
-	ckptDir := flag.String("ckpt", "", "warm-state checkpoint directory: restore the warmup prelude from it, capturing on first use")
 	sampleQuanta := flag.Int("sample-quanta", 0, "SMARTS sampling period in scheduling quanta: simulate 1 of every N in detail (0 or 1 = exact)")
 	flag.Parse()
 
@@ -79,27 +74,13 @@ func main() {
 		})
 	}
 
-	opts := dssmem.RunOptions{
-		Spec: spec, Query: q, Processes: *procs, OSTimeScale: *memScale,
+	data := dssmem.GenerateData(*sf, *seed)
+	ans := dssmem.ReferenceAnswer(q, data)
+	st, err := dssmem.Run(dssmem.RunOptions{
+		Spec: spec, Data: data, Query: q, Processes: *procs, OSTimeScale: *memScale,
 		Obs: ob, Parallel: *parallel, ParallelWindow: *parWindow,
 		SampleQuanta: *sampleQuanta,
-	}
-	if *ckptDir != "" {
-		hit, err := dssmem.AttachWarm(context.Background(), *ckptDir, *sf, *seed, &opts)
-		if err != nil {
-			fatal(err)
-		}
-		if hit {
-			fmt.Printf("checkpoint: restored warm state from %s\n", *ckptDir)
-		} else {
-			fmt.Printf("checkpoint: captured warm state into %s\n", *ckptDir)
-		}
-	} else {
-		opts.Data = dssmem.GenerateData(*sf, *seed)
-	}
-	data := opts.Data
-	ans := dssmem.ReferenceAnswer(q, data)
-	st, err := dssmem.Run(opts)
+	})
 	if err != nil {
 		fatal(err)
 	}
@@ -122,11 +103,7 @@ func main() {
 	fmt.Printf("ctx switches    %.2f voluntary, %.2f involuntary per 1M instr\n", m.VolPerM, m.InvolPerM)
 
 	fmt.Printf("\n-- host timing --\n")
-	state := "rebuilt"
-	if st.Restored {
-		state = "restored from checkpoint"
-	}
-	fmt.Printf("warmup          %.1f ms (%s)\n", float64(st.WarmupHostNS)/1e6, state)
+	fmt.Printf("warmup          %.1f ms\n", float64(st.WarmupHostNS)/1e6)
 	fmt.Printf("measured        %.1f ms\n", float64(st.MeasuredHostNS)/1e6)
 	if len(st.Sampling) > 0 {
 		fmt.Printf("\n-- sampling (P=%d) --\n", *sampleQuanta)

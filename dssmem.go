@@ -76,8 +76,8 @@ type (
 	// (RunStats.Sampling): detailed vs fast-forwarded volume and CI95
 	// half-widths of the key per-window rates.
 	SampleEstimate = obs.SampleEstimate
-	// RunTally accumulates host-side run accounting (runs, checkpoint
-	// restores, warmup vs measured wall time) across an Env's measurements.
+	// RunTally accumulates host-side run accounting (runs, warmup vs
+	// measured wall time) across an Env's measurements.
 	RunTally = experiments.RunTally
 )
 
@@ -165,16 +165,6 @@ func FigureIDs() []int { return experiments.FigureIDs() }
 
 // AblationNames lists the available ablations.
 func AblationNames() []string { return experiments.AblationNames() }
-
-// AttachWarm attaches a warm-state checkpoint to opts from the cache
-// directory at dir: opts.Data and opts.Warm are populated so the run skips
-// dataset generation (on a hit) and the warmup prelude entirely. On a miss
-// the warm state is captured once and persisted for next time. The returned
-// bool reports a cache hit. Restored runs are byte-identical to cold-started
-// ones (see DESIGN.md §15).
-func AttachWarm(ctx context.Context, dir string, sf float64, seed uint64, opts *RunOptions) (bool, error) {
-	return experiments.WarmAttach(ctx, dir, sf, seed, opts)
-}
 
 // SamplingAccuracy cross-checks SMARTS interval sampling against exact
 // simulation on the accuracy gate's figure metrics (see internal/experiments).

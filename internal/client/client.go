@@ -103,8 +103,8 @@ type APIError struct {
 	Retriable bool
 	Attempts  int
 	// RetryAfter is the server's parsed Retry-After hint (zero if absent),
-	// kept so a proxying caller — the fleet coordinator — can re-emit the
-	// hint instead of inventing its own.
+	// kept so a proxying caller can re-emit the hint instead of inventing its
+	// own.
 	RetryAfter time.Duration
 }
 
@@ -160,9 +160,9 @@ func (c *Client) Get(ctx context.Context, path string) (*Response, error) {
 	url := c.cfg.BaseURL + path
 	// One logical request keeps one ID across all its attempts, so the
 	// daemon's logs show the retries of a request as one thread. When ctx
-	// already carries a tracked request (a fleet coordinator forwarding an
-	// API call), its ID is reused so one inbound X-Request-ID stitches every
-	// downstream hop into a single distributed trace.
+	// already carries a tracked request (a proxy forwarding an API call), its
+	// ID is reused so one inbound X-Request-ID stitches every downstream hop
+	// into a single trace.
 	id := telemetry.NewID()
 	if q := telemetry.FromContext(ctx); q != nil && telemetry.CleanID(q.ID) != "" {
 		id = q.ID
@@ -314,10 +314,6 @@ type MeasureOpt struct {
 	// SampleQuanta > 1 requests SMARTS interval sampling at that period; the
 	// server returns an estimated measurement cached under its own digest.
 	SampleQuanta int
-	// Checkpoint asks the daemon to restore the warmup prelude from a
-	// warm-state checkpoint (capturing one if needed). Response bytes are
-	// identical either way; only server-side latency changes.
-	Checkpoint bool
 }
 
 // MeasurePath renders the /v1/measure request path for a configuration —
@@ -335,9 +331,6 @@ func MeasurePath(machineName, query string, procs int, o MeasureOpt) string {
 	}
 	if o.SampleQuanta > 1 {
 		v.Set("sample_quanta", strconv.Itoa(o.SampleQuanta))
-	}
-	if o.Checkpoint {
-		v.Set("ckpt", "1")
 	}
 	return "/v1/measure?" + v.Encode()
 }

@@ -257,7 +257,7 @@ func TestParseRetryAfter(t *testing.T) {
 	}
 }
 
-// TestAPIErrorRetryAfter: a proxying caller (the fleet coordinator) re-emits
+// TestAPIErrorRetryAfter: a proxying caller re-emits
 // the server's Retry-After hint, so the decoded error must carry it — in
 // both the delta-seconds and HTTP-date forms.
 func TestAPIErrorRetryAfter(t *testing.T) {

@@ -9,7 +9,6 @@ package btree
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"dssmem/internal/db/storage"
 	"dssmem/internal/memsys"
@@ -50,22 +49,6 @@ func New(pool *storage.Pool) *Tree {
 
 // Len returns the number of entries.
 func (t *Tree) Len() int { return t.size }
-
-// Root returns the pool page number of the root node (checkpoint capture).
-func (t *Tree) Root() int { return t.root }
-
-// Restore rebuilds a tree handle over already-restored pool pages (checkpoint
-// restore): the node pages themselves live in the pool image, so only the
-// root page and entry count need recording.
-func Restore(pool *storage.Pool, root, size int) (*Tree, error) {
-	if root < 0 || root >= pool.Used() {
-		return nil, fmt.Errorf("btree: restore: root page %d outside allocated pool [0,%d)", root, pool.Used())
-	}
-	if size < 0 {
-		return nil, fmt.Errorf("btree: restore: negative size %d", size)
-	}
-	return &Tree{pool: pool, root: root, size: size}, nil
-}
 
 // Height returns the tree height (1 = just a leaf root).
 func (t *Tree) Height() int {

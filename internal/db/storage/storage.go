@@ -157,36 +157,6 @@ func (p *Pool) AllocPage() int {
 // MarkPage tags page pg with its kind.
 func (p *Pool) MarkPage(pg int, kind PageKind) { p.kinds[pg] = kind }
 
-// UsedData returns the backing bytes of the allocated pages (checkpoint
-// capture). The caller must not retain the slice across further allocations.
-func (p *Pool) UsedData() []byte { return p.data[:p.used*PageSize] }
-
-// UsedKinds returns the page-kind tags of the allocated pages (checkpoint
-// capture); same aliasing caveat as UsedData.
-func (p *Pool) UsedKinds() []PageKind { return p.kinds[:p.used] }
-
-// Restore overwrites a freshly created pool with a captured page image:
-// len(data)/PageSize pages become allocated with the given kinds. It is the
-// checkpoint-restore counterpart of UsedData/UsedKinds and fails (never
-// panics) on any shape mismatch, so a decoded-but-inconsistent snapshot falls
-// back to a full rebuild.
-func (p *Pool) Restore(data []byte, kinds []PageKind) error {
-	if len(data)%PageSize != 0 {
-		return fmt.Errorf("storage: restore: %d bytes is not a whole number of pages", len(data))
-	}
-	n := len(data) / PageSize
-	if n != len(kinds) {
-		return fmt.Errorf("storage: restore: %d pages but %d kind tags", n, len(kinds))
-	}
-	if n > p.pages {
-		return fmt.Errorf("storage: restore: %d pages exceed pool capacity %d", n, p.pages)
-	}
-	copy(p.data, data)
-	copy(p.kinds, kinds)
-	p.used = n
-	return nil
-}
-
 // KindOf returns the page kind of pg (PageUnknown when out of range).
 func (p *Pool) KindOf(pg int) PageKind {
 	if pg < 0 || pg >= len(p.kinds) {
@@ -234,30 +204,6 @@ type Heap struct {
 func NewHeap(pool *Pool, schema *Schema) *Heap {
 	return &Heap{pool: pool, schema: schema}
 }
-
-// RestoreHeap rebuilds a heap over already-restored pool pages (checkpoint
-// restore). pages and count must describe exactly what a sequence of Appends
-// produced: every page allocated, count filling ceil(count/per) pages. Any
-// inconsistency is an error, never a panic.
-func RestoreHeap(pool *Pool, schema *Schema, pages []int, count int) (*Heap, error) {
-	per := schema.TuplesPerPage()
-	if count < 0 {
-		return nil, fmt.Errorf("storage: restore heap: negative tuple count %d", count)
-	}
-	want := (count + per - 1) / per
-	if want != len(pages) {
-		return nil, fmt.Errorf("storage: restore heap: %d tuples need %d pages, image has %d", count, want, len(pages))
-	}
-	for _, pg := range pages {
-		if pg < 0 || pg >= pool.Used() {
-			return nil, fmt.Errorf("storage: restore heap: page %d outside allocated pool [0,%d)", pg, pool.Used())
-		}
-	}
-	return &Heap{pool: pool, schema: schema, pages: append([]int(nil), pages...), count: count}, nil
-}
-
-// Schema returns the heap's tuple schema.
-func (h *Heap) Schema() *Schema { return h.schema }
 
 // NumTuples returns the row count.
 func (h *Heap) NumTuples() int { return h.count }

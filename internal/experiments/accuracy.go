@@ -11,7 +11,7 @@ import (
 // DefaultSamplingTolerance is the relative-error bound the sampling accuracy
 // gate enforces at the default period (DefaultSamplingQuanta). Everything in
 // the pipeline is deterministic, so the observed errors are fixed numbers for
-// a given preset; the bound is set from them with headroom (see DESIGN.md §15
+// a given preset; the bound is set from them with headroom (see DESIGN.md §14
 // for the error model and the measured values).
 const DefaultSamplingTolerance = 0.08
 

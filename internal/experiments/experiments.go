@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"dssmem/internal/core"
-	"dssmem/internal/db/engine"
 	"dssmem/internal/machine"
 	"dssmem/internal/rescache"
 	"dssmem/internal/tpch"
@@ -97,15 +96,6 @@ type Env struct {
 	// ParallelWindow is the default bound window in cycles (0 = quantum).
 	ParallelWindow uint64
 
-	// Checkpoints enables warm-state restore: before a (non-cold)
-	// measurement simulates, the env attaches the dataset's warm-state image
-	// — captured once, cached in Results under rescache.NSWarm, and memoized
-	// decoded — so the run skips the warmup prelude. Restored runs are
-	// byte-identical to cold-started ones, so checkpoints never change
-	// content digests; any checkpoint failure silently falls back to a full
-	// rebuild.
-	Checkpoints bool
-
 	// SampleQuanta, when > 1, applies SMARTS interval sampling (see
 	// workload.Options.SampleQuanta) to every measurement that does not set
 	// it explicitly. Sampled measurements carry their own content digests:
@@ -113,21 +103,11 @@ type Env struct {
 	SampleQuanta int
 
 	// Tally, when non-nil, accumulates host-side run accounting (runs,
-	// restores, warmup vs measured wall time) across this env's
-	// measurements. Cache hits do not tally: nothing ran.
+	// warmup vs measured wall time) across this env's measurements. Cache
+	// hits do not tally: nothing ran.
 	Tally *RunTally
 
 	initMu sync.Mutex // guards lazy Results init
-
-	warmMu   sync.Mutex                        // guards warmImgs
-	warmImgs map[rescache.Digest]*engine.Image // decoded warm images by ckpt key digest
-
-	// OnPoint, when non-nil, is called after each sweep point completes,
-	// with the point's index, process count, content digest, and whether it
-	// was a cache hit. The daemon uses it to journal sweep progress so a
-	// killed process resumes without recomputing completed points. Called
-	// concurrently from sweep goroutines.
-	OnPoint func(idx, procs int, dig rescache.Digest, hit bool)
 }
 
 // NewEnv generates the preset's database once and returns the environment.
@@ -197,9 +177,6 @@ func (e *Env) CanonicalOptions(q tpch.QueryID, procs int, opts workload.Options)
 	opts.Data = nil
 	opts.Obs = nil
 	opts.SimFault = nil
-	// Warm state is not identity: a restored run is byte-identical to a
-	// cold-started one, so the same digest serves both.
-	opts.Warm = nil
 	opts.Query = q
 	opts.Processes = procs
 	opts.Validate = true
@@ -235,13 +212,6 @@ func (e *Env) MeasureCached(tag string, q tpch.QueryID, procs int, opts workload
 	raw, hit, err := e.results().Do(e.ctx(), rescache.NSMeasurement, dig, func(runCtx context.Context) ([]byte, error) {
 		o := opts
 		o.Data = e.Data
-		if e.Checkpoints && !o.ColdRun {
-			// Best effort: a missing or failed checkpoint means a normal
-			// full rebuild, never a failed measurement.
-			if img, err := e.warmImage(runCtx, o.BufHeaderBytes); err == nil {
-				o.Warm = img
-			}
-		}
 		st, err := e.runner()(runCtx, o)
 		if err != nil {
 			return nil, err
@@ -277,11 +247,7 @@ func (e *Env) Sweep(tag string, spec machine.Spec, q tpch.QueryID, opts workload
 			defer func() { <-sem }()
 			o := opts
 			o.Spec = spec
-			var hit bool
-			s.Points[i], hit, errs[i] = e.MeasureCached(tag, q, n, o)
-			if errs[i] == nil && e.OnPoint != nil {
-				e.OnPoint(i, n, rescache.DigestOptions(e.Preset.SF, e.Preset.Seed, e.CanonicalOptions(q, n, o)), hit)
-			}
+			s.Points[i], errs[i] = e.MeasureOpts(tag, q, n, o)
 		}()
 	}
 	wg.Wait()

@@ -46,15 +46,6 @@ func frame(payload []byte) []byte {
 	return append(out, payload...)
 }
 
-// FrameEntry wraps payload in the checksummed entry framing. The peer-fetch
-// wire format (/v1/cache/{ns}/{digest}) reuses the disk frame verbatim, so a
-// fetching worker verifies peer bytes exactly as it verifies its own disk.
-func FrameEntry(payload []byte) []byte { return frame(payload) }
-
-// UnframeEntry verifies a framed entry (disk or peer wire format) and returns
-// its payload; verification failures return ErrCorrupt.
-func UnframeEntry(b []byte) ([]byte, error) { return unframe(b) }
-
 // unframe verifies b and returns its payload. Any verification failure —
 // including pre-framing legacy files — returns ErrCorrupt, and the caller
 // quarantines and recomputes rather than serving unverified bytes.

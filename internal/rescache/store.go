@@ -7,8 +7,6 @@ import (
 	"io/fs"
 	"path/filepath"
 	"regexp"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,12 +20,6 @@ const (
 	NSMeasurement = "measurement"
 	NSFigure      = "figure"
 	NSSweep       = "sweep"
-	// NSWarm holds warm-state checkpoints (internal/ckpt snapshots): the
-	// database image at the measured-region boundary, keyed by the ckpt.Key
-	// digest. Entries are large relative to result JSON but one snapshot
-	// serves every machine spec, query, process count and trial at its
-	// (SF, seed, layout) identity.
-	NSWarm = "warmstate"
 )
 
 // quarantineDir holds entries that failed read verification, preserved for
@@ -52,12 +44,6 @@ type Stats struct {
 	Misses       uint64 // required a compute
 	Shared       uint64 // joined an in-flight identical compute (singleflight)
 	Puts         uint64 // results stored
-	PeerHits     uint64 // misses filled from a peer (verified)
-	PeerMisses   uint64 // peer tier consulted, no peer had the entry
-	PeerErrors   uint64 // peer fetches that failed in transport (feed the peer breaker)
-	PeerCorrupt  uint64 // peer replies that failed frame verification
-	PeerSkipped  uint64 // peer fetches bypassed while the peer breaker was open
-	PeerBreaker  string // peer breaker position ("" when the tier is unarmed)
 	Aborted      uint64 // computes cancelled because every waiter left
 	Panics       uint64 // computes that panicked (isolated, reported as errors)
 	DiskErrors   uint64 // disk reads/writes that failed with a real I/O error
@@ -82,11 +68,6 @@ type Store struct {
 	fsys FS
 	brk  *breaker
 
-	// peer is the optional peer-fill tier (SetPeerFetch): consulted on a
-	// full local miss, inside the singleflight flight, before computing.
-	peer    PeerFetch
-	peerBrk *breaker
-
 	mu      sync.Mutex
 	mem     map[string][]byte
 	flights map[string]*flight
@@ -105,12 +86,6 @@ type Store struct {
 	quarantined atomic.Uint64
 	diskSkipped atomic.Uint64
 	orphans     atomic.Uint64
-
-	peerHits    atomic.Uint64
-	peerMisses  atomic.Uint64
-	peerErrors  atomic.Uint64
-	peerCorrupt atomic.Uint64
-	peerSkipped atomic.Uint64
 }
 
 // flight is one in-progress compute. Waiters hold a reference; when the last
@@ -202,11 +177,6 @@ func (s *Store) QuarantineDir() string {
 // Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() Stats {
 	bst, trips := s.brk.snapshot()
-	peerBrk := ""
-	if s.peer != nil {
-		pst, _ := s.peerBrk.snapshot()
-		peerBrk = pst.String()
-	}
 	return Stats{
 		MemHits:      s.memHits.Load(),
 		DiskHits:     s.diskHits.Load(),
@@ -221,12 +191,6 @@ func (s *Store) Stats() Stats {
 		DiskSkipped:  s.diskSkipped.Load(),
 		BreakerTrips: trips,
 		OrphansSwept: s.orphans.Load(),
-		PeerHits:     s.peerHits.Load(),
-		PeerMisses:   s.peerMisses.Load(),
-		PeerErrors:   s.peerErrors.Load(),
-		PeerCorrupt:  s.peerCorrupt.Load(),
-		PeerSkipped:  s.peerSkipped.Load(),
-		PeerBreaker:  peerBrk,
 		Breaker:      bst.String(),
 		Degraded:     s.dir != "" && bst != BreakerClosed,
 	}
@@ -242,53 +206,6 @@ func (s *Store) path(ns string, d Digest) string {
 		prefix = string(d[:2])
 	}
 	return filepath.Join(s.dir, ns, prefix, string(d)+".json")
-}
-
-// Digests lists every digest held under ns, union of the memory and disk
-// tiers, sorted. It powers the anti-entropy repair pass: a coordinator
-// compares these listings across workers to find entries a failover computed
-// on the wrong owner. Disk scan errors are ignored — a listing is advisory,
-// the frames themselves are verified on every read.
-func (s *Store) Digests(ns string) []Digest {
-	set := make(map[Digest]struct{})
-	prefix := ns + "/"
-	s.mu.Lock()
-	for k := range s.mem {
-		if strings.HasPrefix(k, prefix) {
-			set[Digest(k[len(prefix):])] = struct{}{}
-		}
-	}
-	s.mu.Unlock()
-	if s.dir != "" && validNS.MatchString(ns) {
-		paths, _ := s.fsys.Glob(filepath.Join(s.dir, ns, "*", "*.json"))
-		for _, p := range paths {
-			base := strings.TrimSuffix(filepath.Base(p), ".json")
-			if validDigestShape(base) {
-				set[Digest(base)] = struct{}{}
-			}
-		}
-	}
-	out := make([]Digest, 0, len(set))
-	for d := range set {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// validDigestShape matches the hex digests the store writes; tmp files and
-// strays in the cache tree are skipped by listings.
-func validDigestShape(s string) bool {
-	if len(s) != 64 {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
 }
 
 // Get returns the stored bytes for (ns, d): memory first, then disk (a
@@ -496,10 +413,8 @@ func (s *Store) Do(ctx context.Context, ns string, d Digest, compute func(contex
 	}
 }
 
-// runFlight resolves one flight — peer fill first when the tier is armed,
-// compute otherwise — with panic isolation, and publishes the outcome. The
-// peer fetch lives inside the flight so singleflight covers it too: N
-// concurrent misses on one digest cost at most one peer round trip.
+// runFlight runs one flight's compute with panic isolation and publishes the
+// outcome.
 func (s *Store) runFlight(k, ns string, d Digest, f *flight, runCtx context.Context, compute func(context.Context) ([]byte, error)) {
 	var v []byte
 	var err error
@@ -510,10 +425,6 @@ func (s *Store) runFlight(k, ns string, d Digest, f *flight, runCtx context.Cont
 				err = fmt.Errorf("rescache: compute %s/%s: %w: %v", ns, d.Short(), ErrPanicked, r)
 			}
 		}()
-		if pv, ok := s.peerGet(runCtx, ns, d); ok {
-			v = pv
-			return
-		}
 		v, err = compute(runCtx)
 	}()
 	if err == nil {

@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"time"
 
-	"dssmem/internal/job"
 	"dssmem/internal/telemetry"
 )
 
@@ -47,20 +46,6 @@ func (s *Server) initMetrics() {
 		func() uint64 { return s.store.Stats().Quarantined })
 	pollStore("dssmem_cache_disk_skipped_total", "Disk operations bypassed in degraded (memory-only) mode.",
 		func() uint64 { return s.store.Stats().DiskSkipped })
-	pollStore("dssmem_cache_peer_hits_total", "Local misses filled from a fleet peer (verified).",
-		func() uint64 { return s.store.Stats().PeerHits })
-	pollStore("dssmem_cache_peer_misses_total", "Peer-tier lookups no peer could answer.",
-		func() uint64 { return s.store.Stats().PeerMisses })
-	pollStore("dssmem_cache_peer_errors_total", "Peer fetches failing in transport (feed the peer breaker).",
-		func() uint64 { return s.store.Stats().PeerErrors })
-	pollStore("dssmem_cache_peer_corrupt_total", "Peer replies that failed frame verification.",
-		func() uint64 { return s.store.Stats().PeerCorrupt })
-	pollStore("dssmem_cache_peer_skipped_total", "Peer fetches bypassed while the peer breaker was open.",
-		func() uint64 { return s.store.Stats().PeerSkipped })
-	r.PollGauge("dssmem_cache_peer_breaker_state", "Peer-tier circuit breaker: 0 closed, 1 half-open, 2 open.",
-		nil, func(emit func(float64, ...string)) {
-			emit(float64(breakerGauge(s.store.Stats().PeerBreaker)))
-		})
 	r.PollGauge("dssmem_cache_breaker_state", "Disk circuit breaker: 0 closed, 1 half-open, 2 open.",
 		nil, func(emit func(float64, ...string)) {
 			emit(float64(breakerGauge(s.store.Stats().Breaker)))
@@ -85,23 +70,10 @@ func (s *Server) initMetrics() {
 	s.retries = r.Counter("dssmem_request_retries_total", "Requests arriving as a retry (X-Request-Attempt > 1).")
 	s.reqSeconds = r.HistogramVec("dssmem_request_seconds", "End-to-end API request latency.", nil, "endpoint")
 	s.phaseSeconds = r.HistogramVec("dssmem_phase_seconds",
-		"Request time by phase: queue, cache_mem, cache_disk, cache_peer, compute, encode.", nil, "phase")
+		"Request time by phase: queue, cache_mem, cache_disk, compute, encode.", nil, "phase")
 	r.PollGauge("dssmem_uptime_seconds", "Seconds since the daemon started.",
 		nil, func(emit func(float64, ...string)) {
 			emit(time.Since(s.start).Seconds())
-		})
-
-	s.jobsResumed = r.Counter("dssmem_jobs_resumed_total",
-		"Unfinished journaled sweeps resumed after a restart.")
-	r.PollGauge("dssmem_jobs", "Journaled jobs by state.",
-		[]string{"state"}, func(emit func(float64, ...string)) {
-			counts := map[job.State]int{}
-			for _, j := range s.jobs.Jobs() {
-				counts[j.State()]++
-			}
-			for _, st := range []job.State{job.StateRunning, job.StateDone, job.StateFailed} {
-				emit(float64(counts[st]), string(st))
-			}
 		})
 }
 

@@ -1,6 +1,7 @@
 // Package service is the simulation-as-a-service layer: an HTTP API over the
 // deterministic workload runner, backed by the persistent content-addressed
-// result cache (internal/rescache) and a cancellation-aware job manager.
+// result cache (internal/rescache) and a bounded, cancellation-aware worker
+// pool.
 //
 // Endpoints:
 //
@@ -14,7 +15,9 @@
 // in-flight requests are deduplicated to one simulation; a client disconnect
 // aborts a run (at the next simulation scheduling quantum) once its last
 // waiter is gone; results persist across daemon restarts when a cache
-// directory is configured.
+// directory is configured. A sweep interrupted by a crash resumes the same
+// way: re-issuing it answers the finished points from the cache and computes
+// only the rest.
 package service
 
 import (
@@ -22,20 +25,17 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
-	"net/url"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"dssmem/internal/core"
 	"dssmem/internal/experiments"
 	"dssmem/internal/fault"
-	"dssmem/internal/job"
 	"dssmem/internal/machine"
 	"dssmem/internal/rescache"
 	"dssmem/internal/telemetry"
@@ -48,16 +48,11 @@ type Config struct {
 	// Preset selects the database/machine scale (experiments.PresetByName).
 	Preset experiments.Preset
 	// Data overrides the dataset generated from Preset. Generation is
-	// deterministic, so a fleet test (or a process hosting several servers)
-	// can share one generation across them all. nil = generate.
+	// deterministic, so a process hosting several servers can share one
+	// generation across them all. nil = generate.
 	Data *tpch.Data
 	// CacheDir persists results across restarts ("" = memory only).
 	CacheDir string
-	// JobDir persists sweep-job journals (internal/job): each completed
-	// sweep point is recorded so a killed daemon resumes unfinished sweeps
-	// on restart, recomputing nothing the cache already holds. "" keeps
-	// jobs in memory only (no resume across restarts).
-	JobDir string
 	// Store overrides the result store built from CacheDir (the chaos
 	// harness wires one over a fault-injecting filesystem). nil = open from
 	// CacheDir.
@@ -81,21 +76,10 @@ type Config struct {
 	// computations (0 = GOMAXPROCS). Total concurrency is still capped by
 	// Workers, which gates at the simulation level.
 	EnvParallelism int
-	// PeerFetch, when non-nil, arms the result store's peer-fill tier: a
-	// full local cache miss consults fleet peers (memory → disk → peer →
-	// compute) before simulating. Wired by cmd/dssmemd in -role=worker from
-	// the -peers flag; the fetched bytes are checksum-verified before use.
-	PeerFetch rescache.PeerFetch
 	// Faults, when non-nil, arms the service-level fault sites (compute
 	// panic/hang, scheduler stalls) for chaos testing. Disk sites are wired
 	// separately, via Store over a fault.FS.
 	Faults *fault.Injector
-	// Checkpoints enables warm-state restore for every measurement this
-	// daemon computes: the warmup prelude is captured once per dataset
-	// identity, cached under rescache.NSWarm (shared with fleet peers), and
-	// restored instead of rebuilt. Results are byte-identical either way, so
-	// this changes no digests — it only removes redundant warmup work.
-	Checkpoints bool
 	// SampleQuanta, when > 1, is the daemon-wide default SMARTS sampling
 	// period: requests that do not pass sample_quanta themselves run with
 	// interval sampling at this period. Sampled results live under their own
@@ -114,11 +98,9 @@ type Server struct {
 	cfg   Config
 	data  *tpch.Data
 	store *rescache.Store
-	jobs  *job.Manager
 	sem   chan struct{}
 	mux   *http.ServeMux
 	start time.Time
-	bg    sync.WaitGroup // background job resume; Close waits for it
 
 	// base is cancelled by Close: it hard-aborts every in-flight run after
 	// the HTTP layer has drained (or when draining is abandoned).
@@ -145,8 +127,6 @@ type Server struct {
 	runSeconds   *telemetry.Hist    // wall-clock simulation time
 	reqSeconds   *telemetry.HistVec // end-to-end request latency, by endpoint
 	phaseSeconds *telemetry.HistVec // per-phase time, by phase name
-
-	jobsResumed *telemetry.Counter // journaled sweeps resumed after restart
 
 	// runHook replaces the workload runner in tests (nil = workload.RunContext).
 	runHook func(context.Context, workload.Options) (*workload.Stats, error)
@@ -193,23 +173,15 @@ func New(cfg Config) (*Server, error) {
 	if data == nil {
 		data = tpch.Generate(cfg.Preset.SF, cfg.Preset.Seed)
 	}
-	jobs, err := job.Open(cfg.JobDir)
-	if err != nil {
-		return nil, fmt.Errorf("service: %w", err)
-	}
 	base, stop := context.WithCancelCause(context.Background())
 	s := &Server{
 		cfg:      cfg,
 		data:     data,
 		store:    store,
-		jobs:     jobs,
 		sem:      make(chan struct{}, cfg.Workers),
 		start:    time.Now(),
 		base:     base,
 		baseStop: stop,
-	}
-	if cfg.PeerFetch != nil {
-		store.SetPeerFetch(cfg.PeerFetch)
 	}
 	s.tracker = telemetry.NewTracker(cfg.RecentRequests)
 	s.initMetrics()
@@ -220,12 +192,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.Handle("GET /v1/measure", s.instrument("/v1/measure", s.handleMeasure))
 	s.mux.Handle("GET /v1/figure/{id}", s.instrument("/v1/figure", s.handleFigure))
 	s.mux.Handle("GET /v1/sweep", s.instrument("/v1/sweep", s.handleSweep))
-	s.mux.Handle("GET /v1/cache/{ns}/{digest}", s.instrument("/v1/cache", s.handleCacheEntry))
-	s.mux.Handle("PUT /v1/cache/{ns}/{digest}", s.instrument("/v1/cache", s.handleCachePut))
-	s.mux.Handle("GET /v1/cache/{ns}", s.instrument("/v1/cache", s.handleCacheList))
-	s.mux.HandleFunc("GET /v1/jobs", s.handleJobs)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	s.resumeUnfinished()
 	return s, nil
 }
 
@@ -244,15 +210,11 @@ func (s *Server) Registry() *telemetry.Registry { return s.reg }
 // /debug/requests on the API mux; the debug listener mounts it too).
 func (s *Server) DebugRequests() http.Handler { return s.tracker }
 
-// Jobs exposes the sweep-job manager (tests, debugging).
-func (s *Server) Jobs() *job.Manager { return s.jobs }
-
 // Close hard-cancels every in-flight run: waiters are released with an error
-// and the underlying simulations abort at their next scheduling quantum —
-// including any background job resume, which it then waits out. Idempotent.
+// and the underlying simulations abort at their next scheduling quantum.
+// Idempotent.
 func (s *Server) Close() error {
 	s.baseStop(errShutdown)
-	s.bg.Wait()
 	return nil
 }
 
@@ -370,7 +332,6 @@ func (s *Server) env(ctx context.Context) *experiments.Env {
 	e.Results = s.store
 	e.Ctx = ctx
 	e.Runner = s.gatedRun
-	e.Checkpoints = s.cfg.Checkpoints
 	if s.cfg.EnvParallelism > 0 {
 		e.Parallelism = s.cfg.EnvParallelism
 	}
@@ -575,6 +536,10 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad procs %q", r.URL.Query().Get("procs")))
 		return
 	}
+	if procs > spec.CPUs {
+		s.fail(w, http.StatusBadRequest, fmt.Errorf("procs %d exceed the machine's %d CPUs", procs, spec.CPUs))
+		return
+	}
 	trial, err := parseIntDefault(r.URL.Query().Get("trial"), 0)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad trial %q", r.URL.Query().Get("trial")))
@@ -593,9 +558,6 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	}
 
 	env := s.env(ctx)
-	if boolParam(r, "ckpt") {
-		env.Checkpoints = true
-	}
 	m, hit, err := env.MeasureCached(spec.Name, q, procs, opts)
 	if err != nil {
 		s.failRun(w, err)
@@ -623,7 +585,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	dig, err := FigureDigestSampled(s.cfg.Preset, id, sq)
+	dig, err := figureDigest(s.cfg.Preset, id, sq)
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, err)
 		return
@@ -662,282 +624,46 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
+	if maxProcs := slices.Max(experiments.ProcCounts); spec.CPUs < maxProcs {
+		s.fail(w, http.StatusBadRequest, fmt.Errorf("a sweep runs up to %d processes; cpus %d is too few", maxProcs, spec.CPUs))
+		return
+	}
 	sq, err := s.sampleQuanta(r)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	dig, err := SweepDigestSampled(s.cfg.Preset, spec, q, sq)
+	dig, err := sweepDigest(s.cfg.Preset, spec, q, sq)
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, err)
 		return
 	}
-	// The sweep is journaled as a durable job: each completed point lands in
-	// the journal, so a daemon killed mid-sweep resumes the job on restart
-	// with the finished points answered from the result cache.
-	j, _, jerr := s.jobs.Start(string(dig), "sweep", "/v1/sweep?"+r.URL.RawQuery, len(experiments.ProcCounts))
-	if jerr == nil {
-		w.Header().Set("X-Job-ID", string(dig))
-	}
-	raw, hit, err := s.runSweep(ctx, spec, q, sq, dig, j)
-	if err != nil {
-		if j != nil {
-			j.Fail(err)
-		}
-		s.failRun(w, err)
-		return
-	}
-	if j != nil {
-		j.Done()
-	}
-	s.respondRaw(w, r, hit, dig, raw)
-}
-
-// runSweep computes (or recalls) one sweep, journaling each completed point
-// on j. Shared by the live handler and the restart resume path.
-func (s *Server) runSweep(ctx context.Context, spec machine.Spec, q tpch.QueryID, sq int, dig rescache.Digest, j *job.Job) ([]byte, bool, error) {
-	return s.store.Do(ctx, rescache.NSSweep, dig, func(runCtx context.Context) ([]byte, error) {
+	// Each point is cached under its own measurement digest as it finishes,
+	// so a sweep cut short (client gone, daemon killed) recomputes only the
+	// points it had not finished when re-issued.
+	raw, hit, err := s.store.Do(ctx, rescache.NSSweep, dig, func(runCtx context.Context) ([]byte, error) {
 		env := s.env(runCtx)
 		env.SampleQuanta = sq
-		if j != nil {
-			env.OnPoint = func(idx, procs int, pdig rescache.Digest, hit bool) {
-				j.Point(idx, string(pdig))
-			}
-		}
 		series, err := env.Sweep(spec.Name, spec, q, workload.Options{})
 		if err != nil {
 			return nil, err
 		}
 		return json.Marshal(series)
 	})
-}
-
-// resumeUnfinished re-runs, in the background, every journaled sweep still
-// marked running after a restart: the kill interrupted it mid-flight. The
-// completed points hit the result cache (memory or disk), so only the
-// interrupted remainder computes.
-func (s *Server) resumeUnfinished() {
-	var unfinished []*job.Job
-	for _, j := range s.jobs.Jobs() {
-		if j.State() == job.StateRunning {
-			unfinished = append(unfinished, j)
-		}
-	}
-	if len(unfinished) == 0 {
-		return
-	}
-	s.bg.Add(1)
-	go func() {
-		defer s.bg.Done()
-		for _, j := range unfinished {
-			s.resumeJob(j)
-		}
-	}()
-}
-
-func (s *Server) resumeJob(j *job.Job) {
-	u, err := url.Parse(j.Path())
 	if err != nil {
-		j.Fail(fmt.Errorf("service: resume: unparseable job path %q: %w", j.Path(), err))
+		s.failRun(w, err)
 		return
 	}
-	qp := u.Query()
-	spec, err := parseMachine(qp.Get("machine"), qp.Get("cpus"), s.cfg.Preset.MemScale)
-	if err != nil {
-		j.Fail(fmt.Errorf("service: resume job %s: %w", j.ID(), err))
-		return
-	}
-	q, err := parseQuery(qp.Get("query"))
-	if err != nil {
-		j.Fail(fmt.Errorf("service: resume job %s: %w", j.ID(), err))
-		return
-	}
-	sq := 0
-	if v := qp.Get("sample_quanta"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			j.Fail(fmt.Errorf("service: resume job %s: bad sample_quanta %q", j.ID(), v))
-			return
-		}
-		if n > 1 {
-			sq = n
-		}
-	} else if s.cfg.SampleQuanta > 1 {
-		sq = s.cfg.SampleQuanta
-	}
-	dig, err := SweepDigestSampled(s.cfg.Preset, spec, q, sq)
-	if err != nil || string(dig) != j.ID() {
-		if err == nil {
-			err = fmt.Errorf("service: resume: job %s path resolves to digest %s (preset or version skew)", j.ID(), dig.Short())
-		}
-		j.Fail(err)
-		return
-	}
-	if _, _, err := s.runSweep(s.base, spec, q, sq, dig, j); err != nil {
-		j.Fail(fmt.Errorf("service: resume: %w", err))
-		return
-	}
-	j.Done()
-	s.jobsResumed.Inc()
-	if s.cfg.Log != nil {
-		s.cfg.Log.Info("resumed job", "job", j.ID(), "kind", "sweep", "query", u.RawQuery)
-	}
-}
-
-func (s *Server) handleJobs(w http.ResponseWriter, _ *http.Request) {
-	jobs := s.jobs.Jobs()
-	snaps := make([]job.Snapshot, len(jobs))
-	for i, j := range jobs {
-		snaps[i] = j.Snapshot()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(struct {
-		Jobs []job.Snapshot `json:"jobs"`
-	}{snaps})
-}
-
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	j := s.jobs.Get(r.PathValue("id"))
-	if j == nil {
-		// Control-plane miss: same body shape as fail, but these endpoints
-		// are not instrumented, so no error counter.
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusNotFound)
-		json.NewEncoder(w).Encode(struct {
-			Error     string `json:"error"`
-			Retriable bool   `json:"retriable"`
-			Status    int    `json:"status"`
-		}{fmt.Sprintf("unknown job %q", r.PathValue("id")), false, http.StatusNotFound})
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(j.Snapshot())
-}
-
-// handleCacheEntry is the peer-fetch endpoint: it serves one cached entry's
-// bytes in the checksummed frame (the disk format on the wire), or 404 when
-// this worker does not hold the entry. It reads the local tiers only — a
-// peer fetch must never trigger a compute, or a fleet-wide miss would fan
-// out into N simulations of the same digest.
-func (s *Server) handleCacheEntry(w http.ResponseWriter, r *http.Request) {
-	ns := r.PathValue("ns")
-	switch ns {
-	case rescache.NSMeasurement, rescache.NSFigure, rescache.NSSweep, rescache.NSWarm:
-	default:
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("unknown cache namespace %q", ns))
-		return
-	}
-	dig := rescache.Digest(r.PathValue("digest"))
-	if !validDigest(string(dig)) {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("malformed digest %q", dig))
-		return
-	}
-	b, ok := s.store.Get(ns, dig)
-	if !ok {
-		// A miss is a healthy answer, not a failure: plain 404, no error
-		// counter — the peer tier treats it as "fall through to compute".
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusNotFound)
-		json.NewEncoder(w).Encode(struct {
-			Error     string `json:"error"`
-			Retriable bool   `json:"retriable"`
-			Status    int    `json:"status"`
-		}{"cache entry not held", false, http.StatusNotFound})
-		return
-	}
-	q := telemetry.FromContext(r.Context())
-	q.SetDigest(string(dig))
-	q.SetCache("hit")
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(rescache.FrameEntry(b))
-}
-
-// handleCachePut is the cache-fill endpoint — the receiving side of hinted
-// handoff and anti-entropy repair. The body is the same checksummed frame
-// GET serves; it is verified before anything is stored, so a corrupted or
-// truncated transfer changes nothing. Storing is idempotent.
-func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
-	ns := r.PathValue("ns")
-	switch ns {
-	case rescache.NSMeasurement, rescache.NSFigure, rescache.NSSweep, rescache.NSWarm:
-	default:
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("unknown cache namespace %q", ns))
-		return
-	}
-	dig := rescache.Digest(r.PathValue("digest"))
-	if !validDigest(string(dig)) {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("malformed digest %q", dig))
-		return
-	}
-	framed, err := io.ReadAll(io.LimitReader(r.Body, 8<<20))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("reading cache fill body: %w", err))
-		return
-	}
-	payload, err := rescache.UnframeEntry(framed)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("cache fill frame rejected: %w", err))
-		return
-	}
-	s.store.Put(ns, dig, payload)
-	q := telemetry.FromContext(r.Context())
-	q.SetDigest(string(dig))
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// handleCacheList serves the digest inventory of one namespace (memory ∪
-// disk tiers) — the comparison input for the coordinator's anti-entropy
-// repair pass.
-func (s *Server) handleCacheList(w http.ResponseWriter, r *http.Request) {
-	ns := r.PathValue("ns")
-	switch ns {
-	case rescache.NSMeasurement, rescache.NSFigure, rescache.NSSweep, rescache.NSWarm:
-	default:
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("unknown cache namespace %q", ns))
-		return
-	}
-	digests := s.store.Digests(ns)
-	names := make([]string, len(digests))
-	for i, d := range digests {
-		names[i] = string(d)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(struct {
-		Namespace string   `json:"namespace"`
-		Count     int      `json:"count"`
-		Digests   []string `json:"digests"`
-	}{ns, len(names), names})
-}
-
-// validDigest accepts exactly the hex form rescache digests take; anything
-// else is rejected before it can reach a disk path.
-func validDigest(s string) bool {
-	if len(s) != 64 {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
+	s.respondRaw(w, r, hit, dig, raw)
 }
 
 // --- content digests ---
 
-// FigureDigest is the content address of one figure result under preset p.
-// Exported so the fleet coordinator computes the identical address its
-// workers will answer under.
-func FigureDigest(p experiments.Preset, id int) (rescache.Digest, error) {
-	return FigureDigestSampled(p, id, 0)
-}
-
-// FigureDigestSampled is FigureDigest for a figure computed with SMARTS
-// interval sampling at the given period. sampleQuanta 0 encodes to exactly
-// the pre-sampling digest (omitempty), so existing exact caches stay valid;
-// any other period addresses its own estimated result.
-func FigureDigestSampled(p experiments.Preset, id, sampleQuanta int) (rescache.Digest, error) {
+// figureDigest is the content address of one figure result under preset p,
+// computed with SMARTS interval sampling at the given period. sampleQuanta 0
+// encodes to exactly the pre-sampling digest (omitempty), so existing exact
+// caches stay valid; any other period addresses its own estimated result.
+func figureDigest(p experiments.Preset, id, sampleQuanta int) (rescache.Digest, error) {
 	return rescache.DigestJSON(struct {
 		Schema       int                `json:"schema"`
 		Kind         string             `json:"kind"`
@@ -948,15 +674,9 @@ func FigureDigestSampled(p experiments.Preset, id, sampleQuanta int) (rescache.D
 	}{1, "figure", p, id, experiments.ProcCounts, sampleQuanta})
 }
 
-// SweepDigest is the content address of one sweep result under preset p
-// (see FigureDigest).
-func SweepDigest(p experiments.Preset, spec machine.Spec, q tpch.QueryID) (rescache.Digest, error) {
-	return SweepDigestSampled(p, spec, q, 0)
-}
-
-// SweepDigestSampled is SweepDigest under interval sampling (see
-// FigureDigestSampled for the compatibility contract).
-func SweepDigestSampled(p experiments.Preset, spec machine.Spec, q tpch.QueryID, sampleQuanta int) (rescache.Digest, error) {
+// sweepDigest is the content address of one sweep result under preset p (see
+// figureDigest for the sampling compatibility contract).
+func sweepDigest(p experiments.Preset, spec machine.Spec, q tpch.QueryID, sampleQuanta int) (rescache.Digest, error) {
 	return rescache.DigestJSON(struct {
 		Schema       int                `json:"schema"`
 		Kind         string             `json:"kind"`
@@ -1079,19 +799,9 @@ func (s *Server) fail(w http.ResponseWriter, status int, err error) {
 
 // --- parameter parsing ---
 
-// ParseMachine resolves the machine/cpus API parameters into a spec at the
-// given memory scale. Exported for the fleet coordinator, which must parse
-// requests exactly as its workers do — the spec feeds the content digest, so
-// any divergence would shard requests under the wrong address.
-func ParseMachine(name, cpus string, memScale int) (machine.Spec, error) {
-	return parseMachine(name, cpus, memScale)
-}
-
-// ParseQuery resolves the query API parameter (same contract as ParseMachine).
-func ParseQuery(name string) (tpch.QueryID, error) {
-	return parseQuery(name)
-}
-
+// parseMachine resolves the machine/cpus API parameters into a validated spec
+// at the given memory scale; a spec machine.New would reject is a bad
+// request, not a failed run.
 func parseMachine(name, cpus string, memScale int) (machine.Spec, error) {
 	n := 0
 	if cpus != "" {
@@ -1101,24 +811,30 @@ func parseMachine(name, cpus string, memScale int) (machine.Spec, error) {
 			return machine.Spec{}, fmt.Errorf("bad cpus %q", cpus)
 		}
 	}
+	var spec machine.Spec
 	switch strings.ToLower(name) {
 	case "", "vclass", "hpv", "v-class":
 		if n == 0 {
 			n = 16
 		}
-		return machine.VClassSpec(n, memScale), nil
+		spec = machine.VClassSpec(n, memScale)
 	case "origin", "sgi", "origin2000":
 		if n == 0 {
 			n = 32
 		}
-		return machine.OriginSpec(n, memScale), nil
+		spec = machine.OriginSpec(n, memScale)
 	case "starfire", "e10000":
 		if n == 0 {
 			n = 64
 		}
-		return machine.StarfireSpec(n, memScale), nil
+		spec = machine.StarfireSpec(n, memScale)
+	default:
+		return machine.Spec{}, fmt.Errorf("unknown machine %q (vclass|origin|starfire)", name)
 	}
-	return machine.Spec{}, fmt.Errorf("unknown machine %q (vclass|origin|starfire)", name)
+	if err := spec.Validate(); err != nil {
+		return machine.Spec{}, err
+	}
+	return spec, nil
 }
 
 func parseQuery(name string) (tpch.QueryID, error) {

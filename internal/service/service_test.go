@@ -133,10 +133,22 @@ func TestBadRequests(t *testing.T) {
 		"/v1/measure?query=Q99",
 		"/v1/measure?procs=zero",
 		"/v1/figure/notanumber",
+		// Out-of-range machine geometry is the caller's mistake, never a
+		// retriable run failure: a retry cannot make it succeed.
+		"/v1/measure?machine=vclass&cpus=100&procs=1",
+		"/v1/measure?machine=vclass&cpus=4&procs=5",
+		"/v1/sweep?machine=origin&cpus=2",
 	} {
-		resp, _ := get(t, ts, path)
+		resp, body := get(t, ts, path)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: %d, want 400", path, resp.StatusCode)
+		}
+		var eb errBody
+		if err := json.Unmarshal(body, &eb); err != nil || eb.Retriable {
+			t.Errorf("%s: body %s, want a non-retriable error", path, body)
+		}
+		if ra := resp.Header.Get("Retry-After"); ra != "" {
+			t.Errorf("%s: Retry-After %q on a bad request", path, ra)
 		}
 	}
 	resp, _ := get(t, ts, "/v1/figure/42")

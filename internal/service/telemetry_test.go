@@ -15,8 +15,7 @@ import (
 )
 
 // legacyMetricNames pins every family name that existed before the registry:
-// renaming any of them breaks dashboards and the fleet rollup, so this list
-// only ever grows.
+// renaming any of them breaks dashboards, so this list only ever grows.
 var legacyMetricNames = []string{
 	"dssmem_cache_hits_total",
 	"dssmem_cache_misses_total",

@@ -49,8 +49,8 @@ type bucketSample struct {
 // histograms — a +Inf bucket, _sum and _count per labelset with cumulative
 // bucket counts that never decrease. It returns a report; a scrape is clean
 // when Problems is empty. The parser is deliberately strict: it exists to
-// keep this repository's exposition consumable by real scrapers and by the
-// planned fleet rollup, not to accept everything Prometheus would.
+// keep this repository's exposition consumable by real scrapers, not to
+// accept everything Prometheus would.
 func Lint(r io.Reader) (*LintReport, error) {
 	rep := &LintReport{Families: make(map[string]string), Series: make(map[string]int)}
 	fams := make(map[string]*lintFamily)

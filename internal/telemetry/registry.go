@@ -15,9 +15,9 @@
 //     child) is mutated with a single atomic op — no locks, no allocation.
 //     Label resolution (With) takes a read-lock and allocates a key, so hot
 //     callers resolve their children once and keep the pointer.
-//  3. Aggregatable. Every series is label-structured so a fleet coordinator
-//     can sum worker scrapes; histograms use fixed buckets for the same
-//     reason (equal buckets merge by addition).
+//  3. Aggregatable. Every series is label-structured so a scraper can sum
+//     across daemons; histograms use fixed buckets for the same reason
+//     (equal buckets merge by addition).
 //  4. Nil-safety. A nil *Request is valid everywhere and every method on it
 //     is a no-op, so instrumented code paths cost one predictable branch
 //     when telemetry is absent (CLI runs, benchmarks).
@@ -40,7 +40,7 @@ import (
 // DefBuckets is the default latency histogram layout, in seconds. It spans
 // sub-millisecond cache hits to ten-minute figure computations; every
 // histogram in the daemon shares it so per-phase and per-endpoint series
-// merge bucket-by-bucket in a fleet rollup.
+// merge bucket-by-bucket.
 var DefBuckets = []float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
 	1, 2.5, 5, 10, 30, 60, 120, 300, 600,

@@ -20,7 +20,6 @@ const (
 	PhaseQueue     = "queue"
 	PhaseCacheMem  = "cache_mem"
 	PhaseCacheDisk = "cache_disk"
-	PhaseCachePeer = "cache_peer" // fleet peer-fill fetch (memory → disk → peer → compute)
 	PhaseCompute   = "compute"
 	PhaseEncode    = "encode"
 )

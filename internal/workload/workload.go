@@ -81,16 +81,6 @@ type Options struct {
 	// identity — it is excluded from the cache digest and cleared by
 	// experiments.Env.CanonicalOptions.
 	SimFault func()
-	// Warm, when non-nil, restores the database from a previously captured
-	// warm-state image (CaptureWarm) instead of re-running the load prelude.
-	// A restored run is byte-identical to a rebuilt one — the prelude never
-	// touches the machine model, so the image plus a fresh machine is the
-	// complete state at the measured-region boundary — which is why Warm
-	// carries no run identity: it is excluded from the cache digest and
-	// cleared by experiments.Env.CanonicalOptions. A mismatched or stale
-	// image silently falls back to a full rebuild; ColdRun ignores Warm
-	// (the cold pool's first-touch I/O is the experiment).
-	Warm *engine.Image
 	// SampleQuanta enables SMARTS-style interval sampling with the given
 	// period in scheduling quanta: of every SampleQuanta quanta per CPU, the
 	// first is simulated in detail and measured, the last is simulated in
@@ -125,21 +115,16 @@ type Stats struct {
 	Regions perfctr.RegionCounters
 	// DiskReads counts cold-pool device reads (0 for warm runs).
 	DiskReads uint64
-	// Restored reports whether the warmup prelude was restored from a
-	// warm-state image rather than rebuilt. Host-side accounting only —
-	// core.FromStats ignores it, so cached measurement bytes are identical
-	// either way.
-	Restored bool
 	// WarmupHostNS and MeasuredHostNS split the run's host wall-clock time
-	// between the warmup prelude (build or restore) and the measured region
-	// (simulation). Host-side accounting only, like Restored.
+	// between the warmup prelude (bulk load) and the measured region
+	// (simulation). Host-side accounting only: core.FromStats ignores them.
 	// They are excluded from the JSON encoding: Stats JSON must stay a pure
 	// function of Options for digest-keyed caching and determinism tests.
 	WarmupHostNS   int64 `json:"-"`
 	MeasuredHostNS int64 `json:"-"`
 	// Sampling carries per-process sampling-estimator diagnostics (window
 	// counts, CI95 half-widths) when the run was sampled; nil for exact
-	// runs. Host-side diagnostics only, like Restored.
+	// runs. Host-side diagnostics only, like WarmupHostNS.
 	Sampling []obs.SampleEstimate
 }
 
@@ -189,10 +174,8 @@ func run(ctx context.Context, opts Options) (*Stats, error) {
 	}
 
 	preludeStart := time.Now()
-	db, restored, err := buildDB(opts)
-	if err != nil {
-		return nil, err
-	}
+	db := engine.Open(engineConfig(opts))
+	tpch.Load(db, opts.Data)
 	warmupNS := time.Since(preludeStart).Nanoseconds()
 
 	spec := opts.Spec
@@ -295,7 +278,6 @@ func run(ctx context.Context, opts Options) (*Stats, error) {
 
 	st := &Stats{
 		DiskReads:      db.DiskReads,
-		Restored:       restored,
 		WarmupHostNS:   warmupNS,
 		MeasuredHostNS: measuredNS,
 		MachineName:    spec.Name,
@@ -335,10 +317,8 @@ func run(ctx context.Context, opts Options) (*Stats, error) {
 	return st, nil
 }
 
-// engineConfig derives the engine configuration from opts. It is the single
-// definition of the warmup prelude's inputs, shared by live runs, cold runs
-// and checkpoint capture, so the snapshot boundary and the cold-run boundary
-// cannot drift apart.
+// engineConfig derives the warmup prelude's engine configuration from opts;
+// a cold run differs only in its empty pool and device-read latency.
 func engineConfig(opts Options) engine.Config {
 	ioLatency := uint64(0)
 	if opts.ColdRun {
@@ -361,40 +341,6 @@ func engineConfig(opts Options) engine.Config {
 		ColdPool:        opts.ColdRun,
 		IOLatency:       ioLatency,
 	}
-}
-
-// buildDB runs the warmup prelude: restore from opts.Warm when possible,
-// otherwise open and bulk-load. The returned bool reports a restore. A warm
-// image that fails structural validation falls back to a full rebuild —
-// checkpoints are an accelerator, never a correctness dependency.
-func buildDB(opts Options) (*engine.Database, bool, error) {
-	cfg := engineConfig(opts)
-	if opts.Warm != nil && !opts.ColdRun {
-		if db, err := engine.FromImage(opts.Warm, cfg); err == nil {
-			return db, true, nil
-		}
-	}
-	db := engine.Open(cfg)
-	tpch.Load(db, opts.Data)
-	return db, false, nil
-}
-
-// CaptureWarm runs the warmup prelude from scratch and returns the warm-state
-// image at the measured-region boundary — exactly the state a run restores
-// when Options.Warm is set. Only the prelude-shaping options matter (Data,
-// BufHeaderBytes; plus SpinLimit/HintBitFraction, which affect runtime
-// behavior but not the image); the rest may be left zero.
-func CaptureWarm(opts Options) (*engine.Image, error) {
-	if opts.Data == nil {
-		return nil, fmt.Errorf("workload: capture: no data")
-	}
-	opts.Warm = nil
-	opts.ColdRun = false
-	db, _, err := buildDB(opts)
-	if err != nil {
-		return nil, err
-	}
-	return db.Image(), nil
 }
 
 // RunTrials repeats a configuration n times with perturbed OS jitter and

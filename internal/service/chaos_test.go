@@ -1,7 +1,8 @@
 package service
 
 // Chaos test: hammer a daemon whose disk, compute, and simulation layers are
-// all failing probabilistically, through the retrying client, and assert the
+// all failing probabilistically, through the retrying client over a
+// connection that drops requests and cuts replies, and assert the
 // only two permissible outcomes:
 //
 //   1. HTTP 200 with a measurement byte-identical to the fault-free baseline
@@ -22,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"strconv"
@@ -111,6 +113,9 @@ func TestChaos(t *testing.T) {
 		// per-boundary probability and stall small or runs take seconds.
 		inj.Set(fault.SimStall, 0.02)
 		inj.SetStall(2 * time.Millisecond)
+		// Client side: refused connections and replies cut mid-body.
+		inj.Set(fault.NetDialErr, 0.05)
+		inj.Set(fault.NetRespTruncated, 0.05)
 	}
 
 	iters := chaosIters(t)
@@ -130,7 +135,7 @@ func TestChaos(t *testing.T) {
 
 		cl, err := client.New(client.Config{
 			BaseURL:     ts.URL,
-			HTTP:        ts.Client(),
+			HTTP:        &http.Client{Transport: fault.Transport{Inner: ts.Client().Transport, Inj: inj}},
 			MaxAttempts: 8,
 			BaseDelay:   2 * time.Millisecond,
 			MaxDelay:    50 * time.Millisecond,
@@ -233,5 +238,8 @@ func TestChaos(t *testing.T) {
 	t.Logf("chaos: %d ok, %d gave up after retries; store: %+v", okCount, errCount, st)
 	if okCount == 0 {
 		t.Fatal("chaos produced no successful requests — faults too aggressive to mean anything")
+	}
+	if f := inj.Fired(); f[fault.NetDialErr] == 0 || f[fault.NetRespTruncated] == 0 {
+		t.Fatalf("network faults never fired (%v): the client is not on the faulty transport", f)
 	}
 }

@@ -75,9 +75,7 @@ type Request struct {
 	// SampleQuanta > 1 selects SMARTS interval sampling: counters are
 	// estimates, so sampled results must never share an address with exact
 	// ones. omitempty keeps every exact request's digest byte-stable with
-	// pre-sampling caches. Options.Warm is deliberately excluded: a restored
-	// run is byte-identical to a cold-started one, so warm state is not
-	// identity.
+	// pre-sampling caches.
 	SampleQuanta int `json:"sample_quanta,omitempty"`
 }
 

@@ -145,12 +145,16 @@ func TestColdWarmByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold.Results = store1
+	cold.Tally = &RunTally{}
 	m1, hit, err := cold.MeasureCached(spec.Name, tpch.Q6, 1, workload.Options{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit {
 		t.Fatal("cold run reported a cache hit")
+	}
+	if runs, warmupNS, measuredNS := cold.Tally.Snapshot(); runs != 1 || warmupNS <= 0 || measuredNS <= 0 {
+		t.Fatalf("cold tally runs=%d warmup=%dns measured=%dns, want 1 run with both phases timed", runs, warmupNS, measuredNS)
 	}
 
 	warm := NewEnvWith(Tiny, sharedEnv.Data)
@@ -159,6 +163,7 @@ func TestColdWarmByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm.Results = store2
+	warm.Tally = &RunTally{}
 	warm.Runner = func(context.Context, workload.Options) (*workload.Stats, error) {
 		t.Error("warm path ran a simulation")
 		return nil, errors.New("unreachable")
@@ -169,6 +174,9 @@ func TestColdWarmByteIdentical(t *testing.T) {
 	}
 	if !hit {
 		t.Fatal("disk-persisted result not found after 'restart'")
+	}
+	if runs, _, _ := warm.Tally.Snapshot(); runs != 0 {
+		t.Fatalf("warm env tallied %d runs, want 0: cache hits run nothing", runs)
 	}
 	if !bytes.Equal(marshal(m1), marshal(m2)) {
 		t.Fatalf("cold/warm JSON differ:\ncold %s\nwarm %s", marshal(m1), marshal(m2))

@@ -1,10 +1,9 @@
 // Package fault is the deterministic fault-injection layer behind the
 // daemon's robustness tests. An Injector holds per-site firing probabilities
 // over a seeded RNG, so a chaos run is reproducible from its seed; every
-// production failure path — disk I/O errors, corrupted or torn cache bytes,
-// latency stalls, compute panics, hung simulations, dropped or cut
-// connections — has a named site here, and the hardened code paths
-// (internal/rescache, internal/service, internal/client) consume
+// server-side failure path — disk I/O errors, corrupted or torn cache bytes,
+// latency stalls, compute panics, hung simulations — has a named site here,
+// and the hardened code paths (internal/rescache, internal/service) consume
 // faults through the same interfaces production uses, so the tested paths
 // are the shipped paths.
 //
@@ -28,23 +27,18 @@ type Site string
 
 // The named sites. Disk sites are exercised by the FS wrapper around the
 // result store; compute sites by the service's gated runner; SimStall by the
-// simulation kernel's quantum-boundary hook; net sites by Transport, on the
-// HTTP client that talks to the daemon.
+// simulation kernel's quantum-boundary hook.
 const (
-	DiskReadErr      Site = "disk.read.err"      // ReadFile fails with a non-NotExist error
-	DiskReadCorrupt  Site = "disk.read.corrupt"  // ReadFile succeeds but a byte is flipped
-	DiskWriteErr     Site = "disk.write.err"     // WriteFile/Rename fails
-	DiskWriteTorn    Site = "disk.write.torn"    // WriteFile persists a truncated prefix yet reports success
-	SimStall         Site = "sim.stall"          // a scheduling quantum stalls for StallFor
-	ComputePanic     Site = "compute.panic"      // the run goroutine panics
-	ComputeHang      Site = "compute.hang"       // the run wedges, ignoring cancellation
-	NetDialErr       Site = "net.dial.err"       // an outbound HTTP request fails before any bytes move
-	NetRespTruncated Site = "net.resp.truncated" // a response body is cut mid-stream
+	DiskReadErr     Site = "disk.read.err"     // ReadFile fails with a non-NotExist error
+	DiskReadCorrupt Site = "disk.read.corrupt" // ReadFile succeeds but a byte is flipped
+	DiskWriteErr    Site = "disk.write.err"    // WriteFile/Rename fails
+	DiskWriteTorn   Site = "disk.write.torn"   // WriteFile persists a truncated prefix yet reports success
+	SimStall        Site = "sim.stall"         // a scheduling quantum stalls for StallFor
+	ComputePanic    Site = "compute.panic"     // the run goroutine panics
+	ComputeHang     Site = "compute.hang"      // the run wedges, ignoring cancellation
 )
 
-// Sites lists, in stable order, the sites the daemon itself can arm (its
-// -faults vocabulary). The net sites are left out: the daemon makes no
-// outbound requests, so they are armed on a client's Transport instead.
+// Sites lists every site in stable order: the vocabulary of dssmemd -faults.
 func Sites() []Site {
 	return []Site{
 		DiskReadErr, DiskReadCorrupt, DiskWriteErr, DiskWriteTorn,

@@ -106,8 +106,7 @@ func TestParseSpec(t *testing.T) {
 	if m, err := ParseSpec(""); err != nil || len(m) != 0 {
 		t.Fatalf("empty spec: %v %v", m, err)
 	}
-	// Net sites belong to a client's Transport; the daemon cannot arm them.
-	for _, bad := range []string{"nope=0.1", "disk.read.err=2", "disk.read.err", "disk.read.err=x", "net.dial.err=0.1"} {
+	for _, bad := range []string{"nope=0.1", "disk.read.err=2", "disk.read.err", "disk.read.err=x"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}

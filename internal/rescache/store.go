@@ -151,20 +151,6 @@ func (s *Store) SetBreaker(threshold int, cooldown time.Duration) {
 	s.brk = newBreaker(threshold, cooldown)
 }
 
-// Degraded reports whether the disk tier is currently bypassed (breaker not
-// closed). Memory-only stores are never degraded — they have no disk tier
-// to lose.
-func (s *Store) Degraded() bool {
-	if s.dir == "" {
-		return false
-	}
-	st, _ := s.brk.snapshot()
-	return st != BreakerClosed
-}
-
-// Dir reports the disk tier's directory ("" when memory-only).
-func (s *Store) Dir() string { return s.dir }
-
 // QuarantineDir reports where corrupt entries are preserved ("" when
 // memory-only).
 func (s *Store) QuarantineDir() string {

@@ -179,12 +179,12 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 
 	inj.Set(fault.DiskReadErr, 1)
 	for i := 0; i < 3; i++ {
-		if s.Degraded() {
+		if s.Stats().Degraded {
 			t.Fatalf("degraded after only %d faults", i)
 		}
 		s.Get(NSMeasurement, digestN(byte(5+i)))
 	}
-	if !s.Degraded() {
+	if !s.Stats().Degraded {
 		t.Fatal("breaker did not trip after 3 consecutive faults")
 	}
 	if st := s.Stats(); st.Breaker != "open" || st.BreakerTrips != 1 {
@@ -222,7 +222,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	inj.DisableAll()
 	clock = clock.Add(2 * time.Hour)
 	s.Get(NSMeasurement, digestN(11))
-	if s.Degraded() {
+	if s.Stats().Degraded {
 		t.Fatal("breaker did not close after a successful probe")
 	}
 	// Persistence resumes.

@@ -73,12 +73,11 @@ func referenceSweep(t *testing.T) []byte {
 	return body
 }
 
-// TestSweepJobResume: a daemon closed mid-sweep leaves its finished points in
-// the disk cache, so a new daemon on the same directory answers the
+// TestSweepResumesFromCache: a daemon closed mid-sweep leaves its finished
+// points in the disk cache, so a new daemon on the same directory answers the
 // re-issued sweep by simulating only the points that never finished, and
-// returns the same bytes as an uninterrupted sweep. The result cache is the
-// only resume mechanism; there is no journal.
-func TestSweepJobResume(t *testing.T) {
+// returns the same bytes as an uninterrupted sweep.
+func TestSweepResumesFromCache(t *testing.T) {
 	dir := t.TempDir()
 	wedgeSweep(t, dir)()
 
@@ -98,11 +97,12 @@ func TestSweepJobResume(t *testing.T) {
 	}
 }
 
-// TestSweepJobJournaled pins the property resume rests on: a sweep stores
-// each point on disk as that point finishes, not when the sweep completes.
-// While the sweep is still wedged on its third point, a second daemon on the
-// same directory already answers the first two points from disk.
-func TestSweepJobJournaled(t *testing.T) {
+// TestSweepPointsPersistIncrementally pins the property resume rests on: a
+// sweep stores each point on disk as that point finishes, not when the sweep
+// completes, under the same digest /v1/measure uses. While the sweep is still
+// wedged on its third point, a second daemon on the same directory already
+// answers the first two points from disk.
+func TestSweepPointsPersistIncrementally(t *testing.T) {
 	dir := t.TempDir()
 	stop := wedgeSweep(t, dir)
 	defer stop()
@@ -121,36 +121,4 @@ func TestSweepJobJournaled(t *testing.T) {
 		}
 	}
 	runsTotal(t, c, tsC, 0)
-}
-
-// TestCacheFillEndpoint: /v1/measure fills the same cache entries a sweep
-// reads, so points measured one by one before a restart are not simulated
-// again by the sweep afterwards, and the sweep's bytes are unchanged.
-func TestCacheFillEndpoint(t *testing.T) {
-	dir := t.TempDir()
-	filled := experiments.ProcCounts[:3]
-
-	a := newTestServerCfg(t, Config{CacheDir: dir})
-	tsA := httptest.NewServer(a.Handler())
-	for _, procs := range filled {
-		path := fmt.Sprintf("/v1/measure?machine=vclass&query=Q6&procs=%d", procs)
-		if resp, body := get(t, tsA, path); resp.StatusCode != 200 {
-			t.Fatalf("%s: %d %s", path, resp.StatusCode, body)
-		}
-	}
-	tsA.Close()
-	a.Close()
-
-	b := newTestServerCfg(t, Config{CacheDir: dir})
-	tsB := httptest.NewServer(b.Handler())
-	defer tsB.Close()
-	resp, body := get(t, tsB, resumeSweepPath)
-	if resp.StatusCode != 200 {
-		t.Fatalf("sweep: %d %s", resp.StatusCode, body)
-	}
-	runsTotal(t, b, tsB, len(experiments.ProcCounts)-len(filled))
-
-	if refBody := referenceSweep(t); !bytes.Equal(body, refBody) {
-		t.Fatalf("sweep over a filled cache differs from a fresh one:\n got %s\nwant %s", body, refBody)
-	}
 }

@@ -580,6 +580,10 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad figure id %q", r.PathValue("id")))
 		return
 	}
+	if ids := experiments.FigureIDs(); !slices.Contains(ids, id) {
+		s.fail(w, http.StatusNotFound, fmt.Errorf("no figure %d (have %v)", id, ids))
+		return
+	}
 	sq, err := s.sampleQuanta(r)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
@@ -600,10 +604,6 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		return json.Marshal(res)
 	})
 	if err != nil {
-		if strings.Contains(err.Error(), "no figure") {
-			s.fail(w, http.StatusNotFound, err)
-			return
-		}
 		s.failRun(w, err)
 		return
 	}
@@ -749,8 +749,8 @@ func (s *Server) failRun(w http.ResponseWriter, err error) {
 	s.fail(w, status, err)
 }
 
-// retriable statuses are the ones internal/client retries: the request was
-// well-formed and a later identical attempt can succeed.
+// retriableStatus reports whether a status tells the caller to retry: the
+// request was well-formed and a later identical attempt can succeed.
 func retriableStatus(status int) bool {
 	switch status {
 	case http.StatusTooManyRequests, http.StatusBadGateway,
@@ -780,7 +780,7 @@ func (s *Server) retryAfterSeconds() int {
 
 // fail writes the structured error body every non-200 response carries:
 // {"error": ..., "retriable": bool, "status": N}. Retriable responses also
-// carry Retry-After, which internal/client honours.
+// carry Retry-After, the server's estimate of when to try again.
 func (s *Server) fail(w http.ResponseWriter, status int, err error) {
 	s.reqErrors.Inc()
 	retriable := retriableStatus(status)

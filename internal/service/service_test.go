@@ -126,7 +126,8 @@ func TestMeasureEndpointAndCacheHit(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	ts := httptest.NewServer(newTestServer(t, "").Handler())
+	srv := newTestServer(t, "")
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	for _, path := range []string{
 		"/v1/measure?machine=cray",
@@ -154,6 +155,10 @@ func TestBadRequests(t *testing.T) {
 	resp, _ := get(t, ts, "/v1/figure/42")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("figure 42: %d, want 404", resp.StatusCode)
+	}
+	// A rejected request never reaches the result store.
+	if st := srv.Store().Stats(); st.Misses != 0 {
+		t.Errorf("bad requests counted %d cache misses, want 0", st.Misses)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package telemetry is the request-scoped observability substrate for the
 // serving layer: a dependency-free metrics registry (counters, gauges and
-// fixed-bucket histograms, all label-aware, with atomic hot paths and a
-// Prometheus text-format renderer), request identity (IDs minted or honored
+// fixed-bucket histograms; histograms and polled families take labels; atomic
+// hot paths and a Prometheus text-format renderer), request identity (IDs minted or honored
 // from X-Request-ID) that flows through context, per-request phase timing
 // (queue wait, cache tier lookups, compute, encode), and a live request
 // tracker behind /debug/requests.
@@ -167,24 +167,10 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
 
-// CounterVec is a labeled counter family.
-type CounterVec struct{ f *family }
-
-// With resolves the child for the given label values, creating it on first
-// use. Resolve once and keep the pointer on hot paths.
-func (v *CounterVec) With(labelValues ...string) *Counter {
-	return v.f.child(labelValues, func() any { return new(Counter) }).(*Counter)
-}
-
 // Counter registers an unlabeled counter.
 func (r *Registry) Counter(name, help string) *Counter {
 	return r.family(name, help, counterKind, nil, nil, nil).
 		child(nil, func() any { return new(Counter) }).(*Counter)
-}
-
-// CounterVec registers a labeled counter family.
-func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterVec {
-	return &CounterVec{r.family(name, help, counterKind, labelNames, nil, nil)}
 }
 
 // ---- gauges ----
@@ -208,23 +194,10 @@ func (g *Gauge) Dec() { g.v.Add(-1) }
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 
-// GaugeVec is a labeled gauge family.
-type GaugeVec struct{ f *family }
-
-// With resolves the child for the given label values.
-func (v *GaugeVec) With(labelValues ...string) *Gauge {
-	return v.f.child(labelValues, func() any { return new(Gauge) }).(*Gauge)
-}
-
 // Gauge registers an unlabeled gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	return r.family(name, help, gaugeKind, nil, nil, nil).
 		child(nil, func() any { return new(Gauge) }).(*Gauge)
-}
-
-// GaugeVec registers a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	return &GaugeVec{r.family(name, help, gaugeKind, labelNames, nil, nil)}
 }
 
 // ---- histograms ----
@@ -254,7 +227,8 @@ func (h *Hist) Snapshot() (count uint64, sum float64) {
 // bucket layout, so they aggregate by addition.
 type HistVec struct{ f *family }
 
-// With resolves the child for the given label values.
+// With resolves the child for the given label values, creating it on first
+// use. Resolve once and keep the pointer on hot paths.
 func (v *HistVec) With(labelValues ...string) *Hist {
 	return v.f.child(labelValues, func() any { return newHist(v.f.buckets) }).(*Hist)
 }

@@ -25,9 +25,10 @@ func TestCounterGaugeRender(t *testing.T) {
 	g := r.Gauge("test_depth", "Depth.")
 	g.Set(7)
 	g.Dec()
-	v := r.CounterVec("test_hits_total", "Hits by tier.", "tier")
-	v.With("mem").Add(2)
-	v.With("disk").Inc()
+	r.PollCounter("test_hits_total", "Hits by tier.", []string{"tier"}, func(emit func(float64, ...string)) {
+		emit(2, "mem")
+		emit(1, "disk")
+	})
 
 	out := render(t, r)
 	for _, want := range []string{
@@ -82,8 +83,9 @@ func TestHistogramBucketEdge(t *testing.T) {
 
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.CounterVec("test_esc_total", "Help with \\ and\nnewline.", "path").
-		With("a\\b\"c\nd").Inc()
+	r.PollCounter("test_esc_total", "Help with \\ and\nnewline.", []string{"path"}, func(emit func(float64, ...string)) {
+		emit(1, "a\\b\"c\nd")
+	})
 	out := render(t, r)
 	if !strings.Contains(out, `test_esc_total{path="a\\b\"c\nd"} 1`) {
 		t.Fatalf("label not escaped:\n%s", out)
@@ -144,7 +146,7 @@ func TestIdempotentRegistration(t *testing.T) {
 func TestLintFullOutput(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("app_requests_total", "Requests.").Add(10)
-	r.CounterVec("app_hits_total", "Hits.", "tier").With("mem").Add(5)
+	r.PollCounter("app_hits_total", "Hits.", []string{"tier"}, func(emit func(float64, ...string)) { emit(5, "mem") })
 	r.Gauge("app_inflight", "Inflight.").Set(2)
 	hv := r.HistogramVec("app_seconds", "Latency.", nil, "endpoint")
 	hv.With("/v1/measure").Observe(0.2)
@@ -207,7 +209,6 @@ func TestLintCatchesViolations(t *testing.T) {
 func TestRegistryRace(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("race_ops_total", "x")
-	cv := r.CounterVec("race_hits_total", "x", "tier")
 	g := r.Gauge("race_depth", "x")
 	hv := r.HistogramVec("race_seconds", "x", nil, "phase")
 	r.PollGauge("race_polled", "x", nil, func(emit func(float64, ...string)) { emit(float64(c.Load())) })
@@ -218,7 +219,6 @@ func TestRegistryRace(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			tiers := []string{"mem", "disk"}
 			phases := []string{"queue", "compute", "encode"}
 			for j := 0; ; j++ {
 				select {
@@ -227,7 +227,6 @@ func TestRegistryRace(t *testing.T) {
 				default:
 				}
 				c.Inc()
-				cv.With(tiers[j%2]).Add(1)
 				g.Add(1)
 				hv.With(phases[j%3]).Observe(float64(j%100) / 100)
 			}

@@ -291,11 +291,12 @@ type Iterator struct {
 
 // Seek positions an iterator at the first entry with key >= lo; visit (may be
 // nil) is called for every index page the scan touches, letting the engine
-// charge page pins.
-func (t *Tree) Seek(m storage.Mem, lo, hi int64, visit func(pg int)) *Iterator {
+// charge page pins. The iterator is returned by value so a probe allocates
+// nothing.
+func (t *Tree) Seek(m storage.Mem, lo, hi int64, visit func(pg int)) Iterator {
 	pg := t.descend(m, lo, visit)
 	idx := t.lowerBound(pg, lo)
-	return &Iterator{t: t, pg: pg, idx: idx, hi: hi, visit: visit}
+	return Iterator{t: t, pg: pg, idx: idx, hi: hi, visit: visit}
 }
 
 // Next returns the next entry within the range. ok=false at the end.

@@ -18,6 +18,12 @@ type Relation struct {
 	Heap     *storage.Heap
 	Indexes  map[string]*btree.Tree
 	MetaAddr memsys.Addr
+
+	// ScanSpan names the relation's sequential-scan operator span
+	// ("scan:lineitem"); it and the index-scan names are built once, so
+	// opening a span allocates nothing.
+	ScanSpan   string
+	indexSpans map[string]string
 }
 
 // Index returns the named index or panics (schema references are code).
@@ -28,6 +34,10 @@ func (r *Relation) Index(name string) *btree.Tree {
 	}
 	return ix
 }
+
+// IndexSpan names the index-scan operator span of the named index
+// ("ixscan:lineitem.lineitem_orderkey").
+func (r *Relation) IndexSpan(name string) string { return r.indexSpans[name] }
 
 // Catalog is the system catalog.
 type Catalog struct {
@@ -58,6 +68,9 @@ func (c *Catalog) Create(name string, heap *storage.Heap) *Relation {
 		Heap:     heap,
 		Indexes:  make(map[string]*btree.Tree),
 		MetaAddr: c.alloc.Alloc(128, 64), // one pg_class row, line-aligned
+
+		ScanSpan:   "scan:" + name,
+		indexSpans: make(map[string]string),
 	}
 	c.rels[name] = r
 	c.byID[r.ID] = r
@@ -67,6 +80,7 @@ func (c *Catalog) Create(name string, heap *storage.Heap) *Relation {
 // AddIndex attaches an index to a relation.
 func (c *Catalog) AddIndex(rel *Relation, name string, t *btree.Tree) {
 	rel.Indexes[name] = t
+	rel.indexSpans[name] = "ixscan:" + rel.Name + "." + name
 }
 
 // Lookup resolves a relation by name, charging the metadata reads a real

@@ -214,6 +214,8 @@ type Session struct {
 	P   Proc
 	PID int
 
+	mem storage.Mem // P as the storage charging interface, converted once
+
 	// Stats.
 	Pins   uint64
 	Unpins uint64
@@ -221,7 +223,7 @@ type Session struct {
 
 // NewSession opens a backend for process pid.
 func (db *Database) NewSession(p Proc, pid int) *Session {
-	return &Session{DB: db, P: p, PID: pid}
+	return &Session{DB: db, P: p, PID: pid, mem: p}
 }
 
 // ioWaiter is the optional process capability cold-pool reads need;
@@ -335,15 +337,8 @@ func (s *Session) CheckHints(heap *storage.Heap, tid storage.TID) {
 
 // Lookup resolves a table by name with charged catalog reads.
 func (s *Session) Lookup(name string) *catalog.Relation {
-	return s.DB.Catalog.Lookup(memAdapter{s.P}, name)
+	return s.DB.Catalog.Lookup(s.mem, name)
 }
 
-// memAdapter narrows Proc to storage.Mem.
-type memAdapter struct{ p Proc }
-
-func (m memAdapter) Load(a memsys.Addr, size int)  { m.p.Load(a, size) }
-func (m memAdapter) Store(a memsys.Addr, size int) { m.p.Store(a, size) }
-func (m memAdapter) Work(n uint64)                 { m.p.Work(n) }
-
 // Mem returns the session's charging interface for storage-level calls.
-func (s *Session) Mem() storage.Mem { return memAdapter{s.P} }
+func (s *Session) Mem() storage.Mem { return s.mem }

@@ -51,6 +51,11 @@ type Context struct {
 
 	execBase   memsys.Addr
 	execCursor uint64
+
+	// pins is the stack of index pages held by the open index scans. Each
+	// scan owns the part from the length at its start (scans nest: Q21
+	// probes inside a probe's callback).
+	pins []int
 }
 
 // NewContext opens a query context for a session. Private state lives in the
@@ -88,14 +93,39 @@ func (c *Context) AllocPrivate(size uint64) memsys.Addr {
 // Setup charges query start-up: parser/planner/executor-init instructions and
 // the catalog probes for each referenced relation.
 func (c *Context) Setup(rels ...*catalog.Relation) {
-	defer obs.Span(c.S.P, "setup")()
+	if sp, ok := c.S.P.(obs.Spanner); ok {
+		sp.BeginOp("setup")
+		defer sp.EndOp()
+	}
 	c.S.P.Work(CostQuerySetup)
 	for range rels {
 		c.S.P.Work(120) // plan nodes, snapshot, relcache touches
 	}
 }
 
-// pinSet tracks the pages a scan has pinned, mirroring PostgreSQL's
+// pinIndexPage pins pg for the index scan whose part of the pin stack starts
+// at base, unless that scan already holds it: like PostgreSQL's
+// PrivateRefCount, a re-pin skips the BufMgrLock fast path entirely.
+func (c *Context) pinIndexPage(base, pg int) {
+	for _, held := range c.pins[base:] {
+		if held == pg {
+			c.S.P.Work(4) // local refcount bump
+			return
+		}
+	}
+	c.pins = append(c.pins, pg)
+	c.S.PinPage(pg)
+}
+
+// unpinIndexPages releases the pins from base on, in pin order, at scan end.
+func (c *Context) unpinIndexPages(base int) {
+	for _, pg := range c.pins[base:] {
+		c.S.UnpinPage(pg)
+	}
+	c.pins = c.pins[:base]
+}
+
+// pinSet tracks the pages a Fetcher has pinned, mirroring PostgreSQL's
 // PrivateRefCount: re-pinning a page the backend already holds skips the
 // BufMgrLock fast path entirely.
 type pinSet struct {
@@ -133,8 +163,11 @@ func (ps *pinSet) releaseAll() {
 // page-at-a-time, so the record data streams through the cache with spatial
 // but no temporal locality — the paper's sequential-query profile.
 func SeqScan(ctx *Context, rel *catalog.Relation, cols []int, fn func(tid storage.TID, vals []int64) bool) {
-	defer obs.Span(ctx.S.P, "scan:"+rel.Name)()
 	s := ctx.S
+	if sp, ok := s.P.(obs.Spanner); ok {
+		sp.BeginOp(rel.ScanSpan)
+		defer sp.EndOp()
+	}
 	h := rel.Heap
 	m := s.Mem()
 	vals := make([]int64, len(cols))
@@ -164,15 +197,18 @@ func SeqScan(ctx *Context, rel *catalog.Relation, cols []int, fn func(tid storag
 // through the scan (upper nodes stay pinned and cached — the paper's "nodes
 // close to the root ... are likely to be reused").
 func IndexRange(ctx *Context, rel *catalog.Relation, index string, lo, hi int64, fn func(key int64, tid storage.TID) bool) {
-	defer obs.Span(ctx.S.P, "ixscan:"+rel.Name+"."+index)()
 	s := ctx.S
+	if sp, ok := s.P.(obs.Spanner); ok {
+		sp.BeginOp(rel.IndexSpan(index))
+		defer sp.EndOp()
+	}
 	ix := rel.Index(index)
-	ps := newPinSet(s)
-	defer ps.releaseAll()
+	base := len(ctx.pins)
+	defer ctx.unpinIndexPages(base)
 	m := s.Mem()
 	it := ix.Seek(m, lo, hi, func(pg int) {
 		s.P.Work(CostIndexNode)
-		ps.pin(pg)
+		ctx.pinIndexPage(base, pg)
 	})
 	for {
 		k, tid, ok := it.Next(m)
@@ -299,7 +335,10 @@ type KV struct {
 // TopN charges and performs the final sort of a grouped result, returning at
 // most n entries ordered by Val desc, Key asc.
 func TopN(ctx *Context, items []KV, n int) []KV {
-	defer obs.Span(ctx.S.P, "sort:topN")()
+	if sp, ok := ctx.S.P.(obs.Spanner); ok {
+		sp.BeginOp("sort:topN")
+		defer sp.EndOp()
+	}
 	count := len(items)
 	if count > 1 {
 		// n log n comparisons, each touching private sort state.

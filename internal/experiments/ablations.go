@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 
+	"dssmem/internal/core"
 	"dssmem/internal/machine"
 	"dssmem/internal/tpch"
 	"dssmem/internal/workload"
@@ -13,6 +14,33 @@ import (
 // Ablations isolate the design choices DESIGN.md §6 calls out. Each compares
 // the default machine against a variant with one mechanism changed and
 // reports the metric that mechanism is supposed to move.
+
+// variant is one configuration an ablation compares: workload overrides opts
+// (Spec included), tagged tag in error messages.
+type variant struct {
+	tag  string
+	opts workload.Options
+}
+
+// acrossQueries measures every query at procs under each variant as one
+// MeasureAll batch; m[i][j] is tpch.AllQueries[i] under variants[j].
+func (e *Env) acrossQueries(procs int, variants ...variant) ([][]core.Measurement, error) {
+	var cells []Cell
+	for _, q := range tpch.AllQueries {
+		for _, v := range variants {
+			cells = append(cells, Cell{Tag: v.tag, Query: q, Procs: procs, Opts: v.opts})
+		}
+	}
+	ms, err := e.MeasureAll(cells)
+	if err != nil {
+		return nil, err
+	}
+	m := make([][]core.Measurement, len(tpch.AllQueries))
+	for i := range m {
+		m[i] = ms[i*len(variants) : (i+1)*len(variants)]
+	}
+	return m, nil
+}
 
 // AblationMigratory turns the V-Class migratory enhancement off. The paper
 // credits it with cheap lock hand-offs (one intervention instead of an
@@ -26,15 +54,12 @@ func AblationMigratory(e *Env) (*Result, error) {
 		Title:   "V-Class migratory enhancement on/off (8 processes)",
 		Headers: []string{"query", "variant", "thread cyc", "mem latency", "dirty-3hop/M", "vol/M"},
 	}
-	for _, q := range tpch.AllQueries {
-		a, err := e.MeasureOpts(on.Name, q, 8, workload.Options{Spec: on})
-		if err != nil {
-			return nil, err
-		}
-		b, err := e.MeasureOpts("vclass-nomigratory", q, 8, workload.Options{Spec: off})
-		if err != nil {
-			return nil, err
-		}
+	m, err := e.acrossQueries(8, variant{on.Name, workload.Options{Spec: on}}, variant{"vclass-nomigratory", workload.Options{Spec: off}})
+	if err != nil {
+		return nil, err
+	}
+	for i, q := range tpch.AllQueries {
+		a, b := m[i][0], m[i][1]
 		r.Rows = append(r.Rows,
 			[]string{q.String(), "migratory", fm(a.ThreadCycles), f1(a.MemLatencyCycles), f1(a.Dirty3HopPerM), f1(a.VolPerM)},
 			[]string{q.String(), "plain MESI", fm(b.ThreadCycles), f1(b.MemLatencyCycles), f1(b.Dirty3HopPerM), f1(b.VolPerM)},
@@ -54,15 +79,12 @@ func AblationSpeculation(e *Env) (*Result, error) {
 		Title:   "Origin speculative reply on/off (8 processes)",
 		Headers: []string{"query", "variant", "thread cyc", "mem latency"},
 	}
-	for _, q := range tpch.AllQueries {
-		a, err := e.MeasureOpts(on.Name, q, 8, workload.Options{Spec: on})
-		if err != nil {
-			return nil, err
-		}
-		b, err := e.MeasureOpts("origin-nospec", q, 8, workload.Options{Spec: off})
-		if err != nil {
-			return nil, err
-		}
+	m, err := e.acrossQueries(8, variant{on.Name, workload.Options{Spec: on}}, variant{"origin-nospec", workload.Options{Spec: off}})
+	if err != nil {
+		return nil, err
+	}
+	for i, q := range tpch.AllQueries {
+		a, b := m[i][0], m[i][1]
 		r.Rows = append(r.Rows,
 			[]string{q.String(), "speculative", fm(a.ThreadCycles), f1(a.MemLatencyCycles)},
 			[]string{q.String(), "no speculation", fm(b.ThreadCycles), f1(b.MemLatencyCycles)},
@@ -86,15 +108,12 @@ func AblationL2Line(e *Env) (*Result, error) {
 		Title:   "Origin L2 line size 128B vs 32B (1 process)",
 		Headers: []string{"query", "variant", "L2 misses", "L2/M instr", "thread cyc"},
 	}
-	for _, q := range tpch.AllQueries {
-		a, err := e.MeasureOpts(long.Name, q, 1, workload.Options{Spec: long})
-		if err != nil {
-			return nil, err
-		}
-		b, err := e.MeasureOpts("origin-l2line32", q, 1, workload.Options{Spec: short})
-		if err != nil {
-			return nil, err
-		}
+	m, err := e.acrossQueries(1, variant{long.Name, workload.Options{Spec: long}}, variant{"origin-l2line32", workload.Options{Spec: short}})
+	if err != nil {
+		return nil, err
+	}
+	for i, q := range tpch.AllQueries {
+		a, b := m[i][0], m[i][1]
 		r.Rows = append(r.Rows,
 			[]string{q.String(), "128B lines", fk(a.L2Misses), f0(a.L2MissesPerM), fm(a.ThreadCycles)},
 			[]string{q.String(), "32B lines", fk(b.L2Misses), f0(b.L2MissesPerM), fm(b.ThreadCycles)},
@@ -113,14 +132,14 @@ func AblationBackoff(e *Env) (*Result, error) {
 		Headers: []string{"variant", "thread cyc", "wall s", "vol/M", "spins/M"},
 	}
 	spec := e.VClass()
-	a, err := e.MeasureOpts(spec.Name, tpch.Q21, 8, workload.Options{Spec: spec})
+	m, err := e.MeasureAll([]Cell{
+		{Tag: spec.Name, Query: tpch.Q21, Procs: 8, Opts: workload.Options{Spec: spec}},
+		{Tag: "vclass-spinonly", Query: tpch.Q21, Procs: 8, Opts: workload.Options{Spec: spec, SpinLimit: 1 << 30}},
+	})
 	if err != nil {
 		return nil, err
 	}
-	b, err := e.MeasureOpts("vclass-spinonly", tpch.Q21, 8, workload.Options{Spec: spec, SpinLimit: 1 << 30})
-	if err != nil {
-		return nil, err
-	}
+	a, b := m[0], m[1]
 	r.Rows = append(r.Rows,
 		[]string{"select() backoff", fm(a.ThreadCycles), fmt.Sprintf("%.4f", a.WallSeconds), f1(a.VolPerM), f1(a.SpinsPerM)},
 		[]string{"pure spinning", fm(b.ThreadCycles), fmt.Sprintf("%.4f", b.WallSeconds), f1(b.VolPerM), f1(b.SpinsPerM)},
@@ -138,15 +157,12 @@ func AblationHeaders(e *Env) (*Result, error) {
 		Title:   "Buffer descriptor padding: 32B packed vs 128B line-private (Origin, 8 processes)",
 		Headers: []string{"query", "variant", "L2/M instr", "coherence share", "thread cyc"},
 	}
-	for _, q := range tpch.AllQueries {
-		a, err := e.MeasureOpts(spec.Name, q, 8, workload.Options{Spec: spec})
-		if err != nil {
-			return nil, err
-		}
-		b, err := e.MeasureOpts("origin-paddedhdrs", q, 8, workload.Options{Spec: spec, BufHeaderBytes: 128})
-		if err != nil {
-			return nil, err
-		}
+	m, err := e.acrossQueries(8, variant{spec.Name, workload.Options{Spec: spec}}, variant{"origin-paddedhdrs", workload.Options{Spec: spec, BufHeaderBytes: 128}})
+	if err != nil {
+		return nil, err
+	}
+	for i, q := range tpch.AllQueries {
+		a, b := m[i][0], m[i][1]
 		r.Rows = append(r.Rows,
 			[]string{q.String(), "packed 32B", f0(a.L2MissesPerM), pct(a.CoherenceFraction), fm(a.ThreadCycles)},
 			[]string{q.String(), "padded 128B", f0(b.L2MissesPerM), pct(b.CoherenceFraction), fm(b.ThreadCycles)},
@@ -164,15 +180,12 @@ func AblationHints(e *Env) (*Result, error) {
 		Title:   "Hint-bit stores on/off (Origin, 8 processes)",
 		Headers: []string{"query", "variant", "dirty-3hop/M", "coherence share", "mem latency"},
 	}
-	for _, q := range tpch.AllQueries {
-		a, err := e.MeasureOpts(spec.Name, q, 8, workload.Options{Spec: spec})
-		if err != nil {
-			return nil, err
-		}
-		b, err := e.MeasureOpts("origin-nohints", q, 8, workload.Options{Spec: spec, HintBitFraction: -1})
-		if err != nil {
-			return nil, err
-		}
+	m, err := e.acrossQueries(8, variant{spec.Name, workload.Options{Spec: spec}}, variant{"origin-nohints", workload.Options{Spec: spec, HintBitFraction: -1}})
+	if err != nil {
+		return nil, err
+	}
+	for i, q := range tpch.AllQueries {
+		a, b := m[i][0], m[i][1]
 		r.Rows = append(r.Rows,
 			[]string{q.String(), "hint bits", f1(a.Dirty3HopPerM), pct(a.CoherenceFraction), f1(a.MemLatencyCycles)},
 			[]string{q.String(), "no hint bits", f1(b.Dirty3HopPerM), pct(b.CoherenceFraction), f1(b.MemLatencyCycles)},
@@ -192,14 +205,11 @@ func AblationPlacement(e *Env) (*Result, error) {
 		Title:   "Origin shared-memory placement: concentrated vs interleaved (Q6, sweep)",
 		Headers: append([]string{"variant"}, procHeaders()...),
 	}
-	a, err := e.Sweep(conc.Name, conc, tpch.Q6, workload.Options{})
+	ss, err := e.sweeps(sweep{tag: conc.Name, spec: conc, q: tpch.Q6}, sweep{tag: "origin-interleaved", spec: inter, q: tpch.Q6})
 	if err != nil {
 		return nil, err
 	}
-	b, err := e.Sweep("origin-interleaved", inter, tpch.Q6, workload.Options{})
-	if err != nil {
-		return nil, err
-	}
+	a, b := ss[0], ss[1]
 	rowA := []string{"concentrated"}
 	rowB := []string{"interleaved"}
 	for i := range a.Points {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 
+	"dssmem/internal/core"
+	"dssmem/internal/machine"
 	"dssmem/internal/tpch"
 	"dssmem/internal/workload"
 )
@@ -40,43 +42,38 @@ func SamplingAccuracy(e *Env, sampleQuanta int, tol float64) ([]AccuracyPoint, e
 	if sampleQuanta <= 1 {
 		sampleQuanta = DefaultSamplingQuanta
 	}
-	sampled := workload.Options{SampleQuanta: sampleQuanta}
+	// Each metric is measured exactly and sampled; the four cells run as one
+	// batch.
+	metrics := []struct {
+		name  string
+		spec  machine.Spec
+		procs int
+		value func(core.Measurement) float64
+	}{
+		{"sgi-cyc/Minstr@8p", e.Origin(), 8, core.MetricCyclesPerM},
+		{"hpv-memlat-cyc@2p", e.VClass(), 2, core.MetricMemLatency},
+	}
+	var cells []Cell
+	for _, m := range metrics {
+		cells = append(cells,
+			Cell{Tag: m.spec.Name, Query: tpch.Q6, Procs: m.procs, Opts: workload.Options{Spec: m.spec}},
+			Cell{Tag: m.spec.Name + "-sampled", Query: tpch.Q6, Procs: m.procs, Opts: workload.Options{Spec: m.spec, SampleQuanta: sampleQuanta}})
+	}
+	ms, err := e.MeasureAll(cells)
+	if err != nil {
+		return nil, fmt.Errorf("sampling accuracy: %w", err)
+	}
 
-	points := []AccuracyPoint{}
-	run := func(name string, measure func(opts workload.Options) (float64, error)) error {
-		exact, err := measure(workload.Options{})
-		if err != nil {
-			return fmt.Errorf("accuracy %s exact: %w", name, err)
-		}
-		est, err := measure(sampled)
-		if err != nil {
-			return fmt.Errorf("accuracy %s sampled: %w", name, err)
-		}
-		p := AccuracyPoint{Name: name, Exact: exact, Sampled: est}
+	points := make([]AccuracyPoint, len(metrics))
+	for i, m := range metrics {
+		exact, est := m.value(ms[2*i]), m.value(ms[2*i+1])
+		p := AccuracyPoint{Name: m.name, Exact: exact, Sampled: est}
 		if exact != 0 {
 			p.RelErr = math.Abs(est-exact) / math.Abs(exact)
 		} else if est != 0 {
 			p.RelErr = math.Inf(1)
 		}
-		points = append(points, p)
-		return nil
-	}
-
-	origin := e.Origin()
-	if err := run("sgi-cyc/Minstr@8p", func(o workload.Options) (float64, error) {
-		o.Spec = origin
-		m, err := e.MeasureOpts(origin.Name, tpch.Q6, 8, o)
-		return m.CyclesPerMInstr, err
-	}); err != nil {
-		return points, err
-	}
-	vclass := e.VClass()
-	if err := run("hpv-memlat-cyc@2p", func(o workload.Options) (float64, error) {
-		o.Spec = vclass
-		m, err := e.MeasureOpts(vclass.Name, tpch.Q6, 2, o)
-		return m.MemLatencyCycles, err
-	}); err != nil {
-		return points, err
+		points[i] = p
 	}
 	for _, p := range points {
 		if p.RelErr > tol {

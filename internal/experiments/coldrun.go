@@ -18,24 +18,22 @@ func ColdRun(e *Env) (*Result, error) {
 		Headers: []string{"query", "variant", "wall s", "thread cyc", "vol switches", "disk reads"},
 	}
 	spec := e.VClass()
-	for _, q := range tpch.AllQueries {
-		warm, err := e.MeasureOpts(spec.Name, q, 1, workload.Options{Spec: spec})
-		if err != nil {
-			return nil, err
-		}
+	m, err := e.acrossQueries(1, variant{spec.Name, workload.Options{Spec: spec}})
+	if err != nil {
+		return nil, err
+	}
+	for i, q := range tpch.AllQueries {
+		warm := m[i][0]
 		// The cold run goes through the same option canonicalization and
 		// runner as every cached measurement — one definition of the warmup
 		// prelude (workload's engineConfig) serves warm and cold runs, so the
-		// variants cannot drift apart. ColdRun
-		// itself stays uncached here only because this ablation wants the
-		// raw per-process stats, not the reduced measurement.
-		coldOpts := e.CanonicalOptions(q, 1, workload.Options{Spec: spec, ColdRun: true})
-		coldOpts.Data = e.Data
-		coldStats, err := e.runner()(e.ctx(), coldOpts)
+		// variants cannot drift apart. ColdRun itself stays uncached only
+		// because this ablation wants the raw per-process stats, not the
+		// reduced measurement.
+		coldStats, err := e.runUncached(q, 1, workload.Options{Spec: spec, ColdRun: true})
 		if err != nil {
 			return nil, err
 		}
-		e.Tally.add(coldStats)
 		cold := coldStats.Procs[0]
 		r.Rows = append(r.Rows,
 			[]string{q.String(), "cold (trial 1)",

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -119,6 +120,122 @@ func TestSweepBoundedParallelism(t *testing.T) {
 	}
 	if p := peak.Load(); p > 2 {
 		t.Fatalf("observed %d concurrent runs, semaphore bound is 2", p)
+	}
+	// A whole figure is one 15-cell batch on the same two slots.
+	if _, err := RunFigure(e, 5, nil); err != nil {
+		t.Fatal(err)
+	}
+	if p := peak.Load(); p > 2 {
+		t.Fatalf("observed %d concurrent runs during Figure 5, semaphore bound is 2", p)
+	}
+}
+
+// cellStart is one recorded runner call.
+type cellStart struct {
+	q     tpch.QueryID
+	procs int
+}
+
+// recordingEnv is a one-slot fakeEnv that records the order its runs start.
+func recordingEnv() (*Env, func() []cellStart) {
+	var mu sync.Mutex
+	var starts []cellStart
+	e := fakeEnv(func(_ context.Context, o workload.Options) (*workload.Stats, error) {
+		mu.Lock()
+		starts = append(starts, cellStart{o.Query, o.Processes})
+		mu.Unlock()
+		return fakeStats(o), nil
+	})
+	e.Parallelism = 1
+	return e, func() []cellStart {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(starts)
+	}
+}
+
+// TestFigureBatchStartsLongestFirst: Figure 5 is one batch whose cells start
+// at the most processes first, the three queries interleaved at each count,
+// and whose series still come back in ProcCounts order.
+func TestFigureBatchStartsLongestFirst(t *testing.T) {
+	e, starts := recordingEnv()
+	r, err := RunFigure(e, 5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []cellStart
+	for i := len(ProcCounts) - 1; i >= 0; i-- {
+		for _, q := range tpch.AllQueries {
+			want = append(want, cellStart{q, ProcCounts[i]})
+		}
+	}
+	if got := starts(); !slices.Equal(got, want) {
+		t.Fatalf("start order\n got %v\nwant %v", got, want)
+	}
+	if len(r.Series) != len(tpch.AllQueries) {
+		t.Fatalf("series = %d, want %d", len(r.Series), len(tpch.AllQueries))
+	}
+	for i, s := range r.Series {
+		if s.Query != tpch.AllQueries[i].String() {
+			t.Fatalf("series %d is %s, want %v", i, s.Query, tpch.AllQueries[i])
+		}
+		for j, n := range ProcCounts {
+			if s.Points[j].Processes != n {
+				t.Fatalf("%s point %d has %d processes, want %d", s.Query, j, s.Points[j].Processes, n)
+			}
+		}
+	}
+}
+
+// TestBothEndsStartsEightProcessCellsFirst: Figs. 2–4 measure their twelve
+// cells as one batch, every 8-process cell starting before any 1-process one.
+func TestBothEndsStartsEightProcessCellsFirst(t *testing.T) {
+	e, starts := recordingEnv()
+	if _, err := Fig2(e); err != nil {
+		t.Fatal(err)
+	}
+	got := starts()
+	if len(got) != 12 {
+		t.Fatalf("Fig 2 ran %d cells, want 12: %v", len(got), got)
+	}
+	for i, c := range got {
+		want := 8
+		if i >= 6 {
+			want = 1
+		}
+		if c.procs != want {
+			t.Fatalf("start %d is %v, want a %d-process cell: %v", i, c, want, got)
+		}
+	}
+}
+
+// TestMixRunsThroughEnv: the mixed runs of Mix go through the env like every
+// other simulation, so env-wide sampling, the runner and the tally apply to
+// all of them.
+func TestMixRunsThroughEnv(t *testing.T) {
+	var mu sync.Mutex
+	var quanta []int
+	e := fakeEnv(func(_ context.Context, o workload.Options) (*workload.Stats, error) {
+		mu.Lock()
+		quanta = append(quanta, o.SampleQuanta)
+		mu.Unlock()
+		return fakeStats(o), nil
+	})
+	e.SampleQuanta = 8
+	e.Tally = &RunTally{}
+	if _, err := Mix(e); err != nil {
+		t.Fatal(err)
+	}
+	if len(quanta) != 8 {
+		t.Fatalf("runner saw %d runs, want 8 (6 alone + 2 mixed)", len(quanta))
+	}
+	for i, q := range quanta {
+		if q != 8 {
+			t.Fatalf("run %d has SampleQuanta %d, want the env's 8", i, q)
+		}
+	}
+	if runs, _, _ := e.Tally.Snapshot(); runs != 8 {
+		t.Fatalf("tally counted %d runs, want 8", runs)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"dssmem/internal/core"
@@ -83,9 +84,9 @@ type Env struct {
 	// per-run timeouts and records metrics; tests inject failures.
 	Runner func(context.Context, workload.Options) (*workload.Stats, error)
 
-	// Parallelism bounds concurrent simulations (each is single-threaded
-	// in serial mode; bound–weave runs additionally parallelize inside one
-	// simulation).
+	// Parallelism is the number of MeasureAll slots: it bounds concurrent
+	// simulations (each is single-threaded in serial mode; bound–weave runs
+	// additionally parallelize inside one simulation).
 	Parallelism int
 
 	// Parallel applies workload bound–weave execution to every measurement
@@ -203,6 +204,26 @@ func (e *Env) CanonicalOptions(q tpch.QueryID, procs int, opts workload.Options)
 	return opts
 }
 
+// simulate runs already-canonical options once on the env's data through its
+// runner under ctx, and tallies the run.
+func (e *Env) simulate(ctx context.Context, opts workload.Options) (*workload.Stats, error) {
+	opts.Data = e.Data
+	st, err := e.runner()(ctx, opts)
+	if err != nil {
+		return nil, err
+	}
+	e.Tally.add(st)
+	return st, nil
+}
+
+// runUncached simulates one configuration the way a measurement would
+// (CanonicalOptions, the env's runner and context, the tally) but returns
+// the raw stats and caches nothing: for experiments that need more than a
+// core.Measurement holds.
+func (e *Env) runUncached(q tpch.QueryID, procs int, opts workload.Options) (*workload.Stats, error) {
+	return e.simulate(e.ctx(), e.CanonicalOptions(q, procs, opts))
+}
+
 // MeasureCached is MeasureOpts exposing whether the measurement was answered
 // from the cache (memory or disk) without running a simulation.
 func (e *Env) MeasureCached(tag string, q tpch.QueryID, procs int, opts workload.Options) (core.Measurement, bool, error) {
@@ -210,13 +231,10 @@ func (e *Env) MeasureCached(tag string, q tpch.QueryID, procs int, opts workload
 	dig := rescache.DigestOptions(e.Preset.SF, e.Preset.Seed, opts)
 
 	raw, hit, err := e.results().Do(e.ctx(), rescache.NSMeasurement, dig, func(runCtx context.Context) ([]byte, error) {
-		o := opts
-		o.Data = e.Data
-		st, err := e.runner()(runCtx, o)
+		st, err := e.simulate(runCtx, opts)
 		if err != nil {
 			return nil, err
 		}
-		e.Tally.add(st)
 		return json.Marshal(core.FromStats(st))
 	})
 	if err != nil {
@@ -231,32 +249,105 @@ func (e *Env) MeasureCached(tag string, q tpch.QueryID, procs int, opts workload
 	return m, hit, nil
 }
 
-// Sweep measures a query over ProcCounts on one machine variant, in parallel
-// up to Env.Parallelism, and returns the series in ascending process count.
-func (e *Env) Sweep(tag string, spec machine.Spec, q tpch.QueryID, opts workload.Options) (core.Series, error) {
-	s := core.Series{Machine: spec.Name, Query: q.String(), Points: make([]core.Measurement, len(ProcCounts))}
+// Cell is one measurement of a batch: Query at Procs processes on the machine
+// variant Opts.Spec. Tag names the variant in error messages, as in
+// MeasureOpts.
+type Cell struct {
+	Tag   string
+	Query tpch.QueryID
+	Procs int
+	Opts  workload.Options
+}
+
+// MeasureAll measures cells on one pool of Env.Parallelism slots and returns
+// the measurements in cell order. Cells start in descending process count,
+// ties in cell order: every process runs the whole query, so a cell's host
+// time grows with its process count, and starting the longest cells first
+// leaves only short ones to fill the last slots. Every cell runs to
+// completion; the error is the lowest-indexed cell's. Each cell is an
+// independent deterministic run addressed by its digest, so the start order
+// cannot change any result.
+func (e *Env) MeasureAll(cells []Cell) ([]core.Measurement, error) {
+	order := make([]int, len(cells))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cells[b].Procs - cells[a].Procs })
+
+	out := make([]core.Measurement, len(cells))
+	errs := make([]error, len(cells))
 	sem := make(chan struct{}, e.parallelism())
-	errs := make([]error, len(ProcCounts))
 	var wg sync.WaitGroup
-	for i, n := range ProcCounts {
-		i, n := i, n
+	for _, i := range order {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			o := opts
-			o.Spec = spec
-			s.Points[i], errs[i] = e.MeasureOpts(tag, q, n, o)
+			c := cells[i]
+			out[i], errs[i] = e.MeasureOpts(c.Tag, c.Query, c.Procs, c.Opts)
 		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return s, err
+			return nil, err
 		}
 	}
-	return s, nil
+	return out, nil
+}
+
+// sweep names one process sweep of a batch: query q over ProcCounts on spec,
+// with workload overrides opts.
+type sweep struct {
+	tag  string
+	spec machine.Spec
+	q    tpch.QueryID
+	opts workload.Options
+}
+
+// sweeps measures every sweep's cells as one MeasureAll batch and returns the
+// series in argument order, each in ascending process count and owning its
+// own Points.
+func (e *Env) sweeps(ss ...sweep) ([]core.Series, error) {
+	var cells []Cell
+	for _, s := range ss {
+		o := s.opts
+		o.Spec = s.spec
+		for _, n := range ProcCounts {
+			cells = append(cells, Cell{Tag: s.tag, Query: s.q, Procs: n, Opts: o})
+		}
+	}
+	ms, err := e.MeasureAll(cells)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]core.Series, len(ss))
+	for i, s := range ss {
+		pts := ms[i*len(ProcCounts) : (i+1)*len(ProcCounts)]
+		out[i] = core.Series{Machine: s.spec.Name, Query: s.q.String(), Points: slices.Clone(pts)}
+	}
+	return out, nil
+}
+
+// querySweeps sweeps every query on spec as one batch, in tpch.AllQueries
+// order (the shared substrate of Figs. 5–10).
+func (e *Env) querySweeps(spec machine.Spec) ([]core.Series, error) {
+	ss := make([]sweep, len(tpch.AllQueries))
+	for i, q := range tpch.AllQueries {
+		ss[i] = sweep{tag: spec.Name, spec: spec, q: q}
+	}
+	return e.sweeps(ss...)
+}
+
+// Sweep measures a query over ProcCounts on one machine variant as one
+// MeasureAll batch and returns the series in ascending process count.
+func (e *Env) Sweep(tag string, spec machine.Spec, q tpch.QueryID, opts workload.Options) (core.Series, error) {
+	ss, err := e.sweeps(sweep{tag, spec, q, opts})
+	if err != nil {
+		return core.Series{}, err
+	}
+	return ss[0], nil
 }
 
 func (e *Env) parallelism() int {

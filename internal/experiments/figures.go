@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"dssmem/internal/core"
+	"dssmem/internal/machine"
 	"dssmem/internal/tpch"
 	"dssmem/internal/viz"
 	"dssmem/internal/workload"
@@ -100,28 +101,29 @@ func fm(v float64) string  { return fmt.Sprintf("%.3gM", v/1e6) }
 func fk(v float64) string  { return fmt.Sprintf("%.3gK", v/1e3) }
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }
 
-// bothEnds measures all queries on both machines at 1 and 8 processes (the
-// shared substrate of Figs. 2–4).
+// bothEnds measures all queries on both machines at 1 and 8 processes as one
+// batch (the shared substrate of Figs. 2–4).
 func (e *Env) bothEnds() (map[string]map[tpch.QueryID][2]core.Measurement, error) {
-	out := map[string]map[tpch.QueryID][2]core.Measurement{}
+	specs := map[string]machine.Spec{"HPV": e.VClass(), "SGI": e.Origin()}
+	machines := []string{"HPV", "SGI"}
+	var cells []Cell
 	for _, q := range tpch.AllQueries {
-		for _, which := range []string{"HPV", "SGI"} {
-			spec := e.VClass()
-			if which == "SGI" {
-				spec = e.Origin()
+		for _, which := range machines {
+			spec := specs[which]
+			for _, procs := range []int{1, 8} {
+				cells = append(cells, Cell{Tag: spec.Name, Query: q, Procs: procs, Opts: workload.Options{Spec: spec}})
 			}
-			m1, err := e.Measure(spec, q, 1)
-			if err != nil {
-				return nil, err
-			}
-			m8, err := e.Measure(spec, q, 8)
-			if err != nil {
-				return nil, err
-			}
-			if out[which] == nil {
-				out[which] = map[tpch.QueryID][2]core.Measurement{}
-			}
-			out[which][q] = [2]core.Measurement{m1, m8}
+		}
+	}
+	ms, err := e.MeasureAll(cells)
+	if err != nil {
+		return nil, err
+	}
+	out := map[string]map[tpch.QueryID][2]core.Measurement{"HPV": {}, "SGI": {}}
+	for _, q := range tpch.AllQueries {
+		for _, which := range machines {
+			out[which][q] = [2]core.Measurement{ms[0], ms[1]}
+			ms = ms[2:]
 		}
 	}
 	return out, nil
@@ -222,18 +224,18 @@ func (e *Env) sweepFigure(id, title string, machineSpec int, metric func(core.Me
 	if machineSpec == 1 {
 		ms = e.Origin()
 	}
+	series, err := e.querySweeps(ms)
+	if err != nil {
+		return nil, err
+	}
 	r := &Result{
 		ID:      id,
 		Title:   title,
 		Headers: append([]string{"query"}, procHeaders()...),
+		Series:  series,
 	}
-	for _, q := range tpch.AllQueries {
-		s, err := e.Sweep(ms.Name, ms, q, workload.Options{})
-		if err != nil {
-			return nil, err
-		}
-		r.Series = append(r.Series, s)
-		row := []string{q.String()}
+	for _, s := range series {
+		row := []string{s.Query}
 		for _, p := range s.Points {
 			row = append(row, format(metric(p)))
 		}
@@ -337,20 +339,19 @@ func Fig9(e *Env) (*Result, error) {
 // Fig10 regenerates Figure 10: voluntary and involuntary context switches per
 // 1M instructions on the V-Class.
 func Fig10(e *Env) (*Result, error) {
-	ms := e.VClass()
+	series, err := e.querySweeps(e.VClass())
+	if err != nil {
+		return nil, err
+	}
 	r := &Result{
 		ID:      "fig10",
 		Title:   "HP V-Class context switches per 1M instr (voluntary/involuntary)",
 		Headers: append([]string{"query", "kind"}, procHeaders()...),
+		Series:  series,
 	}
-	for _, q := range tpch.AllQueries {
-		s, err := e.Sweep(ms.Name, ms, q, workload.Options{})
-		if err != nil {
-			return nil, err
-		}
-		r.Series = append(r.Series, s)
-		vol := []string{q.String(), "voluntary"}
-		inv := []string{q.String(), "involuntary"}
+	for _, s := range series {
+		vol := []string{s.Query, "voluntary"}
+		inv := []string{s.Query, "involuntary"}
 		for _, p := range s.Points {
 			vol = append(vol, fmt.Sprintf("%.2f", p.VolPerM))
 			inv = append(inv, fmt.Sprintf("%.2f", p.InvolPerM))
@@ -358,7 +359,7 @@ func Fig10(e *Env) (*Result, error) {
 		r.Rows = append(r.Rows, vol, inv)
 		last := s.Points[len(s.Points)-1]
 		r.Notes = append(r.Notes, fmt.Sprintf("%s at 8 procs: voluntary %.2f vs involuntary %.2f per 1M instr (paper: voluntary dominate beyond 2 procs, growing almost linearly)",
-			q.String(), last.VolPerM, last.InvolPerM))
+			s.Query, last.VolPerM, last.InvolPerM))
 	}
 	r.Notes = append(r.Notes, "divergence: the paper found switch rates roughly independent of query type; in this model voluntary switches track buffer-pin lock pressure, which is highest for Q21")
 	return r, nil

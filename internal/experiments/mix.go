@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"dssmem/internal/machine"
 	"dssmem/internal/tpch"
 	"dssmem/internal/workload"
 )
@@ -19,18 +20,20 @@ func Mix(e *Env) (*Result, error) {
 		Headers: []string{"machine", "query", "alone cyc", "mixed cyc", "slowdown"},
 	}
 	mix := []tpch.QueryID{tpch.Q6, tpch.Q21, tpch.Q12}
-	for _, which := range []int{0, 1} {
-		spec := e.VClass()
-		if which == 1 {
-			spec = e.Origin()
+	specs := []machine.Spec{e.VClass(), e.Origin()}
+	var cells []Cell
+	for _, spec := range specs {
+		for _, q := range mix {
+			cells = append(cells, Cell{Tag: spec.Name, Query: q, Procs: 1, Opts: workload.Options{Spec: spec}})
 		}
-		st, err := workload.Run(workload.Options{
-			Spec:        spec,
-			Data:        e.Data,
-			Mix:         mix,
-			Processes:   6,
-			OSTimeScale: e.Preset.MemScale,
-		})
+	}
+	alone, err := e.MeasureAll(cells)
+	if err != nil {
+		return nil, err
+	}
+	for si, spec := range specs {
+		// Under Mix the query argument only labels the stats.
+		st, err := e.runUncached(mix[0], 6, workload.Options{Spec: spec, Mix: mix})
 		if err != nil {
 			return nil, err
 		}
@@ -41,16 +44,13 @@ func Mix(e *Env) (*Result, error) {
 			mixed[p.Query] += float64(p.ThreadCycles)
 			counts[p.Query]++
 		}
-		for _, q := range mix {
-			alone, err := e.Measure(spec, q, 1)
-			if err != nil {
-				return nil, err
-			}
+		for qi, q := range mix {
+			a := alone[si*len(mix)+qi]
 			avg := mixed[q] / counts[q]
 			r.Rows = append(r.Rows, []string{
 				spec.Name, q.String(),
-				fm(alone.ThreadCycles), fm(avg),
-				fmt.Sprintf("%.3fx", avg/alone.ThreadCycles),
+				fm(a.ThreadCycles), fm(avg),
+				fmt.Sprintf("%.3fx", avg/a.ThreadCycles),
 			})
 		}
 	}

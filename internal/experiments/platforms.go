@@ -20,12 +20,17 @@ func Platforms(e *Env) (*Result, error) {
 		e.Origin(),
 		machine.StarfireSpec(16, e.Preset.MemScale),
 	}
-	for _, q := range tpch.AllQueries {
-		for _, spec := range specs {
-			m, err := e.MeasureOpts(spec.Name, q, 1, workload.Options{Spec: spec})
-			if err != nil {
-				return nil, err
-			}
+	variants := make([]variant, len(specs))
+	for i, spec := range specs {
+		variants[i] = variant{spec.Name, workload.Options{Spec: spec}}
+	}
+	ms, err := e.acrossQueries(1, variants...)
+	if err != nil {
+		return nil, err
+	}
+	for i, q := range tpch.AllQueries {
+		for j, spec := range specs {
+			m := ms[i][j]
 			outer := m.L2MissesPerM
 			if outer == 0 {
 				outer = m.L1MissesPerM
@@ -55,14 +60,11 @@ func EState(e *Env) (*Result, error) {
 		Title:   "MESI vs MSI on the V-Class: the E state behind Fig. 9 (Q6)",
 		Headers: append([]string{"variant"}, procHeaders()...),
 	}
-	a, err := e.Sweep(mesi.Name, mesi, tpch.Q6, workload.Options{})
+	ss, err := e.sweeps(sweep{tag: mesi.Name, spec: mesi, q: tpch.Q6}, sweep{tag: "vclass-msi", spec: msi, q: tpch.Q6})
 	if err != nil {
 		return nil, err
 	}
-	b, err := e.Sweep("vclass-msi", msi, tpch.Q6, workload.Options{})
-	if err != nil {
-		return nil, err
-	}
+	a, b := ss[0], ss[1]
 	rowA := []string{"MESI (E state)"}
 	rowB := []string{"MSI (no E)"}
 	for i := range a.Points {

@@ -25,13 +25,7 @@ func Taxonomy(e *Env) (*Result, error) {
 			if which == 1 {
 				spec = e.Origin()
 			}
-			st, err := workload.Run(workload.Options{
-				Spec:        spec,
-				Data:        e.Data,
-				Query:       q,
-				Processes:   1,
-				OSTimeScale: e.Preset.MemScale,
-			})
+			st, err := e.runUncached(q, 1, workload.Options{Spec: spec})
 			if err != nil {
 				return nil, err
 			}
@@ -63,10 +57,7 @@ func RegionStats(e *Env, origin bool, q tpch.QueryID, procs int) (perfctr.Region
 	if origin {
 		spec = e.Origin()
 	}
-	st, err := workload.Run(workload.Options{
-		Spec: spec, Data: e.Data, Query: q,
-		Processes: procs, OSTimeScale: e.Preset.MemScale,
-	})
+	st, err := e.runUncached(q, procs, workload.Options{Spec: spec})
 	if err != nil {
 		return perfctr.RegionCounters{}, fmt.Errorf("taxonomy run: %w", err)
 	}

@@ -321,25 +321,16 @@ func (o *Observer) Dropped() uint64 {
 // ---- operator spans ----
 
 // Spanner is the optional process capability operator attribution needs;
-// *simos.Process implements it. Executor code calls Span rather than
-// asserting the interface itself.
+// *simos.Process implements it. Executor code asserts it and defers EndOp
+// directly, so opening a span allocates nothing:
+//
+//	if sp, ok := ctx.S.P.(obs.Spanner); ok {
+//		sp.BeginOp(rel.ScanSpan)
+//		defer sp.EndOp()
+//	}
 type Spanner interface {
 	BeginOp(name string)
 	EndOp()
-}
-
-var noopEnd = func() {}
-
-// Span opens an operator span on p if p supports attribution and returns
-// the closer; otherwise it returns a no-op. Intended usage:
-//
-//	defer obs.Span(ctx.S.P, "scan:lineitem")()
-func Span(p any, name string) func() {
-	if s, ok := p.(Spanner); ok {
-		s.BeginOp(name)
-		return s.EndOp
-	}
-	return noopEnd
 }
 
 // settle charges the counter delta since the CPU's last transition to the

@@ -5,7 +5,9 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -17,19 +19,25 @@ const resumeSweepPath = "/v1/sweep?machine=vclass&query=Q6"
 
 // wedgeSweep starts a daemon on dir that simulates the sweep's points one at
 // a time and wedges on the third, issues the sweep, and returns once the
-// first two points have finished. The returned stop closes the daemon and
-// checks that the interrupted sweep did not succeed.
-func wedgeSweep(t *testing.T, dir string) (stop func()) {
+// first two points have finished, with their process counts. The returned
+// stop closes the daemon and checks that the interrupted sweep did not
+// succeed.
+func wedgeSweep(t *testing.T, dir string) (stop func(), finished []int) {
 	t.Helper()
 	a := newTestServerCfg(t, Config{CacheDir: dir, EnvParallelism: 1})
 	third := make(chan struct{})
 	var calls atomic.Int32
+	var mu sync.Mutex
+	var ran []int
 	a.runHook = func(ctx context.Context, o workload.Options) (*workload.Stats, error) {
 		if calls.Add(1) == 3 {
 			close(third)
 			<-ctx.Done()
 			return nil, context.Cause(ctx)
 		}
+		mu.Lock()
+		ran = append(ran, o.Processes)
+		mu.Unlock()
 		return workload.RunContext(ctx, o)
 	}
 	tsA := httptest.NewServer(a.Handler())
@@ -44,6 +52,9 @@ func wedgeSweep(t *testing.T, dir string) (stop func()) {
 		done <- resp.StatusCode
 	}()
 	<-third
+	mu.Lock()
+	finished = slices.Clone(ran)
+	mu.Unlock()
 	return func() {
 		t.Helper()
 		a.Close()
@@ -51,7 +62,7 @@ func wedgeSweep(t *testing.T, dir string) (stop func()) {
 			t.Fatal("sweep on the closed server succeeded")
 		}
 		tsA.Close()
-	}
+	}, finished
 }
 
 // runsTotal asserts the daemon's dssmem_runs_total on /metrics.
@@ -79,7 +90,8 @@ func referenceSweep(t *testing.T) []byte {
 // returns the same bytes as an uninterrupted sweep.
 func TestSweepResumesFromCache(t *testing.T) {
 	dir := t.TempDir()
-	wedgeSweep(t, dir)()
+	stop, _ := wedgeSweep(t, dir)
+	stop()
 
 	// Server B restarts on the same cache directory.
 	b := newTestServerCfg(t, Config{CacheDir: dir, EnvParallelism: 1})
@@ -101,16 +113,19 @@ func TestSweepResumesFromCache(t *testing.T) {
 // sweep stores each point on disk as that point finishes, not when the sweep
 // completes, under the same digest /v1/measure uses. While the sweep is still
 // wedged on its third point, a second daemon on the same directory already
-// answers the first two points from disk.
+// answers the two points that finished from disk.
 func TestSweepPointsPersistIncrementally(t *testing.T) {
 	dir := t.TempDir()
-	stop := wedgeSweep(t, dir)
+	stop, finished := wedgeSweep(t, dir)
 	defer stop()
+	if len(finished) != 2 {
+		t.Fatalf("finished points %v, want 2", finished)
+	}
 
 	c := newTestServerCfg(t, Config{CacheDir: dir})
 	tsC := httptest.NewServer(c.Handler())
 	defer tsC.Close()
-	for _, procs := range experiments.ProcCounts[:2] {
+	for _, procs := range finished {
 		path := fmt.Sprintf("/v1/measure?machine=vclass&query=Q6&procs=%d", procs)
 		resp, body := get(t, tsC, path)
 		if resp.StatusCode != 200 {

@@ -260,14 +260,8 @@ func BenchmarkSimKernelHandoff8(b *testing.B) {
 }
 
 // BenchmarkSingleRun8 measures the 8-process configuration (the paper's most
-// contended point) under the serial scheduler; BenchmarkSingleRun8Parallel is
-// the same work under bound–weave. Their ratio is the in-simulation parallel
-// speedup at the host's GOMAXPROCS — compare with GOMAXPROCS=1 to isolate
-// the mode's coordination overhead from real parallelism.
-func BenchmarkSingleRun8(b *testing.B)         { benchSingleRun8(b, false) }
-func BenchmarkSingleRun8Parallel(b *testing.B) { benchSingleRun8(b, true) }
-
-func benchSingleRun8(b *testing.B, parallel bool) {
+// contended point): one simulation, so one host thread at a time.
+func BenchmarkSingleRun8(b *testing.B) {
 	data := smallData()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -277,7 +271,6 @@ func benchSingleRun8(b *testing.B, parallel bool) {
 			Query:       tpch.Q6,
 			Processes:   8,
 			OSTimeScale: 64,
-			Parallel:    parallel,
 		})
 		if err != nil {
 			b.Fatal(err)

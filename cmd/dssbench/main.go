@@ -3,7 +3,7 @@
 // Usage:
 //
 //	dssbench [-preset tiny|small|medium] [-fig N|all] [-ablation name|all|none]
-//	         [-format table|csv|json] [-json FILE] [-parallel] [-sample-quanta N]
+//	         [-format table|csv|json] [-json FILE] [-sample-quanta N]
 //	dssbench [-sample N] [-events trace.json] [-by-operator] [-query Q] [-machine M] [-procs N]
 //
 // Examples:
@@ -36,7 +36,8 @@ import (
 	"time"
 
 	"dssmem"
-	"dssmem/internal/telemetry"
+	"dssmem/internal/machine"
+	"dssmem/internal/tpch"
 )
 
 func main() {
@@ -46,16 +47,14 @@ func main() {
 	format := flag.String("format", "table", "output format: table, csv or json")
 	jsonOut := flag.String("json", "", "also write a machine-readable benchmark document (figures, ablations, wall/sim timing) to this file ('-' = stdout)")
 	chart := flag.Bool("chart", false, "append terminal sparklines for sweep figures")
-	parallel := flag.Bool("parallel", false, "run simulations in bound–weave parallel mode (deterministic; see DESIGN.md §11). Observed runs stay serial")
-	parWindow := flag.Uint64("parallel-window", 0, "bound–weave window in cycles (0 = scheduling quantum)")
 	list := flag.Bool("list", false, "list available figures and ablations")
 	sample := flag.Uint64("sample", 0, "observed run: sample counters every N simulated cycles")
 	sampleOut := flag.String("sample-out", "", "observed run: write sampled windows to this file (.json = JSON, else CSV)")
 	events := flag.String("events", "", "observed run: write a Chrome trace-event JSON file (open in Perfetto)")
 	byOperator := flag.Bool("by-operator", false, "observed run: attribute counters to query-plan operators")
-	query := flag.String("query", "Q6", "observed run: query (Q6, Q21, Q12)")
-	mach := flag.String("machine", "vclass", "observed run: machine (vclass or origin)")
-	procs := flag.Int("procs", 4, "observed run: number of parallel query processes")
+	query := flag.String("query", "Q6", "observed run: query (Q6, Q21, Q12, Q1)")
+	mach := flag.String("machine", "vclass", "observed run: machine (vclass, origin or starfire)")
+	procs := flag.Int("procs", 4, "observed run: number of concurrent query processes")
 	sampleQuanta := flag.Int("sample-quanta", 0, "SMARTS sampling period in scheduling quanta: simulate 1 of every N in detail (0 or 1 = exact; estimates, cached under their own digests)")
 	flag.Parse()
 
@@ -84,8 +83,6 @@ func main() {
 	}
 	start := time.Now()
 	env := dssmem.NewEnv(p)
-	env.Parallel = *parallel
-	env.ParallelWindow = *parWindow
 	env.SampleQuanta = *sampleQuanta
 	tally := &dssmem.RunTally{}
 	env.Tally = tally
@@ -255,27 +252,13 @@ func writeBenchDoc(path string, doc *benchDoc) error {
 // attached and emits its telemetry.
 func observedRun(data *dssmem.Data, p dssmem.Preset, query, mach string, procs int,
 	sample uint64, sampleOut, events string, byOperator bool) error {
-	var q dssmem.QueryID
-	switch strings.ToUpper(query) {
-	case "Q6":
-		q = dssmem.Q6
-	case "Q21":
-		q = dssmem.Q21
-	case "Q12":
-		q = dssmem.Q12
-	case "Q1":
-		q = dssmem.Q1
-	default:
-		return fmt.Errorf("unknown query %q", query)
+	q, err := tpch.QueryByName(query)
+	if err != nil {
+		return err
 	}
-	var spec dssmem.MachineSpec
-	switch strings.ToLower(mach) {
-	case "vclass", "hpv", "v-class":
-		spec = dssmem.VClass(16, p.MemScale)
-	case "origin", "sgi", "origin2000":
-		spec = dssmem.Origin(32, p.MemScale)
-	default:
-		return fmt.Errorf("unknown machine %q", mach)
+	spec, err := machine.SpecByName(mach, 0, p.MemScale)
+	if err != nil {
+		return err
 	}
 
 	ob := dssmem.NewObserver(dssmem.ObsConfig{
@@ -283,10 +266,6 @@ func observedRun(data *dssmem.Data, p dssmem.Preset, query, mach string, procs i
 		Events:         events != "",
 		ByOperator:     byOperator,
 	})
-	// Observed CLI runs get a request ID too, so a trace produced here is
-	// addressable the same way as one produced behind the daemon.
-	reqID := telemetry.NewID()
-	ob.SetRequestID(reqID)
 	st, err := dssmem.Run(dssmem.RunOptions{
 		Spec: spec, Data: data, Query: q, Processes: procs,
 		OSTimeScale: p.MemScale, Obs: ob,
@@ -315,7 +294,7 @@ func observedRun(data *dssmem.Data, p dssmem.Preset, query, mach string, procs i
 		if err := emitFile(events, ob.WriteTrace); err != nil {
 			return err
 		}
-		fmt.Printf("trace written to %s (open in Perfetto or chrome://tracing; request id %s)\n", events, reqID)
+		fmt.Printf("trace written to %s (open in Perfetto or chrome://tracing)\n", events)
 	}
 	return nil
 }

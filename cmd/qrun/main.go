@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	qrun [-query Q6|Q21|Q12] [-machine vclass|origin] [-procs N] [-sf 0.004] [-memscale 64]
-//	     [-parallel] [-parallel-window N] [-seed N] [-sample-quanta N]
+//	qrun [-query Q6|Q21|Q12|Q1] [-machine vclass|origin|starfire] [-procs N] [-sf 0.004]
+//	     [-memscale 64] [-seed N] [-sample-quanta N]
 //	     [-sample N] [-sample-out f.csv|f.json] [-events trace.json] [-by-operator]
 //
 // -sample-quanta N runs SMARTS interval sampling: only the first quantum of every N is simulated in detail and the
@@ -26,12 +26,14 @@ import (
 	"strings"
 
 	"dssmem"
+	"dssmem/internal/machine"
+	"dssmem/internal/tpch"
 )
 
 func main() {
-	query := flag.String("query", "Q6", "query: Q6, Q21 or Q12")
-	mach := flag.String("machine", "vclass", "machine: vclass or origin")
-	procs := flag.Int("procs", 1, "number of parallel query processes (1..8)")
+	query := flag.String("query", "Q6", "query: Q6, Q21, Q12 or Q1")
+	mach := flag.String("machine", "vclass", "machine: vclass, origin or starfire")
+	procs := flag.Int("procs", 1, "number of concurrent query processes (1..the machine's CPUs)")
 	sf := flag.Float64("sf", 0.004, "TPC-H scale factor")
 	memScale := flag.Int("memscale", 64, "cache capacity divisor (see DESIGN.md §4)")
 	seed := flag.Uint64("seed", 7, "data generator seed")
@@ -39,30 +41,16 @@ func main() {
 	sampleOut := flag.String("sample-out", "", "write sampled windows to this file (.json = JSON, else CSV)")
 	events := flag.String("events", "", "write a Chrome trace-event JSON file (open in Perfetto)")
 	byOperator := flag.Bool("by-operator", false, "attribute counters to query-plan operators")
-	parallel := flag.Bool("parallel", false, "run the simulation in bound–weave parallel mode (deterministic; falls back to serial when telemetry flags are set)")
-	parWindow := flag.Uint64("parallel-window", 0, "bound–weave window in cycles (0 = scheduling quantum)")
 	sampleQuanta := flag.Int("sample-quanta", 0, "SMARTS sampling period in scheduling quanta: simulate 1 of every N in detail (0 or 1 = exact)")
 	flag.Parse()
 
-	var q dssmem.QueryID
-	switch strings.ToUpper(*query) {
-	case "Q6":
-		q = dssmem.Q6
-	case "Q21":
-		q = dssmem.Q21
-	case "Q12":
-		q = dssmem.Q12
-	default:
-		fatal(fmt.Errorf("unknown query %q", *query))
+	q, err := tpch.QueryByName(*query)
+	if err != nil {
+		fatal(err)
 	}
-	var spec dssmem.MachineSpec
-	switch strings.ToLower(*mach) {
-	case "vclass", "hpv", "v-class":
-		spec = dssmem.VClass(16, *memScale)
-	case "origin", "sgi", "origin2000":
-		spec = dssmem.Origin(32, *memScale)
-	default:
-		fatal(fmt.Errorf("unknown machine %q", *mach))
+	spec, err := machine.SpecByName(*mach, 0, *memScale)
+	if err != nil {
+		fatal(err)
 	}
 
 	var ob *dssmem.Observer
@@ -78,8 +66,7 @@ func main() {
 	ans := dssmem.ReferenceAnswer(q, data)
 	st, err := dssmem.Run(dssmem.RunOptions{
 		Spec: spec, Data: data, Query: q, Processes: *procs, OSTimeScale: *memScale,
-		Obs: ob, Parallel: *parallel, ParallelWindow: *parWindow,
-		SampleQuanta: *sampleQuanta,
+		Obs: ob, SampleQuanta: *sampleQuanta,
 	})
 	if err != nil {
 		fatal(err)
@@ -161,6 +148,11 @@ func printAnswer(r *dssmem.QueryResult) {
 		fmt.Println("Q12 (shipmode, high-priority count, low-priority count):")
 		for _, g := range r.Q12 {
 			fmt.Printf("  mode %d: high %d, low %d\n", g.ShipMode, g.HighCount, g.LowCount)
+		}
+	case dssmem.Q1:
+		fmt.Println("Q1 (returnflag, linestatus, sum qty, count):")
+		for _, g := range r.Q1 {
+			fmt.Printf("  %d/%d: qty %d, %d lines\n", g.ReturnFlag, g.LineStatus, g.SumQty, g.Count)
 		}
 	case dssmem.Q21:
 		fmt.Printf("Q21 top waiting suppliers (%d rows):\n", len(r.Q21))

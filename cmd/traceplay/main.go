@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"dssmem"
 	"dssmem/internal/machine"
@@ -25,16 +24,16 @@ func main() {
 	record := flag.String("record", "", "capture a query trace into this file")
 	analyze := flag.String("analyze", "", "print the composition of this trace")
 	replay := flag.String("replay", "", "replay this trace onto a machine model")
-	query := flag.String("query", "Q6", "query to capture (Q6, Q21, Q12)")
+	query := flag.String("query", "Q6", "query to capture (Q6, Q21, Q12, Q1)")
 	sf := flag.Float64("sf", 0.002, "scale factor for -record")
 	seed := flag.Uint64("seed", 7, "data seed for -record")
-	mach := flag.String("machine", "vclass", "machine for -replay: vclass or origin")
+	mach := flag.String("machine", "vclass", "machine for -replay: vclass, origin or starfire")
 	memScale := flag.Int("memscale", 128, "cache divisor for -replay")
 	flag.Parse()
 
 	switch {
 	case *record != "":
-		q, err := parseQuery(*query)
+		q, err := tpch.QueryByName(*query)
 		if err != nil {
 			fatal(err)
 		}
@@ -69,14 +68,9 @@ func main() {
 			fatal(err)
 		}
 		defer f.Close()
-		var spec machine.Spec
-		switch strings.ToLower(*mach) {
-		case "vclass":
-			spec = machine.VClassSpec(16, *memScale)
-		case "origin":
-			spec = machine.OriginSpec(32, *memScale)
-		default:
-			fatal(fmt.Errorf("unknown machine %q", *mach))
+		spec, err := machine.SpecByName(*mach, 0, *memScale)
+		if err != nil {
+			fatal(err)
 		}
 		m := machine.New(spec)
 		mem := &trace.MachineMem{M: m, CPU: 0}
@@ -97,18 +91,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-func parseQuery(s string) (tpch.QueryID, error) {
-	switch strings.ToUpper(s) {
-	case "Q6":
-		return tpch.Q6, nil
-	case "Q21":
-		return tpch.Q21, nil
-	case "Q12":
-		return tpch.Q12, nil
-	}
-	return 0, fmt.Errorf("unknown query %q", s)
 }
 
 func fatal(err error) {

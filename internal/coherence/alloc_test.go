@@ -31,23 +31,3 @@ func TestDirectoryMissAllocFree(t *testing.T) {
 	}
 	_ = caches
 }
-
-// TestPreviewAllocFree: the bound-phase previews must never allocate — they
-// run concurrently on the hot path and may not touch the sparse map beyond a
-// read (unknown lines resolve to the shared zero entry).
-func TestPreviewAllocFree(t *testing.T) {
-	d, _ := testRig(4, baseParams)
-	for l := uint64(0); l < 64; l++ {
-		d.Read(0, l, 5)
-	}
-	var l uint64
-	allocs := testing.AllocsPerRun(1000, func() {
-		d.PreviewRead(1, l%128, 100) // half known, half unknown lines
-		d.PreviewWrite(2, l%128, 101)
-		d.PreviewUpgrade(0, l%64, 102)
-		l++
-	})
-	if allocs != 0 {
-		t.Fatalf("preview path allocates %.1f objects/op, want 0", allocs)
-	}
-}

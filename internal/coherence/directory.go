@@ -264,24 +264,6 @@ func (d *Directory) entryFor(line uint64) *entry {
 	return d.slab.at(i)
 }
 
-// zeroEntry is the immutable image of a line the directory has never seen.
-// peek hands it out for unknown lines so read-only paths allocate nothing;
-// it must never be written through.
-var zeroEntry entry
-
-// peek returns the entry for line without creating one. Unlike entryFor it is
-// safe to call concurrently with other readers (the parallel bound phase),
-// because it never mutates the sparse index.
-func (d *Directory) peek(line uint64) *entry {
-	if line < uint64(len(d.dense)) {
-		return &d.dense[line]
-	}
-	if i, ok := d.sparse[line]; ok {
-		return d.slab.at(i)
-	}
-	return &zeroEntry
-}
-
 func (d *Directory) homeOf(line uint64) int {
 	return d.placement.Home(memsys.Addr(line << d.lineShift))
 }

@@ -93,10 +93,6 @@ type Database struct {
 	// SharedBytes is the total shared footprint, used to size the machine's
 	// dense directory region.
 	SharedBytes uint64
-
-	// par, when non-nil, switches the hint-bit path into bound–weave mode
-	// (see parallel.go).
-	par *dbPar
 }
 
 // DefaultBufHeaderBytes matches the unpadded descriptors of the era.
@@ -312,12 +308,7 @@ func (s *Session) CheckHints(heap *storage.Heap, tid storage.TID) {
 		return
 	}
 	now := s.P.Now()
-	if db.par != nil {
-		if setAt, done := s.checkHintsPar(tid, now); done && now > setAt+db.hintRace {
-			return
-		}
-		db.par.shards[s.PID].hintWrites++
-	} else if setAt, done := db.hintsSet[tid]; done {
+	if setAt, done := db.hintsSet[tid]; done {
 		// Another process already stored the hint. If this process is racing
 		// within the concurrency window it has not seen that store and
 		// repeats the check and the store itself; otherwise the hint is

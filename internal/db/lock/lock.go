@@ -89,10 +89,6 @@ type SpinLock struct {
 	Acquires  uint64
 	Contended uint64 // acquisitions that found the lock busy at least once
 	Backoffs  uint64 // acquisitions that gave up spinning at least once
-
-	// par, when non-nil, switches the lock into bound–weave mode (see
-	// parallel.go).
-	par *spinPar
 }
 
 // NewSpinLock creates a spinlock whose word lives at addr.
@@ -105,9 +101,6 @@ func (l *SpinLock) Addr() memsys.Addr { return l.addr }
 
 // TryAcquire attempts a single test-and-set at the process's current time.
 func (l *SpinLock) TryAcquire(p Proc, pid int) bool {
-	if l.par != nil {
-		return l.tryAcquirePar(p, pid)
-	}
 	p.Load(l.addr, 8) // read the lock word
 	if l.held || l.windows.covers(p.Now()) {
 		return false
@@ -127,10 +120,6 @@ func (l *SpinLock) TryAcquire(p Proc, pid int) bool {
 // PostgreSQL pattern the paper identifies as the source of the voluntary
 // switches in Fig. 10.
 func (l *SpinLock) Acquire(p Proc, pid int) {
-	if l.par != nil {
-		l.acquirePar(p, pid)
-		return
-	}
 	l.Acquires++
 	if l.TryAcquire(p, pid) {
 		notifyAcquired(p, l.addr, false)
@@ -163,10 +152,6 @@ func (l *SpinLock) spinLimit() int {
 
 // Release frees the lock; the caller must hold it.
 func (l *SpinLock) Release(p Proc, pid int) {
-	if l.par != nil {
-		l.releasePar(p, pid)
-		return
-	}
 	if !l.held || l.owner != pid {
 		panic(fmt.Sprintf("lock: release by non-owner: addr=%#x held=%v owner=%d pid=%d", l.addr, l.held, l.owner, pid))
 	}
@@ -310,10 +295,6 @@ type Manager struct {
 	// Stats.
 	RelationAcquires uint64
 	RowAcquires      uint64
-
-	// par, when non-nil, switches the manager into bound–weave mode (see
-	// parallel.go).
-	par *mgrPar
 }
 
 // NewManager creates a lock manager whose tables occupy [base, base+size).
@@ -343,10 +324,6 @@ func (m *Manager) entry(rel int, row int64) *relEntry {
 // read-check-update sequence whose dirty-line handoff the migratory protocol
 // accelerates).
 func (m *Manager) AcquireShared(p Proc, pid, rel int) {
-	if m.par != nil {
-		m.acquireSharedPar(p, pid, rel)
-		return
-	}
 	m.RelationAcquires++
 	for {
 		m.mutex.Acquire(p, pid)
@@ -367,10 +344,6 @@ func (m *Manager) AcquireShared(p Proc, pid, rel int) {
 
 // ReleaseShared drops a relation-level read lock.
 func (m *Manager) ReleaseShared(p Proc, pid, rel int) {
-	if m.par != nil {
-		m.releaseSharedPar(p, pid, rel)
-		return
-	}
 	m.mutex.Acquire(p, pid)
 	e := m.entry(rel, -1)
 	p.Load(e.addr, 8)
@@ -389,10 +362,6 @@ func (m *Manager) ReleaseShared(p Proc, pid, rel int) {
 // which is why the paper remarks it "may become a bottleneck in multiple
 // parallel queries".
 func (m *Manager) acquireExclusive(p Proc, pid, rel int, row int64) {
-	if m.par != nil {
-		m.acquireExclusivePar(p, pid, rel, row)
-		return
-	}
 	for {
 		m.mutex.Acquire(p, pid)
 		e := m.entry(rel, row)
@@ -413,10 +382,6 @@ func (m *Manager) acquireExclusive(p Proc, pid, rel int, row int64) {
 }
 
 func (m *Manager) releaseExclusive(p Proc, pid, rel int, row int64) {
-	if m.par != nil {
-		m.releaseExclusivePar(p, pid, rel, row)
-		return
-	}
 	m.mutex.Acquire(p, pid)
 	e := m.entry(rel, row)
 	if !e.writer || e.writerPid != pid {
@@ -435,11 +400,7 @@ func (m *Manager) releaseExclusive(p Proc, pid, rel int, row int64) {
 
 // AcquireExclusive takes a relation-level write lock.
 func (m *Manager) AcquireExclusive(p Proc, pid, rel int) {
-	if m.par != nil {
-		m.par.shards[pid].relationAcquires++
-	} else {
-		m.RelationAcquires++
-	}
+	m.RelationAcquires++
 	m.acquireExclusive(p, pid, rel, -1)
 }
 
@@ -451,11 +412,7 @@ func (m *Manager) ReleaseExclusive(p Proc, pid, rel int) {
 // AcquireRowExclusive takes a row-level write lock (the finer granularity
 // PostgreSQL of the era lacked; used by the lock-granularity ablation).
 func (m *Manager) AcquireRowExclusive(p Proc, pid, rel int, row int64) {
-	if m.par != nil {
-		m.par.shards[pid].rowAcquires++
-	} else {
-		m.RowAcquires++
-	}
+	m.RowAcquires++
 	m.acquireExclusive(p, pid, rel, row)
 }
 

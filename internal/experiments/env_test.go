@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -308,6 +309,37 @@ func TestColdWarmByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(marshal(core.FromStats(st)), marshal(m1)) {
 		t.Fatal("cached measurement differs from a direct workload.Run")
+	}
+}
+
+// TestFiguresIndependentOfHostParallelism pins determinism of the one
+// scheduling mode: Figures 5 and 10, regenerated in fresh envs, are
+// byte-identical at one MeasureAll slot on one host thread and at four
+// slots on four threads. Host parallelism may change how fast a figure
+// arrives, never what it says.
+func TestFiguresIndependentOfHostParallelism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("regenerates two figures twice; skipped in -short mode")
+	}
+	render := func(slots int) []byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(slots))
+		e := NewEnvWith(Tiny, sharedEnv.Data)
+		e.Parallelism = slots
+		var buf bytes.Buffer
+		for _, id := range []int{5, 10} {
+			r, err := RunFigure(e, id, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.WriteJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return buf.Bytes()
+	}
+	one, four := render(1), render(4)
+	if !bytes.Equal(one, four) {
+		t.Fatalf("figure JSON differs between 1 and 4 slots:\n1: %s\n4: %s", one, four)
 	}
 }
 

@@ -85,17 +85,9 @@ type Env struct {
 	Runner func(context.Context, workload.Options) (*workload.Stats, error)
 
 	// Parallelism is the number of MeasureAll slots: it bounds concurrent
-	// simulations (each is single-threaded in serial mode; bound–weave runs
-	// additionally parallelize inside one simulation).
+	// simulations, each of which runs on one host thread at a time. It is
+	// the only host-parallelism width and never changes a result.
 	Parallelism int
-
-	// Parallel applies workload bound–weave execution to every measurement
-	// that does not set it explicitly (see workload.Options.Parallel). It
-	// changes the content digests: parallel measurements are cached under
-	// their own identity.
-	Parallel bool
-	// ParallelWindow is the default bound window in cycles (0 = quantum).
-	ParallelWindow uint64
 
 	// SampleQuanta, when > 1, applies SMARTS interval sampling (see
 	// workload.Options.SampleQuanta) to every measurement that does not set
@@ -191,15 +183,6 @@ func (e *Env) CanonicalOptions(q tpch.QueryID, procs int, opts workload.Options)
 		// A period of 1 cannot sample (the controller clamps to 2, fully
 		// detailed); normalize to exact so the digest matches the behavior.
 		opts.SampleQuanta = 0
-	}
-	if opts.SampleQuanta > 1 {
-		// Sampled runs execute serially (the controller is not weave-aware);
-		// keep the digest honest about it.
-		opts.Parallel = false
-		opts.ParallelWindow = 0
-	} else if e.Parallel && !opts.Parallel {
-		opts.Parallel = true
-		opts.ParallelWindow = e.ParallelWindow
 	}
 	return opts
 }

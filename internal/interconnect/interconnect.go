@@ -145,23 +145,6 @@ func (s *Server) Serve(now uint64) uint64 {
 	return wait
 }
 
-// PredictWait returns the queueing delay a request would be charged under the
-// current utilization estimate, without recording an arrival. The parallel
-// simulator's bound phase charges this frozen-estimator delay for requests it
-// logs; the weave phase then replays each arrival through Serve, which is
-// when the estimator actually evolves. It differs from the Serve result by at
-// most one EWMA step of the gap average.
-func (s *Server) PredictWait() uint64 {
-	if s.Requests == 0 || s.avgGap == 0 {
-		return 0
-	}
-	rho := float64(s.Occupancy) / s.avgGap
-	if rho > maxRho {
-		rho = maxRho
-	}
-	return uint64(float64(s.Occupancy)*rho/(2*(1-rho)) + 0.5)
-}
-
 // Utilization reports the current estimated load (0..1).
 func (s *Server) Utilization() float64 {
 	if s.avgGap == 0 {

@@ -29,11 +29,6 @@ type Machine struct {
 	// number (every shipped spec); n*baseCycles is then exactly
 	// uint64(float64(n)*BaseCPI + 0.5) for any plausible n.
 	cpiIntegral bool
-
-	// par, when non-nil, switches the directory path to the bound–weave
-	// log-and-preview protocol (see parallel.go). The hit fast path is
-	// unaffected: it touches only the CPU's own caches.
-	par *parMachine
 }
 
 // New builds a machine from its spec; it panics on invalid specs (specs are
@@ -271,16 +266,7 @@ func (m *Machine) outerMiss(c int, line uint64, write bool, now uint64) uint64 {
 func (m *Machine) outerFetch(c int, line uint64, write bool, now uint64) uint64 {
 	ct := &m.ctrs[c]
 	var r coherence.Result
-	if m.par != nil {
-		cid := coherence.CacheID(c)
-		if write {
-			r = m.dir.PreviewWrite(cid, line, now)
-			m.par.logs[c] = append(m.par.logs[c], dirOp{kind: opWrite, cpu: int16(c), line: line, now: now})
-		} else {
-			r = m.dir.PreviewRead(cid, line, now)
-			m.par.logs[c] = append(m.par.logs[c], dirOp{kind: opRead, cpu: int16(c), line: line, now: now})
-		}
-	} else if write {
+	if write {
 		r = m.dir.Write(coherence.CacheID(c), line, now)
 	} else {
 		r = m.dir.Read(coherence.CacheID(c), line, now)
@@ -302,7 +288,7 @@ func (m *Machine) outerFetch(c int, line uint64, write bool, now uint64) uint64 
 	outer := m.outerCache(c)
 	v := outer.Insert(line, r.Grant)
 	if v.State != cache.Invalid {
-		m.evict(c, v.Line, v.State.Dirty(), now)
+		m.dir.Evict(coherence.CacheID(c), v.Line, v.State.Dirty(), now)
 		if m.l2 != nil {
 			// Inclusion: back-invalidate the L1 sub-blocks of the victim.
 			m.backInvalidateL1(c, v.Line)
@@ -339,13 +325,7 @@ func (m *Machine) upgrade(c int, l1line uint64, now uint64) uint64 {
 // upgradeOuter performs the directory upgrade for the outer cache.
 func (m *Machine) upgradeOuter(c int, outerLine uint64, now uint64) uint64 {
 	ct := &m.ctrs[c]
-	var r coherence.Result
-	if m.par != nil {
-		r = m.dir.PreviewUpgrade(coherence.CacheID(c), outerLine, now)
-		m.par.logs[c] = append(m.par.logs[c], dirOp{kind: opUpgrade, cpu: int16(c), line: outerLine, now: now})
-	} else {
-		r = m.dir.Upgrade(coherence.CacheID(c), outerLine, now)
-	}
+	r := m.dir.Upgrade(coherence.CacheID(c), outerLine, now)
 	ct.Upgrades++
 	ct.MemRequests++
 	ct.MemLatencyCycles += r.Latency
@@ -355,7 +335,7 @@ func (m *Machine) upgradeOuter(c int, outerLine uint64, now uint64) uint64 {
 	} else {
 		v := outer.Insert(outerLine, r.Grant)
 		if v.State != cache.Invalid {
-			m.evict(c, v.Line, v.State.Dirty(), now)
+			m.dir.Evict(coherence.CacheID(c), v.Line, v.State.Dirty(), now)
 			if m.l2 != nil {
 				m.backInvalidateL1(c, v.Line)
 			}
@@ -429,7 +409,7 @@ func (m *Machine) FlushFraction(c int, frac float64, now uint64) {
 		}
 	}
 	for _, v := range m.outerCache(c).FlushFraction(frac) {
-		m.evict(c, v.Line, v.State.Dirty(), now)
+		m.dir.Evict(coherence.CacheID(c), v.Line, v.State.Dirty(), now)
 		if m.l2 != nil {
 			m.backInvalidateL1(c, v.Line)
 		}

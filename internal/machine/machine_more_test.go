@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"dssmem/internal/cache"
@@ -179,5 +181,44 @@ func TestStarfireSpec(t *testing.T) {
 	ct := m.Counters(0)
 	if ct.L1DMisses != 1 || ct.L2DMisses != 1 {
 		t.Fatalf("counters: %+v", ct)
+	}
+}
+
+func TestSpecByName(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cpus int
+		want Spec
+	}{
+		{"", 0, VClassSpec(16, 64)},
+		{"vclass", 0, VClassSpec(16, 64)},
+		{"hpv", 4, VClassSpec(4, 64)},
+		{"V-Class", 0, VClassSpec(16, 64)},
+		{"origin", 0, OriginSpec(32, 64)},
+		{"SGI", 8, OriginSpec(8, 64)},
+		{"Origin2000", 0, OriginSpec(32, 64)},
+		{"starfire", 0, StarfireSpec(64, 64)},
+		{"E10000", 2, StarfireSpec(2, 64)},
+	} {
+		s, err := SpecByName(c.name, c.cpus, 64)
+		if err != nil || !reflect.DeepEqual(s, c.want) {
+			t.Errorf("%q/%d: %s with %d CPUs (err %v), want %s with %d",
+				c.name, c.cpus, s.Name, s.CPUs, err, c.want.Name, c.want.CPUs)
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		cpus    int
+		wantErr string
+	}{
+		{"cray", 0, `unknown machine "cray" (vclass|origin|starfire)`},
+		{"v class", 0, "unknown machine"},
+		{"vclass", 65, "CPUs must be 1..64"},
+		{"origin", 100, "CPUs must be 1..64"},
+		{"starfire", -1, "bad cpus -1"},
+	} {
+		if _, err := SpecByName(c.name, c.cpus, 64); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%q/%d: error %v, want one containing %q", c.name, c.cpus, err, c.wantErr)
+		}
 	}
 }

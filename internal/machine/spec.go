@@ -5,6 +5,7 @@ package machine
 
 import (
 	"fmt"
+	"strings"
 
 	"dssmem/internal/cache"
 	"dssmem/internal/coherence"
@@ -240,6 +241,32 @@ func StarfireSpec(cpus, memScale int) Spec {
 		NetHop:       12,
 		SharedLimit:  16 << 20,
 	}
+}
+
+// SpecByName builds a platform spec from its name — vclass (hpv, v-class),
+// origin (sgi, origin2000) or starfire (e10000), any case, "" meaning vclass
+// — with cpus processors (0 = the platform's full size) at the given memory
+// scale. The spec is validated, so an out-of-range CPU count is an error
+// here rather than a panic in New.
+func SpecByName(name string, cpus, memScale int) (Spec, error) {
+	if cpus < 0 {
+		return Spec{}, fmt.Errorf("bad cpus %d", cpus)
+	}
+	var spec Spec
+	switch strings.ToLower(name) {
+	case "", "vclass", "hpv", "v-class":
+		spec = VClassSpec(cpus, memScale)
+	case "origin", "sgi", "origin2000":
+		spec = OriginSpec(cpus, memScale)
+	case "starfire", "e10000":
+		spec = StarfireSpec(cpus, memScale)
+	default:
+		return Spec{}, fmt.Errorf("unknown machine %q (vclass|origin|starfire)", name)
+	}
+	if err := spec.Validate(); err != nil {
+		return Spec{}, err
+	}
+	return spec, nil
 }
 
 func (s *Spec) network() interconnect.Network {

@@ -92,11 +92,6 @@ func (o *Observer) WriteTrace(w io.Writer) error {
 		if e.Target >= 0 {
 			args["target"] = fmt.Sprintf("cpu%d", e.Target)
 		}
-		if o.requestID != "" && e.Cat == "op" {
-			// Operator spans carry the request ID so a span selected in the
-			// viewer links back to the daemon's logs without leaving Perfetto.
-			args["req"] = o.requestID
-		}
 		if len(args) > 0 {
 			ce.Args = args
 		}
@@ -108,14 +103,10 @@ func (o *Observer) WriteTrace(w io.Writer) error {
 	sort.SliceStable(body, func(i, j int) bool { return body[i].TS < body[j].TS })
 	evs = append(evs[:meta], body...)
 
-	md := map[string]string{"dropped_events": fmt.Sprint(o.dropped)}
-	if o.requestID != "" {
-		md["request_id"] = o.requestID
-	}
 	doc := chromeTrace{
 		TraceEvents:     evs,
 		DisplayTimeUnit: "ms",
-		Metadata:        md,
+		Metadata:        map[string]string{"dropped_events": fmt.Sprint(o.dropped)},
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(&doc)

@@ -5,13 +5,11 @@ package obs_test
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"testing"
 
 	"dssmem/internal/machine"
 	"dssmem/internal/obs"
-	"dssmem/internal/telemetry"
 	"dssmem/internal/tpch"
 	"dssmem/internal/workload"
 )
@@ -225,48 +223,4 @@ func keys(m map[string]obs.OpStats) []string {
 		out = append(out, k)
 	}
 	return out
-}
-
-// TestTraceCarriesRequestID tags the observer with a request ID through the
-// context (the daemon's path) and checks it lands in the exported trace's
-// metadata and on operator spans — the join key between a Perfetto file and
-// the daemon's logs.
-func TestTraceCarriesRequestID(t *testing.T) {
-	ob := obs.New(obs.Config{Events: true, ByOperator: true})
-	q := telemetry.NewRequest("trace-req-7", "/v1/measure")
-	ctx := telemetry.NewContext(context.Background(), q)
-	_, err := workload.RunContext(ctx, workload.Options{
-		Spec: machine.OriginSpec(32, 256), Data: testData, Query: tpch.Q6,
-		Processes: 1, OSTimeScale: 256, Obs: ob,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ob.RequestID(); got != "trace-req-7" {
-		t.Fatalf("observer request ID = %q, want trace-req-7 (set via context through Bind)", got)
-	}
-
-	var buf bytes.Buffer
-	if err := ob.WriteTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []traceEvent      `json:"traceEvents"`
-		Metadata    map[string]string `json:"metadata"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Metadata["request_id"] != "trace-req-7" {
-		t.Fatalf("trace metadata request_id = %q", doc.Metadata["request_id"])
-	}
-	tagged := 0
-	for _, e := range doc.TraceEvents {
-		if e.Cat == "op" && e.Args["req"] == "trace-req-7" {
-			tagged++
-		}
-	}
-	if tagged == 0 {
-		t.Fatal("no operator span carries the request ID")
-	}
 }

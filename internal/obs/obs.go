@@ -110,10 +110,6 @@ type Observer struct {
 	cfg      Config
 	cpus     int
 	clockMHz int
-	// requestID joins this run's trace to the API request that caused it
-	// (the daemon's X-Request-ID). It is run identity, not per-binding state,
-	// so Bind leaves it alone.
-	requestID string
 
 	samp    []sampState
 	samples []Sample
@@ -151,23 +147,6 @@ func (o *Observer) Bind(cpus, clockMHz int) {
 	o.dropped = 0
 	o.opStats = make(map[string]*OpStats)
 	o.opOrder = nil
-}
-
-// SetRequestID tags the observer with the API request ID driving this run,
-// so the exported trace is joinable to the daemon's logs and metrics.
-func (o *Observer) SetRequestID(id string) {
-	if o == nil {
-		return
-	}
-	o.requestID = id
-}
-
-// RequestID returns the tag set by SetRequestID ("" when untagged).
-func (o *Observer) RequestID() string {
-	if o == nil {
-		return ""
-	}
-	return o.requestID
 }
 
 // Config returns the active configuration.

@@ -66,12 +66,6 @@ type Request struct {
 	HintBitFraction float64      `json:"hint_bit_fraction"`
 	Trial           int          `json:"trial"`
 	ColdRun         bool         `json:"cold_run"`
-	// Parallel execution is timing-identity-relevant: bound–weave runs are
-	// deterministic but not byte-identical to serial ones, so the mode and
-	// window are part of the address. omitempty keeps every serial request's
-	// digest byte-stable with pre-parallel caches.
-	Parallel       bool   `json:"parallel,omitempty"`
-	ParallelWindow uint64 `json:"parallel_window,omitempty"`
 	// SampleQuanta > 1 selects SMARTS interval sampling: counters are
 	// estimates, so sampled results must never share an address with exact
 	// ones. omitempty keeps every exact request's digest byte-stable with
@@ -98,8 +92,6 @@ func CanonicalRequest(sf float64, seed uint64, opts workload.Options) Request {
 		HintBitFraction: opts.HintBitFraction,
 		Trial:           opts.Trial,
 		ColdRun:         opts.ColdRun,
-		Parallel:        opts.Parallel,
-		ParallelWindow:  opts.ParallelWindow,
 		SampleQuanta:    opts.SampleQuanta,
 	}
 	for _, q := range opts.Mix {

@@ -526,7 +526,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	q, err := parseQuery(r.URL.Query().Get("query"))
+	q, err := tpch.QueryByName(r.URL.Query().Get("query"))
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
@@ -619,7 +619,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	q, err := parseQuery(r.URL.Query().Get("query"))
+	q, err := tpch.QueryByName(r.URL.Query().Get("query"))
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
@@ -803,52 +803,14 @@ func (s *Server) fail(w http.ResponseWriter, status int, err error) {
 // at the given memory scale; a spec machine.New would reject is a bad
 // request, not a failed run.
 func parseMachine(name, cpus string, memScale int) (machine.Spec, error) {
-	n := 0
+	n := 0 // the platform's full size
 	if cpus != "" {
 		var err error
-		n, err = strconv.Atoi(cpus)
-		if err != nil || n < 1 {
+		if n, err = strconv.Atoi(cpus); err != nil || n < 1 {
 			return machine.Spec{}, fmt.Errorf("bad cpus %q", cpus)
 		}
 	}
-	var spec machine.Spec
-	switch strings.ToLower(name) {
-	case "", "vclass", "hpv", "v-class":
-		if n == 0 {
-			n = 16
-		}
-		spec = machine.VClassSpec(n, memScale)
-	case "origin", "sgi", "origin2000":
-		if n == 0 {
-			n = 32
-		}
-		spec = machine.OriginSpec(n, memScale)
-	case "starfire", "e10000":
-		if n == 0 {
-			n = 64
-		}
-		spec = machine.StarfireSpec(n, memScale)
-	default:
-		return machine.Spec{}, fmt.Errorf("unknown machine %q (vclass|origin|starfire)", name)
-	}
-	if err := spec.Validate(); err != nil {
-		return machine.Spec{}, err
-	}
-	return spec, nil
-}
-
-func parseQuery(name string) (tpch.QueryID, error) {
-	switch strings.ToUpper(name) {
-	case "", "Q6":
-		return tpch.Q6, nil
-	case "Q21":
-		return tpch.Q21, nil
-	case "Q12":
-		return tpch.Q12, nil
-	case "Q1":
-		return tpch.Q1, nil
-	}
-	return 0, fmt.Errorf("unknown query %q (Q6|Q21|Q12|Q1)", name)
+	return machine.SpecByName(name, n, memScale)
 }
 
 func parseIntDefault(s string, def int) (int, error) {

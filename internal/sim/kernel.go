@@ -1,24 +1,15 @@
 // Package sim provides the deterministic multi-process execution kernel that
 // underlies the machine simulators.
 //
-// Each simulated process runs as a goroutine. In the default serial mode at
-// most one process executes at a time: the kernel always resumes the process
-// with the smallest local clock and lets it run for a bounded quantum of
-// simulated cycles before it must hand control back. This "min-clock quantum"
-// discipline gives a deterministic, repeatable interleaving whose timing
-// error is bounded by the quantum, which is the standard approach for
-// execution-driven multiprocessor simulation (cf. RSIM, SimOS).
-//
-// EnableBoundWeave switches Run to a two-phase bound–weave scheduler
-// (zSim-style): in the bound phase every runnable process executes
-// concurrently as a real goroutine up to a shared window edge, touching only
-// state private to its CPU and appending cross-CPU interactions to per-CPU
-// logs; in the weave phase — entered only when every process is parked — the
-// kernel runs the registered weavers, which drain those logs and apply the
-// interactions to shared state serially in deterministic (timestamp, CPU)
-// order. Parallel runs are deterministic and independent of GOMAXPROCS; their
-// timing skew relative to the serial schedule is bounded by the window (see
-// DESIGN.md §11).
+// Each simulated process runs as a goroutine, but at most one process
+// executes at a time: the kernel always resumes the process with the smallest
+// local clock and lets it run for a bounded quantum of simulated cycles
+// before it must hand control back. This "min-clock quantum" discipline gives
+// a deterministic, repeatable interleaving whose timing error is bounded by
+// the quantum, which is the standard approach for execution-driven
+// multiprocessor simulation (cf. RSIM, SimOS). Host parallelism lives a layer
+// up, across independent simulations (see experiments.Env.MeasureAll), never
+// inside one.
 package sim
 
 import (
@@ -70,7 +61,6 @@ type Proc struct {
 
 	resume chan Clock // kernel -> proc: new quantum end
 	killed bool
-	done   bool // kernel-side: body finished (scheduling bookkeeping)
 
 	// Hooks let higher layers observe scheduling points.
 	// OnYield is invoked (in the process goroutine) just before the process
@@ -93,7 +83,7 @@ func (p *Proc) Now() Clock { return p.clock }
 func (p *Proc) Advance(cycles Clock) {
 	p.clock += cycles
 	if p.clock >= p.quantumEnd {
-		p.yield()
+		p.Yield()
 	}
 }
 
@@ -108,17 +98,8 @@ func (p *Proc) AdvanceTo(t Clock) {
 
 // Yield unconditionally hands control back to the kernel, even if quantum
 // remains. Use it before spinning on state owned by another process so the
-// other process gets a chance to run. In bound–weave mode it is a no-op: the
-// other processes are already running concurrently, and parking here would
-// stall the spinner for a full window without advancing its clock.
+// other process gets a chance to run.
 func (p *Proc) Yield() {
-	if p.kernel.window != 0 {
-		return
-	}
-	p.yield()
-}
-
-func (p *Proc) yield() {
 	if p.killed {
 		// Dying: the kernel closed our resume channel and killAll counts
 		// exactly one event (runBody's) for this process. A deferred cleanup
@@ -156,12 +137,6 @@ type Kernel struct {
 	events  chan yieldMsg
 	started bool
 
-	// Bound–weave mode. window != 0 selects the parallel scheduler; weavers
-	// run serially, in registration order, at every window boundary while all
-	// processes are parked.
-	window  Clock
-	weavers []func()
-
 	// FaultHook, when non-nil, is invoked in the scheduling goroutine at
 	// every quantum boundary, after the interrupt check and before the next
 	// process is resumed. It exists for the fault-injection layer: a hook
@@ -194,33 +169,6 @@ func NewKernel(quantum Clock) *Kernel {
 		stop:    make(chan struct{}),
 	}
 }
-
-// EnableBoundWeave switches Run to the two-phase parallel scheduler with the
-// given window in cycles (0 selects the scheduling quantum). Call before Run.
-// The window bounds the timing skew between concurrently executing processes:
-// smaller windows tighten fidelity to the serial schedule at the cost of more
-// synchronization barriers.
-func (k *Kernel) EnableBoundWeave(window Clock) {
-	if k.started {
-		panic("sim: EnableBoundWeave after Run")
-	}
-	if window == 0 {
-		window = k.quantum
-	}
-	k.window = window
-}
-
-// BoundWeave reports whether the parallel scheduler is enabled.
-func (k *Kernel) BoundWeave() bool { return k.window != 0 }
-
-// Window returns the bound–weave window in cycles (0 in serial mode).
-func (k *Kernel) Window() Clock { return k.window }
-
-// AddWeaver registers a function the parallel scheduler calls at every window
-// boundary while all processes are parked. Weavers run serially on the
-// scheduling goroutine in registration order; they are where per-CPU
-// interaction logs are drained into shared state. Call before Run.
-func (k *Kernel) AddWeaver(fn func()) { k.weavers = append(k.weavers, fn) }
 
 // Interrupt requests that Run abort at the next scheduling-quantum boundary:
 // every live process is killed (its goroutine unwinds via ErrKilled) and Run
@@ -270,8 +218,8 @@ func (k *Kernel) Spawn(fn func(*Proc)) *Proc {
 // Run executes all spawned processes to completion and returns the first
 // process panic as an error (processes that complete normally return nil).
 // Run is deterministic: given the same spawn order and process behaviour it
-// produces the same interleaving every time — in bound–weave mode, the same
-// results regardless of GOMAXPROCS or host scheduling.
+// produces the same interleaving every time, regardless of GOMAXPROCS or host
+// scheduling.
 func (k *Kernel) Run() error {
 	if k.started {
 		return errors.New("sim: Run called twice")
@@ -284,18 +232,15 @@ func (k *Kernel) Run() error {
 	for i, p := range k.procs {
 		go k.runBody(p, k.bodies[i])
 	}
-	if k.window != 0 {
-		return k.runBoundWeave()
-	}
-	return k.runSerial()
+	return k.schedule()
 }
 
-// runSerial is the min-clock quantum scheduler. Process bookkeeping is O(1)
+// schedule is the min-clock quantum scheduler. Process bookkeeping is O(1)
 // per scheduling event — parked processes live in a slice whose order is
 // irrelevant (the pick is always the unique (clock, ID) minimum, found by a
 // linear scan), so yields append, exits are uncounted, and no per-iteration
 // map or sort is needed.
-func (k *Kernel) runSerial() error {
+func (k *Kernel) schedule() error {
 	// runnable holds every live process, each parked on its resume channel —
 	// the one safe point to honour an interrupt by killing them all.
 	runnable := make([]*Proc, len(k.procs))
@@ -356,101 +301,6 @@ func (k *Kernel) killAll(parked []*Proc) {
 		close(p.resume)
 		<-k.events // the ErrKilled unwind notification
 	}
-}
-
-// runBoundWeave is the two-phase parallel scheduler. Each iteration is one
-// window: every live process whose clock lies before the window edge is
-// released and runs concurrently (bound phase) until it crosses the edge,
-// finishes, or panics; once all released processes are parked again the
-// weavers drain the per-CPU interaction logs in deterministic order (weave
-// phase). Panic selection is by (clock, ID), not host arrival order, so runs
-// abort deterministically too.
-func (k *Kernel) runBoundWeave() error {
-	live := make([]*Proc, len(k.procs))
-	copy(live, k.procs)
-
-	for len(live) > 0 {
-		select {
-		case <-k.stop:
-			k.killAll(live)
-			return k.interruptErr()
-		default:
-		}
-		if k.FaultHook != nil {
-			k.FaultHook()
-		}
-
-		// Window edge: the minimum live clock plus one window. At least the
-		// minimum-clock process is released, so every window makes progress;
-		// processes sleeping far ahead (e.g. in a select() back-off) stay
-		// parked until the windows catch up to them.
-		min := live[0].clock
-		for _, p := range live[1:] {
-			if p.clock < min {
-				min = p.clock
-			}
-		}
-		end := min + k.window
-
-		// Bound phase: release and run concurrently.
-		released := 0
-		for _, p := range live {
-			if p.clock < end {
-				released++
-				p.resume <- end
-			}
-		}
-		var panics []yieldMsg
-		for i := 0; i < released; i++ {
-			msg := <-k.events
-			switch msg.kind {
-			case yieldQuantum:
-				// Parked at the window edge; stays in live.
-			case yieldDone:
-				msg.proc.done = true
-			case yieldPanic:
-				msg.proc.done = true
-				panics = append(panics, msg)
-			}
-		}
-
-		if len(panics) > 0 {
-			// Deterministic "first" panic: minimum (clock, ID) among this
-			// window's panics, independent of host arrival order.
-			first := panics[0]
-			for _, m := range panics[1:] {
-				if m.proc.clock < first.proc.clock ||
-					(m.proc.clock == first.proc.clock && m.proc.id < first.proc.id) {
-					first = m
-				}
-			}
-			survivors := live[:0]
-			for _, p := range live {
-				if !p.done {
-					survivors = append(survivors, p)
-				}
-			}
-			k.killAll(survivors)
-			return first.err
-		}
-
-		// Weave phase: all processes parked; apply logged interactions to
-		// shared state in deterministic order.
-		for _, w := range k.weavers {
-			w()
-		}
-
-		if released > 0 {
-			survivors := live[:0]
-			for _, p := range live {
-				if !p.done {
-					survivors = append(survivors, p)
-				}
-			}
-			live = survivors
-		}
-	}
-	return nil
 }
 
 func (k *Kernel) runBody(p *Proc, fn func(*Proc)) {

@@ -137,14 +137,6 @@ func (o *OS) SetSampling(c *obs.SamplingController) { o.sampling = c }
 // Run.
 func (o *OS) SetFaultHook(h func()) { o.kernel.FaultHook = h }
 
-// EnableBoundWeave switches the kernel to the two-phase parallel scheduler;
-// see sim.Kernel.EnableBoundWeave. Must be called before Run.
-func (o *OS) EnableBoundWeave(window sim.Clock) { o.kernel.EnableBoundWeave(window) }
-
-// AddWeaver registers a window-boundary weave callback; see
-// sim.Kernel.AddWeaver. Must be called before Run.
-func (o *OS) AddWeaver(fn func()) { o.kernel.AddWeaver(fn) }
-
 // Processes returns the spawned processes.
 func (o *OS) Processes() []*Process { return o.procs }
 

@@ -2,6 +2,7 @@ package tpch
 
 import (
 	"fmt"
+	"strings"
 
 	"dssmem/internal/db/engine"
 	"dssmem/internal/db/executor"
@@ -51,6 +52,21 @@ func (q QueryID) String() string {
 		return "Q1"
 	}
 	return fmt.Sprintf("Q%d?", int(q))
+}
+
+// QueryByName resolves a query name in any case ("q21" is Q21); "" selects
+// Q6. Every extension query is accepted.
+func QueryByName(name string) (QueryID, error) {
+	if name == "" {
+		return Q6, nil
+	}
+	up := strings.ToUpper(name)
+	for _, q := range ExtendedQueries {
+		if up == q.String() {
+			return q, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown query %q (Q6|Q21|Q12|Q1)", name)
 }
 
 // AllQueries lists the studied queries in the paper's order.

@@ -1,6 +1,7 @@
 package tpch
 
 import (
+	"strings"
 	"testing"
 
 	"dssmem/internal/db/dbtest"
@@ -259,5 +260,24 @@ func TestQ1GroupInvariants(t *testing.T) {
 	}
 	if total != want {
 		t.Fatalf("counts: %d want %d", total, want)
+	}
+}
+
+func TestQueryByName(t *testing.T) {
+	for name, want := range map[string]QueryID{
+		"": Q6, "Q6": Q6, "q6": Q6,
+		"Q21": Q21, "q21": Q21,
+		"Q12": Q12, "q12": Q12,
+		"Q1": Q1, "q1": Q1,
+	} {
+		if got, err := QueryByName(name); err != nil || got != want {
+			t.Errorf("%q: %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"Q99", "6", "Q6 ", "Q", "q2"} {
+		_, err := QueryByName(name)
+		if err == nil || !strings.Contains(err.Error(), "unknown query") || !strings.Contains(err.Error(), "(Q6|Q21|Q12|Q1)") {
+			t.Errorf("%q: error %v, want an unknown-query error listing the queries", name, err)
+		}
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"dssmem/internal/perfctr"
 	"dssmem/internal/sim"
 	"dssmem/internal/simos"
-	"dssmem/internal/telemetry"
 	"dssmem/internal/tpch"
 )
 
@@ -62,18 +61,6 @@ type Options struct {
 	// run's CPU count and clock; observation is passive and does not
 	// perturb counters or timing.
 	Obs *obs.Observer
-	// Parallel opts into the bound–weave parallel execution mode: processes
-	// run concurrently up to shared window edges, with coherence, lock and
-	// hint-bit interactions applied at deterministic weave points (see
-	// DESIGN.md §11). Results are deterministic and GOMAXPROCS-independent
-	// but not byte-identical to serial runs, so Parallel is part of the
-	// result-cache identity. Runs needing an observer (Obs != nil) or a cold
-	// pool (ColdRun) fall back to serial execution: the observer is a serial
-	// consumer, and cold-pool I/O dedupe is first-toucher-order-dependent.
-	Parallel bool
-	// ParallelWindow is the bound-phase window in cycles (0 = the scheduling
-	// quantum). It bounds the timing skew between concurrent processes.
-	ParallelWindow uint64
 	// SimFault, when non-nil, is installed as the simulation kernel's
 	// quantum-boundary fault hook (sim.Kernel.FaultHook): the chaos layer
 	// injects wall-clock stalls and hangs through it. Like Obs it never
@@ -87,8 +74,7 @@ type Options struct {
 	// detail as functional warming, and the rest fast-forward with estimated
 	// timing (see obs.SamplingController). 0 or 1 means exact simulation.
 	// Sampled counters are estimates, so SampleQuanta is part of the result
-	// identity (rescache digests sampled and exact runs differently), and
-	// sampled runs execute serially like observed ones.
+	// identity (rescache digests sampled and exact runs differently).
 	SampleQuanta int
 }
 
@@ -191,11 +177,6 @@ func run(ctx context.Context, opts Options) (*Stats, error) {
 
 	if opts.Obs != nil {
 		opts.Obs.Bind(spec.CPUs, spec.ClockMHz)
-		if q := telemetry.FromContext(ctx); q != nil {
-			// Tag the trace with the API request driving this run so the
-			// Perfetto file joins to the daemon's logs and /debug/requests.
-			opts.Obs.SetRequestID(q.ID)
-		}
 		m.Observe(opts.Obs)
 		osys.Observe(opts.Obs)
 	}
@@ -210,13 +191,6 @@ func run(ctx context.Context, opts Options) (*Stats, error) {
 		}
 		sampler = obs.NewSamplingController(spec.CPUs, uint64(quantum), opts.SampleQuanta)
 		osys.SetSampling(sampler)
-	}
-	if opts.Parallel && opts.Obs == nil && !opts.ColdRun && sampler == nil {
-		osys.EnableBoundWeave(sim.Clock(opts.ParallelWindow))
-		m.EnableParallel()
-		db.EnableParallel(opts.Processes)
-		osys.AddWeaver(m.WeaveDirectory)
-		osys.AddWeaver(db.Weave)
 	}
 
 	queryOf := func(i int) tpch.QueryID {

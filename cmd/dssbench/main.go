@@ -4,24 +4,15 @@
 //
 //	dssbench [-preset tiny|small|medium] [-fig N|all] [-ablation name|all|none]
 //	         [-format table|csv|json] [-json FILE] [-sample-quanta N]
-//	dssbench [-sample N] [-events trace.json] [-by-operator] [-query Q] [-machine M] [-procs N]
 //
 // Examples:
 //
 //	dssbench -fig all                 # every figure at the default preset
 //	dssbench -preset small -fig 9     # just the memory-latency figure
 //	dssbench -ablation migratory      # one ablation
-//	dssbench -sample 2000000 -query Q6 -machine origin -procs 4
-//	                                  # time-resolved telemetry of one run
-//	dssbench -events trace.json -by-operator -query Q21
-//	                                  # Perfetto trace + operator attribution
 //
-// Any of -sample / -events / -by-operator switches dssbench into observed-run
-// mode: instead of regenerating figures it executes one configuration
-// (-query/-machine/-procs) at the preset's scale with the observability layer
-// attached, then prints sparkline time series and the operator table and
-// writes the requested export files. -fig defaults to 'none' in this mode
-// unless given explicitly.
+// To observe one run (counter sampling, a Perfetto trace, per-operator
+// attribution), use qrun with -sample, -events or -by-operator.
 package main
 
 import (
@@ -36,8 +27,6 @@ import (
 	"time"
 
 	"dssmem"
-	"dssmem/internal/machine"
-	"dssmem/internal/tpch"
 )
 
 func main() {
@@ -48,27 +37,13 @@ func main() {
 	jsonOut := flag.String("json", "", "also write a machine-readable benchmark document (figures, ablations, wall/sim timing) to this file ('-' = stdout)")
 	chart := flag.Bool("chart", false, "append terminal sparklines for sweep figures")
 	list := flag.Bool("list", false, "list available figures and ablations")
-	sample := flag.Uint64("sample", 0, "observed run: sample counters every N simulated cycles")
-	sampleOut := flag.String("sample-out", "", "observed run: write sampled windows to this file (.json = JSON, else CSV)")
-	events := flag.String("events", "", "observed run: write a Chrome trace-event JSON file (open in Perfetto)")
-	byOperator := flag.Bool("by-operator", false, "observed run: attribute counters to query-plan operators")
-	query := flag.String("query", "Q6", "observed run: query (Q6, Q21, Q12, Q1)")
-	mach := flag.String("machine", "vclass", "observed run: machine (vclass, origin or starfire)")
-	procs := flag.Int("procs", 4, "observed run: number of concurrent query processes")
 	sampleQuanta := flag.Int("sample-quanta", 0, "SMARTS sampling period in scheduling quanta: simulate 1 of every N in detail (0 or 1 = exact; estimates, cached under their own digests)")
 	flag.Parse()
 
-	observed := *sample > 0 || *events != "" || *byOperator
-	if observed {
-		figSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "fig" {
-				figSet = true
-			}
-		})
-		if !figSet {
-			*fig = "none"
-		}
+	switch *format {
+	case "table", "csv", "json":
+	default:
+		fatal(fmt.Errorf("unknown -format %q (table|csv|json)", *format))
 	}
 
 	if *list {
@@ -90,13 +65,6 @@ func main() {
 		fmt.Printf("preset %s: SF=%.4f memScale=%d — %d lineitems, %d orders (%.1f MB raw)\n\n",
 			p.Name, p.SF, p.MemScale, len(env.Data.Lineitem), len(env.Data.Orders),
 			float64(env.Data.RawBytes())/1e6)
-	}
-
-	if observed {
-		if err := observedRun(env.Data, p, *query, *mach, *procs,
-			*sample, *sampleOut, *events, *byOperator); err != nil {
-			fatal(err)
-		}
 	}
 
 	var figs []int
@@ -246,57 +214,6 @@ func writeBenchDoc(path string, doc *benchDoc) error {
 		return write(os.Stdout)
 	}
 	return emitFile(path, write)
-}
-
-// observedRun executes one configuration with the observability layer
-// attached and emits its telemetry.
-func observedRun(data *dssmem.Data, p dssmem.Preset, query, mach string, procs int,
-	sample uint64, sampleOut, events string, byOperator bool) error {
-	q, err := tpch.QueryByName(query)
-	if err != nil {
-		return err
-	}
-	spec, err := machine.SpecByName(mach, 0, p.MemScale)
-	if err != nil {
-		return err
-	}
-
-	ob := dssmem.NewObserver(dssmem.ObsConfig{
-		SampleInterval: sample,
-		Events:         events != "",
-		ByOperator:     byOperator,
-	})
-	st, err := dssmem.Run(dssmem.RunOptions{
-		Spec: spec, Data: data, Query: q, Processes: procs,
-		OSTimeScale: p.MemScale, Obs: ob,
-	})
-	if err != nil {
-		return err
-	}
-	m := dssmem.Measure(st)
-	fmt.Printf("observed run: %s on %s, %d process(es) — CPI %.3f, mem latency %.1f cycles\n\n",
-		q, spec.Name, procs, m.CPI, m.MemLatencyCycles)
-	if err := ob.WriteSummary(os.Stdout); err != nil {
-		return err
-	}
-	if sampleOut != "" {
-		if err := emitFile(sampleOut, func(w io.Writer) error {
-			if strings.HasSuffix(sampleOut, ".json") {
-				return ob.WriteSamplesJSON(w)
-			}
-			return ob.WriteSamplesCSV(w)
-		}); err != nil {
-			return err
-		}
-		fmt.Printf("samples written to %s\n", sampleOut)
-	}
-	if events != "" {
-		if err := emitFile(events, ob.WriteTrace); err != nil {
-			return err
-		}
-		fmt.Printf("trace written to %s (open in Perfetto or chrome://tracing)\n", events)
-	}
-	return nil
 }
 
 // emitFile creates path, runs emit on it and surfaces close errors.

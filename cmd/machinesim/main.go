@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"dssmem/internal/machine"
 	"dssmem/internal/microbench"
@@ -21,9 +22,14 @@ func main() {
 	iters := flag.Int("iters", 200_000, "loads per latency point")
 	flag.Parse()
 
-	specs := []machine.Spec{
-		machine.VClassSpec(16, *memScale),
-		machine.OriginSpec(32, *memScale),
+	var specs []machine.Spec
+	for _, name := range []string{"vclass", "origin"} {
+		spec, err := machine.SpecByName(name, 0, *memScale)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "machinesim:", err)
+			os.Exit(1)
+		}
+		specs = append(specs, spec)
 	}
 
 	fmt.Println("== dependent-load latency (cold start, then steady state) ==")

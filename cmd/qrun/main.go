@@ -44,6 +44,9 @@ func main() {
 	sampleQuanta := flag.Int("sample-quanta", 0, "SMARTS sampling period in scheduling quanta: simulate 1 of every N in detail (0 or 1 = exact)")
 	flag.Parse()
 
+	if !(*sf > 0) {
+		fatal(fmt.Errorf("bad -sf %g: scale factor must be positive", *sf))
+	}
 	q, err := tpch.QueryByName(*query)
 	if err != nil {
 		fatal(err)

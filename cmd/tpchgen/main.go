@@ -22,6 +22,10 @@ func main() {
 	limit := flag.Int("limit", 0, "max rows to dump (0 = all)")
 	flag.Parse()
 
+	if !(*sf > 0) {
+		fmt.Fprintf(os.Stderr, "tpchgen: bad -sf %g: scale factor must be positive\n", *sf)
+		os.Exit(1)
+	}
 	d := dssmem.GenerateData(*sf, *seed)
 	w := bufio.NewWriter(os.Stdout)
 	defer w.Flush()

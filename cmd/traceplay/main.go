@@ -31,6 +31,9 @@ func main() {
 	memScale := flag.Int("memscale", 128, "cache divisor for -replay")
 	flag.Parse()
 
+	if !(*sf > 0) {
+		fatal(fmt.Errorf("bad -sf %g: scale factor must be positive", *sf))
+	}
 	switch {
 	case *record != "":
 		q, err := tpch.QueryByName(*query)
@@ -63,15 +66,15 @@ func main() {
 		fmt.Printf("instructions   %d\ndistinct 64B lines %d\n", st.Instructions, st.DistinctLines)
 
 	case *replay != "":
+		spec, err := machine.SpecByName(*mach, 0, *memScale)
+		if err != nil {
+			fatal(err)
+		}
 		f, err := os.Open(*replay)
 		if err != nil {
 			fatal(err)
 		}
 		defer f.Close()
-		spec, err := machine.SpecByName(*mach, 0, *memScale)
-		if err != nil {
-			fatal(err)
-		}
 		m := machine.New(spec)
 		mem := &trace.MachineMem{M: m, CPU: 0}
 		n, err := trace.Replay(f, mem)

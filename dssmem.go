@@ -133,8 +133,8 @@ func RunContext(ctx context.Context, opts RunOptions) (*RunStats, error) {
 }
 
 // RunTrials repeats a configuration n times with perturbed OS jitter (the
-// paper's four averaged trials), fanning the independent trials out across
-// host cores while preserving per-trial seeds and result order.
+// paper's four averaged trials), one after another, and returns the trials'
+// stats in order.
 func RunTrials(opts RunOptions, n int) ([]*RunStats, error) { return workload.RunTrials(opts, n) }
 
 // Measure converts run stats into the paper's metrics.

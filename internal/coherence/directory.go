@@ -246,9 +246,6 @@ func NewDirectory(cfg Config) *Directory {
 	}
 }
 
-// LineOf maps an address to the protocol line number.
-func (d *Directory) LineOf(addr memsys.Addr) uint64 { return uint64(addr) >> d.lineShift }
-
 // MemServers exposes the per-node memory servers (for inspection/tests).
 func (d *Directory) MemServers() []*interconnect.Server { return d.mem }
 

@@ -1,14 +1,12 @@
 // Package core is the paper's primary contribution as a library: the
 // cross-platform memory-system characterization of DSS workloads. It turns
 // raw workload runs into the metrics the paper reports (thread time, CPI,
-// miss rates and classes, memory latency, context-switch rates), organizes
-// them into the figure series of the evaluation, and provides the comparison
-// operators ("who wins, by how much, where does it cross over") that the
-// paper's analysis is built on.
+// miss rates and classes, memory latency, context-switch rates) and
+// organizes them into the figure series of the evaluation, whose growth
+// across process counts the paper's analysis compares.
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"dssmem/internal/workload"
@@ -132,99 +130,12 @@ func (s Series) At(procs int) *Measurement {
 	return nil
 }
 
-// Comparison captures "who wins by how much" between two measurements of the
-// same workload on different machines.
-type Comparison struct {
-	A, B   Measurement
-	Metric string
-	// Ratio is metric(A)/metric(B); < 1 means A wins (lower is better for
-	// every metric the paper compares).
-	Ratio float64
-}
-
-// Compare builds a Comparison for a metric extractor.
-func Compare(a, b Measurement, name string, metric func(Measurement) float64) Comparison {
-	mb := metric(b)
-	r := math.Inf(1)
-	if mb != 0 {
-		r = metric(a) / mb
-	}
-	return Comparison{A: a, B: b, Metric: name, Ratio: r}
-}
-
-// Winner names the machine with the lower metric ("tie" within 5%).
-func (c Comparison) Winner() string {
-	switch {
-	case c.Ratio < 0.95:
-		return c.A.Machine
-	case c.Ratio > 1.05:
-		return c.B.Machine
-	default:
-		return "tie"
-	}
-}
-
-// Crossover scans two aligned series and returns the first process count at
-// which the winner flips relative to the first point, or 0 if none.
-func Crossover(a, b Series, metric func(Measurement) float64) int {
-	n := len(a.Points)
-	if len(b.Points) < n {
-		n = len(b.Points)
-	}
-	if n == 0 {
-		return 0
-	}
-	firstAWins := metric(a.Points[0]) <= metric(b.Points[0])
-	for i := 1; i < n; i++ {
-		if (metric(a.Points[i]) <= metric(b.Points[i])) != firstAWins {
-			return a.Points[i].Processes
-		}
-	}
-	return 0
-}
-
 // Metric extractors for the paper's figures.
 var (
-	MetricThreadCycles = func(m Measurement) float64 { return m.ThreadCycles }
-	MetricCPI          = func(m Measurement) float64 { return m.CPI }
-	MetricCyclesPerM   = func(m Measurement) float64 { return m.CyclesPerMInstr }
-	MetricL1PerM       = func(m Measurement) float64 { return m.L1MissesPerM }
-	MetricL2PerM       = func(m Measurement) float64 { return m.L2MissesPerM }
-	MetricMemLatency   = func(m Measurement) float64 { return m.MemLatencyCycles }
-	MetricVolPerM      = func(m Measurement) float64 { return m.VolPerM }
+	MetricCPI        = func(m Measurement) float64 { return m.CPI }
+	MetricCyclesPerM = func(m Measurement) float64 { return m.CyclesPerMInstr }
+	MetricL1PerM     = func(m Measurement) float64 { return m.L1MissesPerM }
+	MetricL2PerM     = func(m Measurement) float64 { return m.L2MissesPerM }
+	MetricMemLatency = func(m Measurement) float64 { return m.MemLatencyCycles }
+	MetricVolPerM    = func(m Measurement) float64 { return m.VolPerM }
 )
-
-// QueryClass is the paper's taxonomy of the three queries.
-type QueryClass int
-
-// Query classes per §2.2 of the paper.
-const (
-	Sequential QueryClass = iota // Q6: one sequential scan
-	Indexed                      // Q21: dominated by index scans
-	Mixed                        // Q12: sequential scan + index probes
-)
-
-// String implements fmt.Stringer.
-func (qc QueryClass) String() string {
-	switch qc {
-	case Sequential:
-		return "sequential"
-	case Indexed:
-		return "indexed"
-	case Mixed:
-		return "mixed"
-	}
-	return fmt.Sprintf("QueryClass(%d)", int(qc))
-}
-
-// ClassOf returns the paper's classification of a query by name.
-func ClassOf(query string) QueryClass {
-	switch query {
-	case "Q21":
-		return Indexed
-	case "Q12":
-		return Mixed
-	default:
-		return Sequential
-	}
-}

@@ -76,50 +76,6 @@ func TestSeriesHelpers(t *testing.T) {
 	}
 }
 
-func TestComparisonWinner(t *testing.T) {
-	a := Measurement{Machine: "A", CPI: 1.0}
-	b := Measurement{Machine: "B", CPI: 2.0}
-	c := Compare(a, b, "CPI", MetricCPI)
-	if c.Ratio != 0.5 || c.Winner() != "A" {
-		t.Fatalf("comparison: %+v winner %s", c, c.Winner())
-	}
-	tie := Compare(a, Measurement{Machine: "B", CPI: 1.01}, "CPI", MetricCPI)
-	if tie.Winner() != "tie" {
-		t.Fatalf("tie detection: %s", tie.Winner())
-	}
-	rev := Compare(b, a, "CPI", MetricCPI)
-	if rev.Winner() != "A" {
-		t.Fatalf("reverse winner: %s", rev.Winner())
-	}
-}
-
-func TestCrossover(t *testing.T) {
-	a := Series{Points: []Measurement{
-		{Processes: 1, CPI: 1.0}, {Processes: 2, CPI: 1.5}, {Processes: 4, CPI: 2.5},
-	}}
-	b := Series{Points: []Measurement{
-		{Processes: 1, CPI: 1.2}, {Processes: 2, CPI: 1.4}, {Processes: 4, CPI: 1.6},
-	}}
-	if x := Crossover(a, b, MetricCPI); x != 2 {
-		t.Fatalf("crossover at %d, want 2", x)
-	}
-	if x := Crossover(a, a, MetricCPI); x != 0 {
-		t.Fatal("identical series cannot cross")
-	}
-	if Crossover(Series{}, Series{}, MetricCPI) != 0 {
-		t.Fatal("empty series")
-	}
-}
-
-func TestQueryClassification(t *testing.T) {
-	if ClassOf("Q6") != Sequential || ClassOf("Q21") != Indexed || ClassOf("Q12") != Mixed {
-		t.Fatal("classes wrong")
-	}
-	if Sequential.String() != "sequential" || Indexed.String() != "indexed" || Mixed.String() != "mixed" {
-		t.Fatal("names wrong")
-	}
-}
-
 // The headline comparison of the paper, as a test: at one process the two
 // machines' thread cycles are close; at eight the Origin grows more in CPI.
 func TestPaperHeadlineShape(t *testing.T) {
@@ -145,38 +101,5 @@ func TestPaperHeadlineShape(t *testing.T) {
 	sGrowth := s8.CPI / s1.CPI
 	if sGrowth < hGrowth {
 		t.Fatalf("Origin CPI growth (%.3f) should exceed V-Class (%.3f)", sGrowth, hGrowth)
-	}
-}
-
-func TestTrialsAggregation(t *testing.T) {
-	data := tpch.Generate(0.002, 7)
-	sts, err := workload.RunTrials(workload.Options{
-		Spec: machine.VClassSpec(16, 256), Data: data, Query: tpch.Q21,
-		Processes: 4, OSTimeScale: 256,
-	}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trials := MeasureTrials(sts)
-	if len(trials) != 4 {
-		t.Fatalf("trials = %d", len(trials))
-	}
-	sum := trials.Summary(MetricCPI)
-	if sum.N != 4 || sum.Mean <= 1 {
-		t.Fatalf("summary: %+v", sum)
-	}
-	mean := trials.Mean()
-	if mean.Machine != "HP V-Class" || mean.CPI != sum.Mean {
-		t.Fatalf("mean measurement: %+v", mean)
-	}
-	if mean.CPI < sum.Min || mean.CPI > sum.Max {
-		t.Fatal("mean outside sample range")
-	}
-}
-
-func TestTrialsEmpty(t *testing.T) {
-	var tr Trials
-	if tr.Mean() != (Measurement{}) {
-		t.Fatal("empty trials mean should be zero")
 	}
 }

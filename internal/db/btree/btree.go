@@ -50,30 +50,6 @@ func New(pool *storage.Pool) *Tree {
 // Len returns the number of entries.
 func (t *Tree) Len() int { return t.size }
 
-// Height returns the tree height (1 = just a leaf root).
-func (t *Tree) Height() int {
-	h, pg := 1, t.root
-	for !t.isLeaf(pg) {
-		pg = t.childAt(pg, 0)
-		h++
-	}
-	return h
-}
-
-// NumNodes counts the pages used by the tree.
-func (t *Tree) NumNodes() int { return t.countNodes(t.root) }
-
-func (t *Tree) countNodes(pg int) int {
-	if t.isLeaf(pg) {
-		return 1
-	}
-	n := 1
-	for i := 0; i <= t.nkeys(pg); i++ {
-		n += t.countNodes(t.childAt(pg, i))
-	}
-	return n
-}
-
 // --- raw node accessors (uncharged; charging versions add Mem loads) ---
 
 func (t *Tree) newNode(leaf bool) int {

@@ -14,6 +14,28 @@ func newTree(pages int) *Tree {
 	return New(storage.NewPool(0x100000, pages))
 }
 
+// height returns the tree height (1 = just a leaf root).
+func height(t *Tree) int {
+	h, pg := 1, t.root
+	for !t.isLeaf(pg) {
+		pg = t.childAt(pg, 0)
+		h++
+	}
+	return h
+}
+
+// numNodes counts the pages used by the subtree at pg.
+func numNodes(t *Tree, pg int) int {
+	if t.isLeaf(pg) {
+		return 1
+	}
+	n := 1
+	for i := 0; i <= t.nkeys(pg); i++ {
+		n += numNodes(t, t.childAt(pg, i))
+	}
+	return n
+}
+
 func TestPackUnpackTID(t *testing.T) {
 	tid := storage.TID{Page: 123456, Slot: 789}
 	if UnpackTID(PackTID(tid)) != tid {
@@ -23,8 +45,8 @@ func TestPackUnpackTID(t *testing.T) {
 
 func TestEmptyTree(t *testing.T) {
 	tr := newTree(4)
-	if tr.Len() != 0 || tr.Height() != 1 {
-		t.Fatalf("len=%d height=%d", tr.Len(), tr.Height())
+	if tr.Len() != 0 || height(tr) != 1 {
+		t.Fatalf("len=%d height=%d", tr.Len(), height(tr))
 	}
 	if got := tr.Lookup(storage.NullMem{}, 42, nil); len(got) != 0 {
 		t.Fatal("lookup in empty tree")
@@ -64,8 +86,8 @@ func TestSplitsAndHeightGrowth(t *testing.T) {
 	for i := 0; i < n; i++ {
 		tr.Insert(int64(i), storage.TID{Page: uint32(i)})
 	}
-	if tr.Height() < 2 {
-		t.Fatalf("height = %d, want >= 2 after %d inserts", tr.Height(), n)
+	if height(tr) < 2 {
+		t.Fatalf("height = %d, want >= 2 after %d inserts", height(tr), n)
 	}
 	if tr.Len() != n {
 		t.Fatalf("len = %d", tr.Len())
@@ -76,8 +98,8 @@ func TestSplitsAndHeightGrowth(t *testing.T) {
 			t.Fatalf("key %d lost after splits", i)
 		}
 	}
-	if tr.NumNodes() < 4 {
-		t.Fatalf("nodes = %d", tr.NumNodes())
+	if numNodes(tr, tr.root) < 4 {
+		t.Fatalf("nodes = %d", numNodes(tr, tr.root))
 	}
 }
 
@@ -159,8 +181,8 @@ func TestVisitReportsTouchedPages(t *testing.T) {
 	}
 	var visited []int
 	tr.Lookup(storage.NullMem{}, 5, func(pg int) { visited = append(visited, pg) })
-	if len(visited) != tr.Height() {
-		t.Fatalf("visited %d pages, height %d", len(visited), tr.Height())
+	if len(visited) != height(tr) {
+		t.Fatalf("visited %d pages, height %d", len(visited), height(tr))
 	}
 }
 
@@ -251,7 +273,7 @@ func TestNegativeKeys(t *testing.T) {
 	}
 }
 
-// Property: Height and NumNodes stay consistent with the entry count for
+// Property: height and node count stay consistent with the entry count for
 // sequential and random insert orders.
 func TestStructureConsistencyProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -274,7 +296,7 @@ func TestStructureConsistencyProperty(t *testing.T) {
 			}
 			count++
 		}
-		return count == n && tr.NumNodes() >= tr.Height()
+		return count == n && numNodes(tr, tr.root) >= height(tr)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
 		t.Fatal(err)

@@ -1,8 +1,8 @@
 // Package lock implements the DBMS synchronization stack the paper traces its
 // voluntary context switches to: test-and-set spinlocks acquired with a
-// bounded spin followed by a select() back-off (PostgreSQL's s_lock), light-
-// weight shared/exclusive locks built on them, and a relation-level lock
-// manager whose lock and transaction hash tables live in shared memory.
+// bounded spin followed by a select() back-off (PostgreSQL's s_lock), and a
+// relation-level lock manager, guarded by one such spinlock, whose lock and
+// transaction hash tables live in shared memory.
 //
 // Lock words and tables occupy real simulated addresses, so acquiring a lock
 // generates exactly the coherence traffic the paper discusses (a
@@ -96,9 +96,6 @@ func NewSpinLock(addr memsys.Addr) *SpinLock {
 	return &SpinLock{addr: addr, owner: -1, SpinLimit: DefaultSpinLimit}
 }
 
-// Addr returns the lock word's address.
-func (l *SpinLock) Addr() memsys.Addr { return l.addr }
-
 // TryAcquire attempts a single test-and-set at the process's current time.
 func (l *SpinLock) TryAcquire(p Proc, pid int) bool {
 	p.Load(l.addr, 8) // read the lock word
@@ -163,103 +160,6 @@ func (l *SpinLock) Release(p Proc, pid int) {
 		end = l.acquiredAt + 1
 	}
 	l.windows.add(l.acquiredAt, end)
-}
-
-// HeldBy reports the current owner (-1 when free) — for tests.
-func (l *SpinLock) HeldBy() int {
-	if !l.held {
-		return -1
-	}
-	return l.owner
-}
-
-// Mode distinguishes shared from exclusive acquisition.
-type Mode int
-
-// Lock modes.
-const (
-	Shared Mode = iota
-	Exclusive
-)
-
-// LWLock is a lightweight shared/exclusive lock: a spinlock-protected state
-// word, as in PostgreSQL's buffer manager and lock manager. Waiters back off
-// with select() like spinlock waiters (the era's implementation).
-type LWLock struct {
-	mutex     *SpinLock
-	stateAddr memsys.Addr
-	sharers   int
-	exclusive bool
-	// exWindows records completed exclusive holds so late-clock processes
-	// see historical contention windows.
-	exWindows windowRing
-	exTakenAt uint64
-
-	// Stats.
-	Acquires uint64
-	Waits    uint64
-}
-
-// NewLWLock creates an LWLock occupying two shared words starting at addr.
-func NewLWLock(addr memsys.Addr) *LWLock {
-	return &LWLock{mutex: NewSpinLock(addr), stateAddr: addr + 8}
-}
-
-// Acquire takes the lock in the given mode.
-func (l *LWLock) Acquire(p Proc, pid int, mode Mode) {
-	l.Acquires++
-	for {
-		l.mutex.Acquire(p, pid)
-		p.Load(l.stateAddr, 8)
-		ok := false
-		switch mode {
-		case Shared:
-			ok = !l.exclusive && !l.exWindows.covers(p.Now())
-			if ok {
-				l.sharers++
-			}
-		case Exclusive:
-			ok = !l.exclusive && l.sharers == 0 && !l.exWindows.covers(p.Now())
-			if ok {
-				l.exclusive = true
-				l.exTakenAt = p.Now()
-			}
-		}
-		if ok {
-			p.Store(l.stateAddr, 8)
-			p.Work(10)
-			l.mutex.Release(p, pid)
-			return
-		}
-		l.Waits++
-		l.mutex.Release(p, pid)
-		p.Backoff()
-	}
-}
-
-// Release drops the lock (mode must match the acquisition).
-func (l *LWLock) Release(p Proc, pid int, mode Mode) {
-	l.mutex.Acquire(p, pid)
-	p.Load(l.stateAddr, 8)
-	switch mode {
-	case Shared:
-		if l.sharers <= 0 {
-			panic("lock: shared release without holders")
-		}
-		l.sharers--
-	case Exclusive:
-		if !l.exclusive {
-			panic("lock: exclusive release while not held")
-		}
-		l.exclusive = false
-		end := p.Now()
-		if end <= l.exTakenAt {
-			end = l.exTakenAt + 1
-		}
-		l.exWindows.add(l.exTakenAt, end)
-	}
-	p.Store(l.stateAddr, 8)
-	l.mutex.Release(p, pid)
 }
 
 // relKey identifies a relation- or row-level lock (row < 0 means the whole
@@ -423,12 +323,3 @@ func (m *Manager) ReleaseRowExclusive(p Proc, pid, rel int, row int64) {
 
 // Readers reports the current reader count on rel (tests).
 func (m *Manager) Readers(rel int) int { return m.entry(rel, -1).readers }
-
-// WriterOf reports the pid holding rel exclusively (-1 if none) — tests.
-func (m *Manager) WriterOf(rel int) int {
-	e := m.entry(rel, -1)
-	if !e.writer {
-		return -1
-	}
-	return e.writerPid
-}

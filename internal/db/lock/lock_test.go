@@ -26,11 +26,11 @@ func TestSpinLockBasic(t *testing.T) {
 	l := NewSpinLock(0x100)
 	p := &fakeProc{}
 	l.Acquire(p, 1)
-	if l.HeldBy() != 1 {
-		t.Fatalf("owner = %d", l.HeldBy())
+	if !l.held || l.owner != 1 {
+		t.Fatalf("held = %v, owner = %d", l.held, l.owner)
 	}
 	l.Release(p, 1)
-	if l.HeldBy() != -1 {
+	if l.held || l.owner != -1 {
 		t.Fatal("not released")
 	}
 	if l.Acquires != 1 || l.Contended != 0 {
@@ -96,68 +96,6 @@ func TestSpinLockReleaseByNonOwnerPanics(t *testing.T) {
 	l.Release(p, 2)
 }
 
-func TestLWLockSharedCompatible(t *testing.T) {
-	l := NewLWLock(0x200)
-	a, b := &fakeProc{}, &fakeProc{}
-	l.Acquire(a, 1, Shared)
-	l.Acquire(b, 2, Shared) // must not block
-	if b.backoffs != 0 {
-		t.Fatal("shared lock blocked a reader")
-	}
-	l.Release(a, 1, Shared)
-	l.Release(b, 2, Shared)
-	if l.sharers != 0 {
-		t.Fatalf("sharers = %d", l.sharers)
-	}
-}
-
-func TestLWLockExclusiveBlocksUntilWindowPasses(t *testing.T) {
-	l := NewLWLock(0x200)
-	a := &fakeProc{}
-	l.Acquire(a, 1, Exclusive)
-	a.Work(5000)
-	l.Release(a, 1, Exclusive)
-	b := &fakeProc{} // clock 0, will attempt inside a's hold window
-	l.Acquire(b, 2, Exclusive)
-	if b.backoffs == 0 && b.spins == 0 {
-		t.Fatal("exclusive window ignored")
-	}
-	if b.now <= 100 {
-		t.Fatal("waiter did not advance past the window")
-	}
-	l.Release(b, 2, Exclusive)
-}
-
-func TestLWLockSharedBlocksExclusive(t *testing.T) {
-	l := NewLWLock(0x200)
-	a, b := &fakeProc{}, &fakeProc{}
-	l.Acquire(a, 1, Shared)
-	got := make(chan struct{})
-	// Run the blocking acquire in the same goroutine by bounding it: with a
-	// fakeProc, Acquire would loop forever while the reader holds. Check via
-	// the internal grant logic instead.
-	if l.exclusive || l.sharers != 1 {
-		t.Fatal("state broken")
-	}
-	close(got)
-	l.Release(a, 1, Shared)
-	l.Acquire(b, 2, Exclusive)
-	if !l.exclusive {
-		t.Fatal("exclusive not granted after reader left")
-	}
-	l.Release(b, 2, Exclusive)
-}
-
-func TestLWLockReleaseUnderflowPanics(t *testing.T) {
-	l := NewLWLock(0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	l.Release(&fakeProc{}, 1, Shared)
-}
-
 func TestManagerSharedLocksNeverBlock(t *testing.T) {
 	m := NewManager(0x1000, 16)
 	procs := make([]*fakeProc, 8)
@@ -212,12 +150,12 @@ func TestManagerExclusiveBlocksReaders(t *testing.T) {
 	m := NewManager(0x1000, 16)
 	w := &fakeProc{}
 	m.AcquireExclusive(w, 1, 42)
-	if m.WriterOf(42) != 1 {
-		t.Fatalf("writer = %d", m.WriterOf(42))
+	if e := m.entry(42, -1); !e.writer || e.writerPid != 1 {
+		t.Fatalf("writer = %v, pid = %d", e.writer, e.writerPid)
 	}
 	w.Work(5000)
 	m.ReleaseExclusive(w, 1, 42)
-	if m.WriterOf(42) != -1 {
+	if m.entry(42, -1).writer {
 		t.Fatal("writer not released")
 	}
 	// A reader attempting inside the writer's hold window must back off.

@@ -138,9 +138,6 @@ func (p *Pool) Base() memsys.Addr { return p.base }
 // Size returns the pool capacity in bytes.
 func (p *Pool) Size() uint64 { return uint64(p.pages) * PageSize }
 
-// Pages returns the pool capacity in pages; Used the allocated count.
-func (p *Pool) Pages() int { return p.pages }
-
 // Used returns the number of allocated pages.
 func (p *Pool) Used() int { return p.used }
 

@@ -368,3 +368,35 @@ func TestMeasureCtxCancellation(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
+
+// TestMeasureAllCancelledStartsNoMoreCells: once the env's context is
+// cancelled, MeasureAll starts no further cell, so no later cell opens a
+// store flight that would simulate, and perhaps cache, an unwanted run. The
+// unstarted lowest-indexed cell reports the cancellation.
+func TestMeasureAllCancelledStartsNoMoreCells(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var calls atomic.Int64
+	e := fakeEnv(func(_ context.Context, o workload.Options) (*workload.Stats, error) {
+		calls.Add(1)
+		cancel()
+		return nil, errors.New("injected failure")
+	})
+	e.Ctx = ctx
+	e.Parallelism = 1
+	// The 5-process cell starts first; cell 0 is never started.
+	var cells []Cell
+	for procs := 1; procs <= 5; procs++ {
+		cells = append(cells, Cell{Tag: "vclass", Query: tpch.Q6, Procs: procs, Opts: workload.Options{Spec: e.VClass()}})
+	}
+	_, err := e.MeasureAll(cells)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled in the chain", err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("runner called %d times, want 1", n)
+	}
+	if m := e.Results.Stats().Misses; m != 1 {
+		t.Fatalf("store misses = %d, want 1: a cell started after cancellation", m)
+	}
+}

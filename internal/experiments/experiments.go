@@ -246,10 +246,11 @@ type Cell struct {
 // the measurements in cell order. Cells start in descending process count,
 // ties in cell order: every process runs the whole query, so a cell's host
 // time grows with its process count, and starting the longest cells first
-// leaves only short ones to fill the last slots. Every cell runs to
-// completion; the error is the lowest-indexed cell's. Each cell is an
-// independent deterministic run addressed by its digest, so the start order
-// cannot change any result.
+// leaves only short ones to fill the last slots. Once the env's context is
+// done no further cell starts: each unstarted cell fails with the context's
+// cause, and started cells run to completion. The error is the
+// lowest-indexed cell's. Each cell is an independent deterministic run
+// addressed by its digest, so the start order cannot change any result.
 func (e *Env) MeasureAll(cells []Cell) ([]core.Measurement, error) {
 	order := make([]int, len(cells))
 	for i := range order {
@@ -262,12 +263,19 @@ func (e *Env) MeasureAll(cells []Cell) ([]core.Measurement, error) {
 	sem := make(chan struct{}, e.parallelism())
 	var wg sync.WaitGroup
 	for _, i := range order {
-		wg.Add(1)
 		sem <- struct{}{}
+		c := cells[i]
+		if err := context.Cause(e.ctx()); err != nil {
+			// A started cell would open a flight that simulates, and may
+			// cache, a run nobody is waiting for.
+			errs[i] = fmt.Errorf("%s/%v/p%d: %w", c.Tag, c.Query, c.Procs, err)
+			<-sem
+			continue
+		}
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			c := cells[i]
 			out[i], errs[i] = e.MeasureOpts(c.Tag, c.Query, c.Procs, c.Opts)
 		}()
 	}

@@ -3,10 +3,12 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
 	"dssmem/internal/core"
+	"dssmem/internal/perfctr"
 	"dssmem/internal/tpch"
 	"dssmem/internal/workload"
 )
@@ -193,16 +195,29 @@ func TestTaxonomyExperiment(t *testing.T) {
 	}
 }
 
+// regionStats runs one configuration uncached and returns its taxonomy.
+func regionStats(e *Env, origin bool, q tpch.QueryID, procs int) (perfctr.RegionCounters, error) {
+	spec := e.VClass()
+	if origin {
+		spec = e.Origin()
+	}
+	st, err := e.runUncached(q, procs, workload.Options{Spec: spec})
+	if err != nil {
+		return perfctr.RegionCounters{}, fmt.Errorf("taxonomy run: %w", err)
+	}
+	return st.Regions, nil
+}
+
 func TestTaxonomyShapes(t *testing.T) {
 	// Q6 must not touch index data; Q21 must touch it substantially.
-	q6, err := RegionStats(sharedEnv, false, tpch.Q6, 1)
+	q6, err := regionStats(sharedEnv, false, tpch.Q6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if q6.Accesses[1] != 0 { // RegionIndex
 		t.Fatalf("Q6 touched %d index references ('no index data is used')", q6.Accesses[1])
 	}
-	q21, err := RegionStats(sharedEnv, false, tpch.Q21, 1)
+	q21, err := regionStats(sharedEnv, false, tpch.Q21, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +226,7 @@ func TestTaxonomyShapes(t *testing.T) {
 	}
 	// On the Origin, private data misses in the small L1 but is absorbed by
 	// the L2 (the locality claim of §3.3).
-	o6, err := RegionStats(sharedEnv, true, tpch.Q6, 1)
+	o6, err := regionStats(sharedEnv, true, tpch.Q6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"dssmem/internal/perfctr"
 	"dssmem/internal/tpch"
 	"dssmem/internal/workload"
@@ -49,19 +47,6 @@ func Taxonomy(e *Env) (*Result, error) {
 		"paper §3.3: 'private data and metadata both have temporal locality' — their miss share is far below their reference share on the V-Class's large cache",
 		"paper §3.3: 'index queries express a somewhat bigger footprint but have better locality'")
 	return r, nil
-}
-
-// RegionStats exposes one run's taxonomy for tests and programs.
-func RegionStats(e *Env, origin bool, q tpch.QueryID, procs int) (perfctr.RegionCounters, error) {
-	spec := e.VClass()
-	if origin {
-		spec = e.Origin()
-	}
-	st, err := e.runUncached(q, procs, workload.Options{Spec: spec})
-	if err != nil {
-		return perfctr.RegionCounters{}, fmt.Errorf("taxonomy run: %w", err)
-	}
-	return st.Regions, nil
 }
 
 func init() {

@@ -16,10 +16,6 @@ import (
 type Network interface {
 	// Latency is the one-way latency of a message from src to dst.
 	Latency(src, dst int) uint64
-	// Endpoints returns the number of addressable endpoints.
-	Endpoints() int
-	// Name identifies the fabric.
-	Name() string
 }
 
 // Crossbar is a nonblocking uniform-latency fabric: every endpoint pair costs
@@ -33,12 +29,6 @@ type Crossbar struct {
 // Latency implements Network; src==dst still crosses the fabric on the
 // V-Class (processors never own memory), so the cost is uniform.
 func (c Crossbar) Latency(src, dst int) uint64 { return c.Hop }
-
-// Endpoints implements Network.
-func (c Crossbar) Endpoints() int { return c.Ports }
-
-// Name implements Network.
-func (c Crossbar) Name() string { return fmt.Sprintf("crossbar-%dport", c.Ports) }
 
 // Hypercube is the Origin 2000 bristled hypercube: nodes (each holding two
 // CPUs, memory and a hub) sit at the corners of a binary n-cube, and a
@@ -64,25 +54,6 @@ func (h Hypercube) Hops(src, dst int) int { return bits.OnesCount(uint(src ^ dst
 // Latency implements Network.
 func (h Hypercube) Latency(src, dst int) uint64 {
 	return h.HubDelay + uint64(h.Hops(src, dst))*h.HopDelay
-}
-
-// Endpoints implements Network.
-func (h Hypercube) Endpoints() int { return h.NodeCount }
-
-// Name implements Network.
-func (h Hypercube) Name() string { return fmt.Sprintf("hypercube-%dnode", h.NodeCount) }
-
-// AvgRemoteHops returns the mean hop count from a node to the other nodes
-// (uniform traffic), a useful calibration number.
-func (h Hypercube) AvgRemoteHops() float64 {
-	if h.NodeCount <= 1 {
-		return 0
-	}
-	total := 0
-	for d := 1; d < h.NodeCount; d++ {
-		total += h.Hops(0, d)
-	}
-	return float64(total) / float64(h.NodeCount-1)
 }
 
 // Server models a contended resource (memory bank, directory controller,
@@ -143,22 +114,4 @@ func (s *Server) Serve(now uint64) uint64 {
 		s.TotalWait += wait
 	}
 	return wait
-}
-
-// Utilization reports the current estimated load (0..1).
-func (s *Server) Utilization() float64 {
-	if s.avgGap == 0 {
-		return 0
-	}
-	rho := float64(s.Occupancy) / s.avgGap
-	if rho > 1 {
-		rho = 1
-	}
-	return rho
-}
-
-// Reset clears estimator state but keeps configuration.
-func (s *Server) Reset() {
-	s.last, s.avgGap = 0, 0
-	s.Requests, s.Waits, s.TotalWait = 0, 0, 0
 }

@@ -14,9 +14,6 @@ func TestCrossbarUniform(t *testing.T) {
 			}
 		}
 	}
-	if xb.Endpoints() != 8 || xb.Name() == "" {
-		t.Fatal("metadata broken")
-	}
 }
 
 func TestHypercubeHops(t *testing.T) {
@@ -51,21 +48,6 @@ func TestHypercubeValidation(t *testing.T) {
 	NewHypercube(12, 1, 1)
 }
 
-func TestAvgRemoteHops(t *testing.T) {
-	h := NewHypercube(16, 0, 1)
-	// For a 4-cube, average Hamming distance to the 15 other nodes is
-	// sum(k * C(4,k))/15 = 32/15.
-	want := 32.0 / 15.0
-	if got := h.AvgRemoteHops(); got < want-1e-9 || got > want+1e-9 {
-		t.Fatalf("avg hops = %v, want %v", got, want)
-	}
-	if NewHypercube(1, 0, 1).AvgRemoteHops() != 0 {
-		t.Fatal("single node has no remote hops")
-	}
-}
-
-// Property: hypercube latency is a metric-like function: symmetric, zero
-// extra cost iff same node.
 func TestHypercubeSymmetry(t *testing.T) {
 	h := NewHypercube(32, 7, 9)
 	f := func(a, b uint8) bool {
@@ -110,8 +92,8 @@ func TestServerHeavyLoadQueues(t *testing.T) {
 	if last == 0 || s.TotalWait == 0 {
 		t.Fatal("heavy load produced no queueing")
 	}
-	if s.Utilization() < 0.5 {
-		t.Fatalf("utilization = %v", s.Utilization())
+	if rho := float64(s.Occupancy) / s.avgGap; rho < 0.5 {
+		t.Fatalf("utilization = %v", rho)
 	}
 }
 
@@ -158,20 +140,6 @@ func TestServerSaturationBounded(t *testing.T) {
 	// M/D/1 at the 0.95 cap: 100*0.95/(2*0.05) = 950.
 	if d > 1000 {
 		t.Fatalf("saturated delay %d not capped", d)
-	}
-}
-
-func TestServerReset(t *testing.T) {
-	s := &Server{Occupancy: 10}
-	for i := 0; i < 100; i++ {
-		s.Serve(uint64(i * 11))
-	}
-	s.Reset()
-	if s.Requests != 0 || s.Utilization() != 0 {
-		t.Fatal("reset incomplete")
-	}
-	if w := s.Serve(0); w != 0 {
-		t.Fatalf("first request after reset waited %d", w)
 	}
 }
 

@@ -186,39 +186,44 @@ func TestStarfireSpec(t *testing.T) {
 
 func TestSpecByName(t *testing.T) {
 	for _, c := range []struct {
-		name string
-		cpus int
-		want Spec
+		name  string
+		cpus  int
+		scale int
+		want  Spec
 	}{
-		{"", 0, VClassSpec(16, 64)},
-		{"vclass", 0, VClassSpec(16, 64)},
-		{"hpv", 4, VClassSpec(4, 64)},
-		{"V-Class", 0, VClassSpec(16, 64)},
-		{"origin", 0, OriginSpec(32, 64)},
-		{"SGI", 8, OriginSpec(8, 64)},
-		{"Origin2000", 0, OriginSpec(32, 64)},
-		{"starfire", 0, StarfireSpec(64, 64)},
-		{"E10000", 2, StarfireSpec(2, 64)},
+		{"", 0, 64, VClassSpec(16, 64)},
+		{"vclass", 0, 64, VClassSpec(16, 64)},
+		{"hpv", 4, 64, VClassSpec(4, 64)},
+		{"V-Class", 0, 64, VClassSpec(16, 64)},
+		{"origin", 0, 64, OriginSpec(32, 64)},
+		{"SGI", 8, 64, OriginSpec(8, 64)},
+		{"Origin2000", 0, 64, OriginSpec(32, 64)},
+		{"starfire", 0, 64, StarfireSpec(64, 64)},
+		{"E10000", 2, 64, StarfireSpec(2, 64)},
+		{"origin", 0, 1, OriginSpec(32, 1)},
 	} {
-		s, err := SpecByName(c.name, c.cpus, 64)
+		s, err := SpecByName(c.name, c.cpus, c.scale)
 		if err != nil || !reflect.DeepEqual(s, c.want) {
-			t.Errorf("%q/%d: %s with %d CPUs (err %v), want %s with %d",
-				c.name, c.cpus, s.Name, s.CPUs, err, c.want.Name, c.want.CPUs)
+			t.Errorf("%q/%d/%d: %s with %d CPUs (err %v), want %s with %d",
+				c.name, c.cpus, c.scale, s.Name, s.CPUs, err, c.want.Name, c.want.CPUs)
 		}
 	}
 	for _, c := range []struct {
 		name    string
 		cpus    int
+		scale   int
 		wantErr string
 	}{
-		{"cray", 0, `unknown machine "cray" (vclass|origin|starfire)`},
-		{"v class", 0, "unknown machine"},
-		{"vclass", 65, "CPUs must be 1..64"},
-		{"origin", 100, "CPUs must be 1..64"},
-		{"starfire", -1, "bad cpus -1"},
+		{"cray", 0, 64, `unknown machine "cray" (vclass|origin|starfire)`},
+		{"v class", 0, 64, "unknown machine"},
+		{"vclass", 65, 64, "CPUs must be 1..64"},
+		{"origin", 100, 64, "CPUs must be 1..64"},
+		{"starfire", -1, 64, "bad cpus -1"},
+		{"vclass", 0, 0, "bad memory scale 0"},
+		{"origin", 0, -4, "bad memory scale -4"},
 	} {
-		if _, err := SpecByName(c.name, c.cpus, 64); err == nil || !strings.Contains(err.Error(), c.wantErr) {
-			t.Errorf("%q/%d: error %v, want one containing %q", c.name, c.cpus, err, c.wantErr)
+		if _, err := SpecByName(c.name, c.cpus, c.scale); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%q/%d/%d: error %v, want one containing %q", c.name, c.cpus, c.scale, err, c.wantErr)
 		}
 	}
 }

@@ -246,11 +246,15 @@ func StarfireSpec(cpus, memScale int) Spec {
 // SpecByName builds a platform spec from its name — vclass (hpv, v-class),
 // origin (sgi, origin2000) or starfire (e10000), any case, "" meaning vclass
 // — with cpus processors (0 = the platform's full size) at the given memory
-// scale. The spec is validated, so an out-of-range CPU count is an error
-// here rather than a panic in New.
+// scale (1 = full-size caches). The spec is validated, so an out-of-range CPU
+// count or memory scale is an error here rather than a silently different
+// machine or a panic in New.
 func SpecByName(name string, cpus, memScale int) (Spec, error) {
 	if cpus < 0 {
 		return Spec{}, fmt.Errorf("bad cpus %d", cpus)
+	}
+	if memScale < 1 {
+		return Spec{}, fmt.Errorf("bad memory scale %d (must be at least 1)", memScale)
 	}
 	var spec Spec
 	switch strings.ToLower(name) {

@@ -289,14 +289,6 @@ func (o *Observer) Events() []Event {
 	return o.events
 }
 
-// Dropped reports events discarded past MaxEvents.
-func (o *Observer) Dropped() uint64 {
-	if o == nil {
-		return 0
-	}
-	return o.dropped
-}
-
 // ---- operator spans ----
 
 // Spanner is the optional process capability operator attribution needs;

@@ -69,9 +69,6 @@ func NewSamplingController(cpus int, quantum uint64, period int) *SamplingContro
 	}
 }
 
-// Period returns the sampling period in quanta.
-func (c *SamplingController) Period() int { return int(c.period) }
-
 // Access decides the fate of one memory access on cpu at simulated time now.
 // It returns (cycles, true) when the access is fast-forwarded: the functional
 // counters in ct have been bumped and cycles is the estimated charge — the

@@ -72,9 +72,6 @@ type Proc struct {
 	OnExit func(now Clock)
 }
 
-// ID returns the process identifier, unique within its kernel.
-func (p *Proc) ID() int { return p.id }
-
 // Now returns the process's local clock in cycles.
 func (p *Proc) Now() Clock { return p.clock }
 

@@ -89,9 +89,6 @@ func New(m *machine.Machine, cfg Config, quantum sim.Clock) *OS {
 // Machine returns the underlying machine.
 func (o *OS) Machine() *machine.Machine { return o.mach }
 
-// Config returns the OS parameters.
-func (o *OS) Config() Config { return o.cfg }
-
 // Observe attaches an observer: counter sampling at kernel scheduling
 // points, plus context-switch, back-off and lock events. Call before Run
 // (Spawn order does not matter — the hooks bind when processes start).
@@ -319,8 +316,3 @@ func (p *Process) BeginOp(name string) {
 func (p *Process) EndOp() {
 	p.os.obs.EndOp(p.CPU, p.Now(), p.Counters())
 }
-
-// YieldCPU gives other simulated processes a chance to run without advancing
-// this process's clocks (a kernel-scheduler artifact point, used by spin
-// loops).
-func (p *Process) YieldCPU() { p.sp.Yield() }

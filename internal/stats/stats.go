@@ -1,13 +1,9 @@
-// Package stats provides the summary statistics used to aggregate repeated
-// trials, as the paper did ("we perform the same test four times and use the
-// average values").
+// Package stats provides the summary statistics behind the sampling
+// estimator's error bars: a sample's mean, standard deviation and 95%
+// confidence half-width.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // Summary describes a sample.
 type Summary struct {
@@ -54,79 +50,10 @@ func (s Summary) CI95() float64 {
 	return 1.96 * s.Std / math.Sqrt(float64(s.N))
 }
 
-// RelStd returns the coefficient of variation (std/mean; 0 for mean 0).
-func (s Summary) RelStd() float64 {
-	if s.Mean == 0 {
-		return 0
-	}
-	return s.Std / s.Mean
-}
-
-// String implements fmt.Stringer.
-func (s Summary) String() string {
-	return fmt.Sprintf("%.4g ± %.2g (n=%d)", s.Mean, s.CI95(), s.N)
-}
-
-// Median returns the sample median (0 for empty input). The input is not
-// modified.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	mid := len(c) / 2
-	if len(c)%2 == 1 {
-		return c[mid]
-	}
-	return (c[mid-1] + c[mid]) / 2
-}
-
-// Percentile returns the p-th percentile of xs (p in [0,100]), using linear
-// interpolation between closest ranks (the common "exclusive of
-// extrapolation" definition: p=0 is the minimum, p=100 the maximum, p=50 the
-// Median). Returns 0 for empty input; the input is not modified.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	if p <= 0 {
-		return c[0]
-	}
-	if p >= 100 {
-		return c[len(c)-1]
-	}
-	rank := p / 100 * float64(len(c)-1)
-	lo := int(math.Floor(rank))
-	frac := rank - float64(lo)
-	if frac == 0 || lo+1 >= len(c) {
-		return c[lo]
-	}
-	return c[lo] + frac*(c[lo+1]-c[lo])
-}
-
 // MeanCI95 returns the sample mean and the half-width of its 95% confidence
-// interval under a normal approximation — the error bars for RunTrials-style
-// repeated measurements. The half-width is 0 for fewer than two samples.
+// interval under a normal approximation — the error bars of a sampled run's
+// per-window estimates. The half-width is 0 for fewer than two samples.
 func MeanCI95(xs []float64) (mean, halfWidth float64) {
 	s := Summarize(xs)
 	return s.Mean, s.CI95()
-}
-
-// GeoMean returns the geometric mean of positive samples (0 if any sample is
-// non-positive or the input is empty).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
 }

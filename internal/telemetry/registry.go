@@ -185,9 +185,6 @@ func (g *Gauge) Set(n int64) { g.v.Store(n) }
 // callers can gate on the level they just reached (admission control does).
 func (g *Gauge) Add(delta int64) int64 { return g.v.Add(delta) }
 
-// Inc adds one.
-func (g *Gauge) Inc() { g.v.Add(1) }
-
 // Dec subtracts one.
 func (g *Gauge) Dec() { g.v.Add(-1) }
 

@@ -39,49 +39,6 @@ func Sparkline(values []float64) string {
 	return b.String()
 }
 
-// BarRow is one labeled value of a bar chart.
-type BarRow struct {
-	Label string
-	Value float64
-}
-
-// BarChart renders horizontal bars scaled to the maximum value, width
-// characters wide, with the numeric value appended.
-func BarChart(w io.Writer, title string, rows []BarRow, width int) error {
-	if width <= 0 {
-		width = 40
-	}
-	maxVal := 0.0
-	maxLabel := 0
-	for _, r := range rows {
-		if r.Value > maxVal {
-			maxVal = r.Value
-		}
-		if len(r.Label) > maxLabel {
-			maxLabel = len(r.Label)
-		}
-	}
-	if title != "" {
-		if _, err := fmt.Fprintf(w, "%s\n", title); err != nil {
-			return err
-		}
-	}
-	for _, r := range rows {
-		n := 0
-		if maxVal > 0 {
-			n = int(r.Value / maxVal * float64(width))
-		}
-		if n == 0 && r.Value > 0 {
-			n = 1
-		}
-		if _, err := fmt.Fprintf(w, "%-*s  %-*s %.4g\n",
-			maxLabel, r.Label, width, strings.Repeat("█", n), r.Value); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Lines renders multiple labeled series as aligned sparklines with their
 // ranges, e.g. for a Figs. 5–10-style sweep.
 func Lines(w io.Writer, title string, labels []string, series [][]float64) error {

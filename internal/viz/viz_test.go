@@ -46,40 +46,6 @@ func TestSparklineProperty(t *testing.T) {
 	}
 }
 
-func TestBarChart(t *testing.T) {
-	var buf bytes.Buffer
-	err := BarChart(&buf, "title", []BarRow{
-		{Label: "a", Value: 10},
-		{Label: "bb", Value: 5},
-		{Label: "c", Value: 0},
-	}, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 4 || lines[0] != "title" {
-		t.Fatalf("output:\n%s", out)
-	}
-	aBar := strings.Count(lines[1], "█")
-	bBar := strings.Count(lines[2], "█")
-	cBar := strings.Count(lines[3], "█")
-	if aBar != 20 || bBar != 10 || cBar != 0 {
-		t.Fatalf("bar widths: %d %d %d", aBar, bBar, cBar)
-	}
-}
-
-func TestBarChartTinyValueStillVisible(t *testing.T) {
-	var buf bytes.Buffer
-	if err := BarChart(&buf, "", []BarRow{{Label: "big", Value: 1000}, {Label: "tiny", Value: 1}}, 10); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if strings.Count(lines[1], "█") != 1 {
-		t.Fatalf("tiny nonzero value should render one block:\n%s", buf.String())
-	}
-}
-
 func TestLines(t *testing.T) {
 	var buf bytes.Buffer
 	err := Lines(&buf, "sweep", []string{"Q6", "Q21"}, [][]float64{

@@ -13,18 +13,24 @@ import (
 	"dssmem/internal/tpch"
 )
 
+// TestRunContextPreCancelled: a run whose context is already done aborts
+// with the cause before it simulates anything.
 func TestRunContextPreCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	st, err := RunContext(ctx, opts(machine.VClassSpec(16, 256), tpch.Q21, 4))
-	if err == nil {
-		// The interrupt races the (short, tiny-preset) run; completing first
-		// is legal, but with a pre-cancelled context it should essentially
-		// never happen.
-		t.Skipf("run completed before the interrupt landed: %+v", st.Processes)
+	cause := errors.New("client went away")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(cause)
+	o := opts(machine.VClassSpec(16, 256), tpch.Q21, 4)
+	fired := false
+	o.SimFault = func() { fired = true }
+	st, err := RunContext(ctx, o)
+	if st != nil {
+		t.Fatalf("cancelled run returned stats for %d processes", st.Processes)
 	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled in the chain", err)
+	if !errors.Is(err, cause) {
+		t.Fatalf("err = %v, want the cause in the chain", err)
+	}
+	if fired {
+		t.Fatal("the simulation ran: the fault hook fired")
 	}
 }
 
@@ -47,8 +53,8 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestRunTrialsMatchesSerialRuns pins the parallel-trials refactor: trial i
-// must produce byte-identical stats to a lone Run with Trial=i.
+// TestRunTrialsMatchesSerialRuns: trial i must produce byte-identical stats
+// to a lone Run with Trial=i.
 func TestRunTrialsMatchesSerialRuns(t *testing.T) {
 	o := opts(machine.VClassSpec(16, 256), tpch.Q6, 2)
 	sts, err := RunTrials(o, 3)

@@ -8,8 +8,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"dssmem/internal/coherence"
@@ -142,12 +140,6 @@ func RunUnchecked(opts Options) (*Stats, error) {
 	return run(context.Background(), opts)
 }
 
-// RunUncheckedContext is RunUnchecked with cancellation.
-func RunUncheckedContext(ctx context.Context, opts Options) (*Stats, error) {
-	opts.Validate = false
-	return run(ctx, opts)
-}
-
 func run(ctx context.Context, opts Options) (*Stats, error) {
 	if opts.Processes <= 0 {
 		return nil, fmt.Errorf("workload: need at least one process")
@@ -157,6 +149,11 @@ func run(ctx context.Context, opts Options) (*Stats, error) {
 	}
 	if opts.Data == nil {
 		return nil, fmt.Errorf("workload: no data")
+	}
+	if ctx != nil && ctx.Err() != nil {
+		// The interrupt below lands asynchronously, so a short run could
+		// otherwise finish before it and return a result nobody asked for.
+		return nil, fmt.Errorf("workload: run aborted: %w", context.Cause(ctx))
 	}
 
 	preludeStart := time.Now()
@@ -318,48 +315,23 @@ func engineConfig(opts Options) engine.Config {
 }
 
 // RunTrials repeats a configuration n times with perturbed OS jitter and
-// returns every trial's stats, mirroring the paper's methodology ("we
-// perform the same test four times and use the average values").
+// returns every trial's stats in trial order, mirroring the paper's
+// methodology ("we perform the same test four times and use the average
+// values"). Trial i runs with jitter seed opts.Trial+i, one after another;
+// the first failing trial's error is returned.
 func RunTrials(opts Options, n int) ([]*Stats, error) {
-	return RunTrialsContext(context.Background(), opts, n)
-}
-
-// RunTrialsContext runs the trials concurrently: each trial is an independent
-// single-threaded simulation, so they fan out across host cores, bounded by
-// GOMAXPROCS. Trial i keeps the jitter seed opts.Trial+i it would get under
-// serial execution, and the returned slice is in trial order, so results are
-// byte-identical to the old serial path. The lowest-indexed failing trial's
-// error is reported. When opts.Obs is non-nil the trials run serially: one
-// observer cannot watch two concurrent simulations.
-func RunTrialsContext(ctx context.Context, opts Options, n int) ([]*Stats, error) {
 	if n < 1 {
 		n = 1
 	}
-	limit := runtime.GOMAXPROCS(0)
-	if limit < 1 || opts.Obs != nil {
-		limit = 1
-	}
 	out := make([]*Stats, n)
-	errs := make([]error, n)
-	sem := make(chan struct{}, limit)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i := range out {
 		o := opts
 		o.Trial = opts.Trial + i
-		o.Validate = true // same contract as Run
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, o Options) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			out[i], errs[i] = run(ctx, o)
-		}(i, o)
-	}
-	wg.Wait()
-	for i, err := range errs {
+		st, err := Run(o)
 		if err != nil {
 			return nil, fmt.Errorf("trial %d: %w", i, err)
 		}
+		out[i] = st
 	}
 	return out, nil
 }

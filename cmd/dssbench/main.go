@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -24,6 +25,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"dssmem"
@@ -59,8 +61,18 @@ func main() {
 	start := time.Now()
 	env := dssmem.NewEnv(p)
 	env.SampleQuanta = *sampleQuanta
-	tally := &dssmem.RunTally{}
-	env.Tally = tally
+	// The runner sees every simulation and no cache hit: it sums the current
+	// entry's runs and their warm-up and measured host time.
+	var runs, warmupNS, measuredNS atomic.Int64
+	env.Runner = func(ctx context.Context, o dssmem.RunOptions) (*dssmem.RunStats, error) {
+		st, err := dssmem.RunContext(ctx, o)
+		if err == nil {
+			runs.Add(1)
+			warmupNS.Add(st.WarmupHostNS)
+			measuredNS.Add(st.MeasuredHostNS)
+		}
+		return st, err
+	}
 	if *format == "table" {
 		fmt.Printf("preset %s: SF=%.4f memScale=%d — %d lineitems, %d orders (%.1f MB raw)\n\n",
 			p.Name, p.SF, p.MemScale, len(env.Data.Lineitem), len(env.Data.Orders),
@@ -104,16 +116,17 @@ func main() {
 	}
 	timed := func(run func() (*dssmem.FigureResult, error)) *dssmem.FigureResult {
 		begin := time.Now()
-		runs0, warm0, meas0 := tally.Snapshot()
+		runs.Store(0)
+		warmupNS.Store(0)
+		measuredNS.Store(0)
 		r, err := run()
 		if err != nil {
 			fatal(err)
 		}
-		runs1, warm1, meas1 := tally.Snapshot()
 		doc.add(r, time.Since(begin), runSplit{
-			Runs:       runs1 - runs0,
-			WarmupMS:   float64((warm1-warm0)/1000 /*ns→µs*/) / 1e3,
-			MeasuredMS: float64((meas1-meas0)/1000) / 1e3,
+			Runs:       int(runs.Load()),
+			WarmupMS:   float64(warmupNS.Load()/1000 /*ns→µs*/) / 1e3,
+			MeasuredMS: float64(measuredNS.Load()/1000) / 1e3,
 		})
 		return r
 	}
@@ -173,7 +186,7 @@ type benchEntry struct {
 	Result     *dssmem.FigureResult `json:"result"`
 }
 
-// runSplit is the tally delta attributed to one figure/ablation entry.
+// runSplit is the runner's accounting for one figure/ablation entry.
 type runSplit struct {
 	Runs       int
 	WarmupMS   float64

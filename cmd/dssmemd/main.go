@@ -9,8 +9,7 @@
 //	        [-workers N] [-run-timeout D] [-env-parallelism N]
 //	        [-drain-timeout D] [-max-queue N] [-hard-deadline D]
 //	        [-faults SPEC] [-fault-seed N]
-//	        [-log-format json|text] [-debug-addr ADDR] [-recent-requests N]
-//	        [-sample-quanta N]
+//	        [-log-format json|text] [-debug-addr ADDR] [-sample-quanta N]
 //
 // Overload and failure handling (DESIGN.md §10): requests beyond the worker
 // pool wait in a bounded queue (-max-queue); past that they are shed with
@@ -21,12 +20,11 @@
 //
 //	dssmemd -preset tiny -faults 'disk.read.corrupt=0.1,compute.panic=0.05'
 //
-// Telemetry (DESIGN.md §12): every request is assigned an X-Request-ID
-// (inbound IDs are honored), logged as one structured line with per-phase
-// timings, measured into per-endpoint and per-phase histograms on /metrics,
-// and visible live at /debug/requests. -debug-addr opens a second listener
-// with net/http/pprof plus the same /metrics and /debug/requests — keep it
-// private; the main listener never exposes pprof.
+// Telemetry (DESIGN.md §12): every request is logged as one structured line
+// with per-phase timings and measured into per-endpoint and per-phase
+// histograms on /metrics. -debug-addr opens a second listener with
+// net/http/pprof plus the same /metrics — keep it private; the main listener
+// never exposes pprof.
 //
 // Endpoints (see internal/service):
 //
@@ -35,7 +33,6 @@
 //	curl 'localhost:8077/v1/sweep?machine=vclass&query=Q6'
 //	curl localhost:8077/healthz
 //	curl localhost:8077/metrics
-//	curl localhost:8077/debug/requests
 //
 // The first SIGINT/SIGTERM drains gracefully: new connections are refused,
 // in-flight requests (and their simulations) run to completion, bounded by
@@ -80,8 +77,7 @@ func main() {
 	faultSpec := flag.String("faults", "", "arm fault injection: 'site=prob,...' (sites: "+strings.Join(siteNames(), " ")+")")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the fault injector's RNG")
 	logFormat := flag.String("log-format", "json", "log output format: json or text")
-	debugAddr := flag.String("debug-addr", "", "private debug listener with pprof, /metrics and /debug/requests ('' = off)")
-	recentReqs := flag.Int("recent-requests", 0, "completed requests retained by /debug/requests (0 = default)")
+	debugAddr := flag.String("debug-addr", "", "private debug listener with pprof and /metrics ('' = off)")
 	sampleQuanta := flag.Int("sample-quanta", 0, "default SMARTS sampling period for requests without sample_quanta (0/1 = exact)")
 	flag.Parse()
 
@@ -109,7 +105,6 @@ func main() {
 		MaxQueue:       *maxQueue,
 		HardDeadline:   *hardDeadline,
 		Log:            logger,
-		RecentRequests: *recentReqs,
 		SampleQuanta:   *sampleQuanta,
 	}
 	if *faultSpec != "" {
@@ -193,7 +188,7 @@ func newLogger(format string) (*slog.Logger, error) {
 }
 
 // serveDebug runs the private debug listener: pprof (never on the public
-// mux), plus the same metrics and request inspector the API serves.
+// mux), plus the same metrics the API serves.
 func serveDebug(addr string, srv *service.Server, logger *slog.Logger) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -201,7 +196,6 @@ func serveDebug(addr string, srv *service.Server, logger *slog.Logger) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/requests", srv.DebugRequests())
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		srv.Registry().WriteText(w)

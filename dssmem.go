@@ -76,9 +76,6 @@ type (
 	// (RunStats.Sampling): detailed vs fast-forwarded volume and CI95
 	// half-widths of the key per-window rates.
 	SampleEstimate = obs.SampleEstimate
-	// RunTally accumulates host-side run accounting (runs, warmup vs
-	// measured wall time) across an Env's measurements.
-	RunTally = experiments.RunTally
 )
 
 // The three queries the paper studies, plus the Q1 extension.

@@ -211,8 +211,7 @@ func TestBothEndsStartsEightProcessCellsFirst(t *testing.T) {
 }
 
 // TestMixRunsThroughEnv: the mixed runs of Mix go through the env like every
-// other simulation, so env-wide sampling, the runner and the tally apply to
-// all of them.
+// other simulation, so env-wide sampling and the runner apply to all of them.
 func TestMixRunsThroughEnv(t *testing.T) {
 	var mu sync.Mutex
 	var quanta []int
@@ -223,7 +222,6 @@ func TestMixRunsThroughEnv(t *testing.T) {
 		return fakeStats(o), nil
 	})
 	e.SampleQuanta = 8
-	e.Tally = &RunTally{}
 	if _, err := Mix(e); err != nil {
 		t.Fatal(err)
 	}
@@ -234,9 +232,6 @@ func TestMixRunsThroughEnv(t *testing.T) {
 		if q != 8 {
 			t.Fatalf("run %d has SampleQuanta %d, want the env's 8", i, q)
 		}
-	}
-	if runs, _, _ := e.Tally.Snapshot(); runs != 8 {
-		t.Fatalf("tally counted %d runs, want 8", runs)
 	}
 }
 
@@ -263,7 +258,12 @@ func TestColdWarmByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold.Results = store1
-	cold.Tally = &RunTally{}
+	var runs []*workload.Stats
+	cold.Runner = func(ctx context.Context, o workload.Options) (*workload.Stats, error) {
+		st, err := workload.RunContext(ctx, o)
+		runs = append(runs, st)
+		return st, err
+	}
 	m1, hit, err := cold.MeasureCached(spec.Name, tpch.Q6, 1, workload.Options{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
@@ -271,8 +271,8 @@ func TestColdWarmByteIdentical(t *testing.T) {
 	if hit {
 		t.Fatal("cold run reported a cache hit")
 	}
-	if runs, warmupNS, measuredNS := cold.Tally.Snapshot(); runs != 1 || warmupNS <= 0 || measuredNS <= 0 {
-		t.Fatalf("cold tally runs=%d warmup=%dns measured=%dns, want 1 run with both phases timed", runs, warmupNS, measuredNS)
+	if len(runs) != 1 || runs[0].WarmupHostNS <= 0 || runs[0].MeasuredHostNS <= 0 {
+		t.Fatalf("cold runner saw %d runs, want 1 run with both host phases timed", len(runs))
 	}
 
 	warm := NewEnvWith(Tiny, sharedEnv.Data)
@@ -281,7 +281,6 @@ func TestColdWarmByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm.Results = store2
-	warm.Tally = &RunTally{}
 	warm.Runner = func(context.Context, workload.Options) (*workload.Stats, error) {
 		t.Error("warm path ran a simulation")
 		return nil, errors.New("unreachable")
@@ -292,9 +291,6 @@ func TestColdWarmByteIdentical(t *testing.T) {
 	}
 	if !hit {
 		t.Fatal("disk-persisted result not found after 'restart'")
-	}
-	if runs, _, _ := warm.Tally.Snapshot(); runs != 0 {
-		t.Fatalf("warm env tallied %d runs, want 0: cache hits run nothing", runs)
 	}
 	if !bytes.Equal(marshal(m1), marshal(m2)) {
 		t.Fatalf("cold/warm JSON differ:\ncold %s\nwarm %s", marshal(m1), marshal(m2))

@@ -80,8 +80,10 @@ type Env struct {
 	Ctx context.Context
 
 	// Runner executes one workload run (nil selects workload.RunContext).
-	// The daemon injects a runner that bounds global concurrency, applies
-	// per-run timeouts and records metrics; tests inject failures.
+	// It sees every simulation the env runs, and nothing else: cache hits
+	// never reach it. The daemon injects a runner that bounds global
+	// concurrency, applies per-run timeouts and records metrics; dssbench
+	// wraps it to account runs and host time; tests inject failures.
 	Runner func(context.Context, workload.Options) (*workload.Stats, error)
 
 	// Parallelism is the number of MeasureAll slots: it bounds concurrent
@@ -94,11 +96,6 @@ type Env struct {
 	// it explicitly. Sampled measurements carry their own content digests:
 	// estimates never collide with exact results.
 	SampleQuanta int
-
-	// Tally, when non-nil, accumulates host-side run accounting (runs,
-	// warmup vs measured wall time) across this env's measurements. Cache
-	// hits do not tally: nothing ran.
-	Tally *RunTally
 
 	initMu sync.Mutex // guards lazy Results init
 }
@@ -188,21 +185,16 @@ func (e *Env) CanonicalOptions(q tpch.QueryID, procs int, opts workload.Options)
 }
 
 // simulate runs already-canonical options once on the env's data through its
-// runner under ctx, and tallies the run.
+// runner under ctx.
 func (e *Env) simulate(ctx context.Context, opts workload.Options) (*workload.Stats, error) {
 	opts.Data = e.Data
-	st, err := e.runner()(ctx, opts)
-	if err != nil {
-		return nil, err
-	}
-	e.Tally.add(st)
-	return st, nil
+	return e.runner()(ctx, opts)
 }
 
 // runUncached simulates one configuration the way a measurement would
-// (CanonicalOptions, the env's runner and context, the tally) but returns
-// the raw stats and caches nothing: for experiments that need more than a
-// core.Measurement holds.
+// (CanonicalOptions, the env's runner and context) but returns the raw stats
+// and caches nothing: for experiments that need more than a core.Measurement
+// holds.
 func (e *Env) runUncached(q tpch.QueryID, procs int, opts workload.Options) (*workload.Stats, error) {
 	return e.simulate(e.ctx(), e.CanonicalOptions(q, procs, opts))
 }

@@ -223,6 +223,53 @@ func TestDoLastWaiterCancels(t *testing.T) {
 	}
 }
 
+// TestDoAfterLastWaiterLeftStartsFresh: once the last waiter has left, the
+// abandoned flight may still be unwinding, but a new caller of the same
+// digest must not join it and inherit its cancellation; it computes its own
+// value.
+func TestDoAfterLastWaiterLeftStartsFresh(t *testing.T) {
+	s := NewMemory()
+	started := make(chan struct{})
+	release := make(chan struct{})
+	defer close(release)
+	ctx, cancel := context.WithCancel(context.Background())
+	errs := make(chan error, 1)
+	go func() {
+		_, _, err := s.Do(ctx, NSMeasurement, "d", func(runCtx context.Context) ([]byte, error) {
+			close(started)
+			<-runCtx.Done()
+			<-release // the cancelled compute has not returned yet
+			return nil, runCtx.Err()
+		})
+		errs <- err
+	}()
+	<-started
+	cancel()
+	if err := <-errs; !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoning waiter err = %v", err)
+	}
+
+	type result struct {
+		v   []byte
+		err error
+	}
+	res := make(chan result, 1)
+	go func() {
+		v, _, err := s.Do(context.Background(), NSMeasurement, "d", func(context.Context) ([]byte, error) {
+			return []byte("fresh"), nil
+		})
+		res <- result{v, err}
+	}()
+	select {
+	case r := <-res:
+		if r.err != nil || string(r.v) != "fresh" {
+			t.Fatalf("Do after the last waiter left: v=%q err=%v", r.v, r.err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Do after the last waiter left joined the abandoned flight")
+	}
+}
+
 // TestDoJoinerSurvivesInitiatorCancel covers the inverse of last-waiter-
 // cancels: the caller that STARTED the flight walks away mid-compute while a
 // joiner is still waiting. The compute must keep running, the joiner must
@@ -232,8 +279,8 @@ func TestDoLastWaiterCancels(t *testing.T) {
 // result without being charged for it.
 func TestDoJoinerSurvivesInitiatorCancel(t *testing.T) {
 	s := NewMemory()
-	initReq := telemetry.NewRequest("req-init", "/v1/measure")
-	joinReq := telemetry.NewRequest("req-join", "/v1/measure")
+	initReq := telemetry.NewRequest()
+	joinReq := telemetry.NewRequest()
 
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -245,9 +292,8 @@ func TestDoJoinerSurvivesInitiatorCancel(t *testing.T) {
 		if err := runCtx.Err(); err != nil {
 			t.Errorf("flight cancelled while the joiner still waits: %v", err)
 		}
-		q := telemetry.FromContext(runCtx)
-		if q == nil || q.ID != "req-init" {
-			t.Errorf("flight tracks %+v, want the initiating request", q)
+		if q := telemetry.FromContext(runCtx); q != initReq {
+			t.Errorf("flight tracks %p, want the initiating request %p", q, initReq)
 		} else {
 			q.AddPhase(telemetry.PhaseCompute, 10*time.Millisecond)
 		}
@@ -300,16 +346,25 @@ func TestDoJoinerSurvivesInitiatorCancel(t *testing.T) {
 		}
 	}
 
+	// Both requests waited on the compute, so both record a miss.
+	if !initReq.Missed() || !joinReq.Missed() {
+		t.Fatalf("missed: initiator %v, joiner %v; want both", initReq.Missed(), joinReq.Missed())
+	}
+
 	// The flight was never orphaned, and its result is cached for everyone.
 	if st := s.Stats(); st.Aborted != 0 || st.Misses != 1 || st.Shared != 1 {
 		t.Fatalf("stats after joiner survival: %+v", st)
 	}
-	v, hit, err := s.Do(context.Background(), NSMeasurement, "joined", func(context.Context) ([]byte, error) {
+	hitReq := telemetry.NewRequest()
+	v, hit, err := s.Do(telemetry.NewContext(context.Background(), hitReq), NSMeasurement, "joined", func(context.Context) ([]byte, error) {
 		t.Error("compute ran on a digest the survived flight already cached")
 		return nil, nil
 	})
 	if err != nil || !hit || string(v) != "survived" {
 		t.Fatalf("post-flight Do: v=%q hit=%v err=%v", v, hit, err)
+	}
+	if hitReq.Missed() {
+		t.Fatal("a cache hit recorded a miss on its request")
 	}
 }
 
@@ -339,7 +394,7 @@ func TestDiskMissFallsThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get(NSFigure, "absent"); ok {
+	if _, ok := s.Get(NSMeasurement, "absent"); ok {
 		t.Fatal("hit on absent digest")
 	}
 	if st := s.Stats(); st.DiskErrors != 0 {

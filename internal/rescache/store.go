@@ -15,12 +15,9 @@ import (
 )
 
 // Namespaces partition the store by result kind. They appear in disk paths,
-// so they must stay filename-safe (see validNS).
-const (
-	NSMeasurement = "measurement"
-	NSFigure      = "figure"
-	NSSweep       = "sweep"
-)
+// so they must stay filename-safe (see validNS). Measurements are the only
+// kind stored: figures and sweeps are rendered from them on every request.
+const NSMeasurement = "measurement"
 
 // quarantineDir holds entries that failed read verification, preserved for
 // post-mortem instead of deleted. It is not a namespace; validNS namespaces
@@ -329,12 +326,15 @@ func (s *Store) putFailed(err error) error {
 
 // Do returns the cached bytes for (ns, d), computing them at most once across
 // all concurrent callers. hit reports whether the result came from the cache
-// without waiting on a compute started by this call chain.
+// without waiting on a compute; a miss is also recorded on the request
+// tracked by ctx (telemetry.Request.Miss), so a request that runs many Do
+// calls knows whether all of them hit.
 //
 // Lifecycle contract:
 //   - compute runs on its own goroutine with a context that is cancelled
 //     only when every waiter has abandoned the flight (last-waiter-cancels),
-//     so one client disconnecting never aborts a run others still want;
+//     so one client disconnecting never aborts a run others still want; a
+//     caller arriving after that starts a fresh flight;
 //   - a panicking compute is isolated: waiters receive it as an error
 //     wrapping ErrPanicked, the store stays usable;
 //   - a caller whose ctx ends stops waiting and gets ctx's error; the
@@ -345,6 +345,7 @@ func (s *Store) Do(ctx context.Context, ns string, d Digest, compute func(contex
 		return v, true, nil
 	}
 	k := key(ns, d)
+	q := telemetry.FromContext(ctx)
 	s.mu.Lock()
 	// Re-check memory under the lock: a flight may have completed between
 	// Get and here.
@@ -361,7 +362,7 @@ func (s *Store) Do(ctx context.Context, ns string, d Digest, compute func(contex
 		// charge their phases somewhere: the request that caused the compute.
 		// Joiners share the result without being charged.
 		base := context.Background()
-		if q := telemetry.FromContext(ctx); q != nil {
+		if q != nil {
 			base = telemetry.NewContext(base, q)
 		}
 		runCtx, cancel := context.WithCancelCause(base)
@@ -375,6 +376,7 @@ func (s *Store) Do(ctx context.Context, ns string, d Digest, compute func(contex
 		s.mu.Unlock()
 		s.shared.Add(1)
 	}
+	q.Miss()
 
 	select {
 	case <-f.done:
@@ -390,6 +392,11 @@ func (s *Store) Do(ctx context.Context, ns string, d Digest, compute func(contex
 		s.mu.Lock()
 		f.waiters--
 		last := f.waiters == 0
+		if last {
+			// A caller arriving from now on must start a fresh flight, not
+			// join this doomed one and inherit its cancellation.
+			delete(s.flights, k)
+		}
 		s.mu.Unlock()
 		if last {
 			s.aborted.Add(1)
@@ -418,7 +425,9 @@ func (s *Store) runFlight(k, ns string, d Digest, f *flight, runCtx context.Cont
 		_ = s.Put(ns, d, v)
 	}
 	s.mu.Lock()
-	delete(s.flights, k)
+	if s.flights[k] == f { // an abandoned flight's entry may already be a newer one
+		delete(s.flights, k)
+	}
 	s.mu.Unlock()
 	f.val, f.err = v, err
 	close(f.done)

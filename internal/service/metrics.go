@@ -67,7 +67,6 @@ func (s *Server) initMetrics() {
 
 	s.reqTotal = r.Counter("dssmem_requests_total", "API requests handled.")
 	s.reqErrors = r.Counter("dssmem_request_errors_total", "API requests that failed.")
-	s.retries = r.Counter("dssmem_request_retries_total", "Requests arriving as a retry (X-Request-Attempt > 1).")
 	s.reqSeconds = r.HistogramVec("dssmem_request_seconds", "End-to-end API request latency.", nil, "endpoint")
 	s.phaseSeconds = r.HistogramVec("dssmem_phase_seconds",
 		"Request time by phase: queue, cache_mem, cache_disk, compute, encode.", nil, "phase")

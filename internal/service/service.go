@@ -11,13 +11,16 @@
 //	GET /healthz
 //	GET /metrics             Prometheus text format
 //
-// Responses carry X-Cache: hit|miss and X-Digest headers. Identical
-// in-flight requests are deduplicated to one simulation; a client disconnect
-// aborts a run (at the next simulation scheduling quantum) once its last
-// waiter is gone; results persist across daemon restarts when a cache
-// directory is configured. A sweep interrupted by a crash resumes the same
-// way: re-issuing it answers the finished points from the cache and computes
-// only the rest.
+// Responses carry X-Digest, the content address of the result, and X-Cache:
+// hit when every measurement the response needed came from the result store
+// without waiting on a simulation, miss otherwise. Only measurements are
+// stored; figures and sweeps are rendered from them on every request.
+// Identical in-flight requests are deduplicated to one simulation; a client
+// disconnect aborts a run (at the next simulation scheduling quantum) once
+// its last waiter is gone; results persist across daemon restarts when a
+// cache directory is configured. A sweep interrupted by a crash resumes the
+// same way: re-issuing it answers the finished points from the cache and
+// computes only the rest.
 package service
 
 import (
@@ -85,12 +88,9 @@ type Config struct {
 	// interval sampling at this period. Sampled results live under their own
 	// content digests; 0 (or 1) keeps every run exact.
 	SampleQuanta int
-	// Log receives one structured line per API request (id, endpoint, status,
+	// Log receives one structured line per API request (endpoint, status,
 	// per-phase timings). nil disables request logging.
 	Log *slog.Logger
-	// RecentRequests sizes the /debug/requests completed-request ring
-	// (0 = telemetry.DefaultRecent).
-	RecentRequests int
 }
 
 // Server implements the HTTP API. Create with New, expose via Handler.
@@ -109,8 +109,7 @@ type Server struct {
 
 	// reg owns every counter below: one registry is the single snapshot
 	// mechanism for /metrics (no side ledgers, no torn mixed-source reads).
-	reg     *telemetry.Registry
-	tracker *telemetry.Tracker
+	reg *telemetry.Registry
 
 	inflight *telemetry.Gauge   // simulations currently executing
 	queued   *telemetry.Gauge   // runs admitted but not yet holding a worker slot
@@ -123,7 +122,6 @@ type Server struct {
 
 	reqTotal     *telemetry.Counter
 	reqErrors    *telemetry.Counter
-	retries      *telemetry.Counter // requests arriving with X-Request-Attempt > 1
 	runSeconds   *telemetry.Hist    // wall-clock simulation time
 	reqSeconds   *telemetry.HistVec // end-to-end request latency, by endpoint
 	phaseSeconds *telemetry.HistVec // per-phase time, by phase name
@@ -183,12 +181,10 @@ func New(cfg Config) (*Server, error) {
 		base:     base,
 		baseStop: stop,
 	}
-	s.tracker = telemetry.NewTracker(cfg.RecentRequests)
 	s.initMetrics()
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.Handle("GET /debug/requests", s.tracker)
 	s.mux.Handle("GET /v1/measure", s.instrument("/v1/measure", s.handleMeasure))
 	s.mux.Handle("GET /v1/figure/{id}", s.instrument("/v1/figure", s.handleFigure))
 	s.mux.Handle("GET /v1/sweep", s.instrument("/v1/sweep", s.handleSweep))
@@ -205,10 +201,6 @@ func (s *Server) Store() *rescache.Store { return s.store }
 
 // Registry exposes the metrics registry (the debug listener re-serves it).
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
-
-// DebugRequests exposes the live request inspector (mounted at
-// /debug/requests on the API mux; the debug listener mounts it too).
-func (s *Server) DebugRequests() http.Handler { return s.tracker }
 
 // Close hard-cancels every in-flight run: waiters are released with an error
 // and the underlying simulations abort at their next scheduling quantum.
@@ -247,78 +239,63 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-// instrument wraps an API handler with request-scoped telemetry: every
-// request gets an ID (the caller's X-Request-ID when well-formed, minted
-// otherwise) that is echoed in the response, attached to the context for the
-// cache/compute layers to charge phases against, tracked by the live
-// inspector, observed into the latency and phase histograms, and emitted as
-// one structured log line.
+// instrument wraps an API handler with request-scoped telemetry: a
+// *telemetry.Request on the context for the cache/compute layers to charge
+// phases against, observed into the latency and phase histograms and emitted
+// as one structured log line.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.reqTotal.Inc()
-		id := telemetry.CleanID(r.Header.Get("X-Request-ID"))
-		if id == "" {
-			id = telemetry.NewID()
-		}
-		q := telemetry.NewRequest(id, endpoint)
-		if n, err := strconv.Atoi(r.Header.Get("X-Request-Attempt")); err == nil && n > 1 {
-			q.Attempt = n
-			s.retries.Inc()
-		}
-		w.Header().Set("X-Request-ID", id)
-		s.tracker.Begin(q)
+		begin := time.Now()
+		q := telemetry.NewRequest()
 		sw := &statusWriter{ResponseWriter: w}
 		h(sw, r.WithContext(telemetry.NewContext(r.Context(), q)))
+		d := time.Since(begin)
 		status := sw.status
 		if status == 0 {
 			status = http.StatusOK
 		}
-		outcome := "ok"
-		if status >= 400 {
-			outcome = "error"
-		}
-		q.Finish(status, outcome)
-		s.reqSeconds.With(endpoint).Observe(q.Duration().Seconds())
-		for _, ph := range q.Phases() {
+		phases := q.Phases()
+		s.reqSeconds.With(endpoint).Observe(d.Seconds())
+		for _, ph := range phases {
 			s.phaseSeconds.With(ph.Name).Observe(ph.Seconds)
 		}
-		s.tracker.End(q)
-		s.logRequest(r, q)
+		s.logRequest(r, endpoint, status, w.Header(), d, phases)
 	})
 }
 
-// logRequest emits the one structured line per request: identity, outcome,
-// and the per-phase decomposition in milliseconds.
-func (s *Server) logRequest(r *http.Request, q *telemetry.Request) {
+// logRequest emits the one structured line per request: outcome, the
+// response's digest and cache word, and the per-phase decomposition in
+// milliseconds.
+func (s *Server) logRequest(r *http.Request, endpoint string, status int, h http.Header, d time.Duration, phases []telemetry.Phase) {
 	if s.cfg.Log == nil {
 		return
 	}
-	v := q.View()
+	outcome := "ok"
+	if status >= 400 {
+		outcome = "error"
+	}
 	args := []any{
-		"req", v.ID,
-		"endpoint", v.Endpoint,
+		"endpoint", endpoint,
 		"query", r.URL.RawQuery,
-		"status", v.Status,
-		"outcome", v.Outcome,
-		"duration_ms", v.DurationMS,
+		"status", status,
+		"outcome", outcome,
+		"duration_ms", float64(d.Microseconds()) / 1e3,
 	}
-	if v.Attempt > 1 {
-		args = append(args, "attempt", v.Attempt)
+	if v := h.Get("X-Digest"); v != "" {
+		args = append(args, "digest", v)
 	}
-	if v.Digest != "" {
-		args = append(args, "digest", v.Digest)
+	if v := h.Get("X-Cache"); v != "" {
+		args = append(args, "cache", v)
 	}
-	if v.Cache != "" {
-		args = append(args, "cache", v.Cache)
-	}
-	for _, ph := range v.Phases {
-		args = append(args, "phase_"+ph.Name+"_ms", ph.DurationMS)
+	for _, ph := range phases {
+		args = append(args, "phase_"+ph.Name+"_ms", ph.Seconds*1e3)
 	}
 	level := slog.LevelInfo
 	switch {
-	case v.Status >= 500:
+	case status >= 500:
 		level = slog.LevelError
-	case v.Status >= 400:
+	case status >= 400:
 		level = slog.LevelWarn
 	}
 	s.cfg.Log.Log(r.Context(), level, "request", args...)
@@ -594,20 +571,14 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusInternalServerError, err)
 		return
 	}
-	raw, hit, err := s.store.Do(ctx, rescache.NSFigure, dig, func(runCtx context.Context) ([]byte, error) {
-		env := s.env(runCtx)
-		env.SampleQuanta = sq
-		res, err := experiments.RunFigure(env, id, nil)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(res)
-	})
+	env := s.env(ctx)
+	env.SampleQuanta = sq
+	res, err := experiments.RunFigure(env, id, nil)
 	if err != nil {
 		s.failRun(w, err)
 		return
 	}
-	s.respondRaw(w, r, hit, dig, raw)
+	s.respond(w, r, !telemetry.FromContext(ctx).Missed(), dig, res)
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -641,28 +612,24 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// Each point is cached under its own measurement digest as it finishes,
 	// so a sweep cut short (client gone, daemon killed) recomputes only the
 	// points it had not finished when re-issued.
-	raw, hit, err := s.store.Do(ctx, rescache.NSSweep, dig, func(runCtx context.Context) ([]byte, error) {
-		env := s.env(runCtx)
-		env.SampleQuanta = sq
-		series, err := env.Sweep(spec.Name, spec, q, workload.Options{})
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(series)
-	})
+	env := s.env(ctx)
+	env.SampleQuanta = sq
+	series, err := env.Sweep(spec.Name, spec, q, workload.Options{})
 	if err != nil {
 		s.failRun(w, err)
 		return
 	}
-	s.respondRaw(w, r, hit, dig, raw)
+	s.respond(w, r, !telemetry.FromContext(ctx).Missed(), dig, series)
 }
 
 // --- content digests ---
 
 // figureDigest is the content address of one figure result under preset p,
-// computed with SMARTS interval sampling at the given period. sampleQuanta 0
-// encodes to exactly the pre-sampling digest (omitempty), so existing exact
-// caches stay valid; any other period addresses its own estimated result.
+// computed with SMARTS interval sampling at the given period: the response's
+// X-Digest. Figures are not stored under it; they are rendered from their
+// cells. sampleQuanta 0 encodes to exactly the pre-sampling digest
+// (omitempty), so an exact figure keeps its X-Digest; any other period
+// addresses its own estimated result.
 func figureDigest(p experiments.Preset, id, sampleQuanta int) (rescache.Digest, error) {
 	return rescache.DigestJSON(struct {
 		Schema       int                `json:"schema"`
@@ -705,28 +672,20 @@ func cacheWord(hit bool) string {
 	return "miss"
 }
 
+// respond writes v as a newline-terminated JSON body with the X-Cache and
+// X-Digest headers, charging the write to the encode phase.
 func (s *Server) respond(w http.ResponseWriter, r *http.Request, hit bool, dig rescache.Digest, v any) {
-	b, err := json.Marshal(v)
+	body, err := json.Marshal(v)
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, err)
 		return
 	}
-	s.respondRaw(w, r, hit, dig, b)
-}
-
-func (s *Server) respondRaw(w http.ResponseWriter, r *http.Request, hit bool, dig rescache.Digest, body []byte) {
-	q := telemetry.FromContext(r.Context())
-	q.SetDigest(string(dig))
-	q.SetCache(cacheWord(hit))
-	defer q.StartPhase(telemetry.PhaseEncode)()
+	defer telemetry.FromContext(r.Context()).StartPhase(telemetry.PhaseEncode)()
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
 	h.Set("X-Cache", cacheWord(hit))
 	h.Set("X-Digest", string(dig))
-	w.Write(body)
-	if len(body) > 0 && body[len(body)-1] != '\n' {
-		w.Write([]byte("\n"))
-	}
+	w.Write(append(body, '\n'))
 }
 
 // failRun maps run errors to HTTP statuses. Transient conditions — load

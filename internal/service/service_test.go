@@ -215,6 +215,51 @@ func TestDaemonSmoke(t *testing.T) {
 	}
 }
 
+// TestFigureRenderedFromStoredCells: a figure is rendered from its
+// measurement cells on every request. Once /v1/measure has stored all twelve
+// of Figure 2's cells, the figure is a hit that simulates nothing, and bytes
+// stored under the figure's own digest (say, a whole body cached by an older
+// build) are never served.
+func TestFigureRenderedFromStoredCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("figure 2 runs 12 simulations")
+	}
+	srv := newTestServer(t, "")
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, m := range []string{"vclass", "origin"} {
+		for _, q := range tpch.AllQueries {
+			for _, procs := range []int{1, 8} {
+				path := fmt.Sprintf("/v1/measure?machine=%s&query=%v&procs=%d", m, q, procs)
+				if resp, body := get(t, ts, path); resp.StatusCode != http.StatusOK {
+					t.Fatalf("%s: %d %s", path, resp.StatusCode, body)
+				}
+			}
+		}
+	}
+	runsTotal(t, srv, ts, 12)
+
+	resp, body := get(t, ts, "/v1/figure/2")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("figure 2: %d %s", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get("X-Cache"); got != "hit" {
+		t.Errorf("figure over stored cells: X-Cache = %q, want hit", got)
+	}
+	runsTotal(t, srv, ts, 12)
+
+	dig, err := figureDigest(experiments.Tiny, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Store().Put("figure", dig, []byte(`{"id":"stale"}`)); err != nil {
+		t.Fatal(err)
+	}
+	if _, again := get(t, ts, "/v1/figure/2"); string(again) != string(body) {
+		t.Errorf("figure served the bytes stored under its digest: %s", again)
+	}
+}
+
 // TestConcurrentIdenticalRequestsDeduplicate: N identical in-flight requests
 // cost one simulation.
 func TestConcurrentIdenticalRequestsDeduplicate(t *testing.T) {

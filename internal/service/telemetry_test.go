@@ -2,16 +2,17 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
-	"dssmem/internal/experiments"
 	"dssmem/internal/telemetry"
-	"dssmem/internal/tpch"
+	"dssmem/internal/workload"
 )
 
 // legacyMetricNames pins every family name that existed before the registry:
@@ -75,7 +76,7 @@ func TestMetricsNameCompatAndLint(t *testing.T) {
 		}
 	}
 	// New request-scoped families.
-	for _, name := range []string{"dssmem_request_seconds", "dssmem_phase_seconds", "dssmem_request_retries_total", "dssmem_cache_puts_total"} {
+	for _, name := range []string{"dssmem_request_seconds", "dssmem_phase_seconds", "dssmem_cache_puts_total"} {
 		if !rep.HasFamily(name) {
 			t.Errorf("new family %s missing", name)
 		}
@@ -92,126 +93,32 @@ func TestMetricsNameCompatAndLint(t *testing.T) {
 	}
 }
 
-func TestRequestIDPropagation(t *testing.T) {
-	srv := newTestServer(t, "")
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	// Server mints an ID when none is supplied.
-	resp, _ := get(t, ts, "/v1/measure?machine=vclass&query=Q6&procs=1")
-	minted := resp.Header.Get("X-Request-ID")
-	if len(minted) != 16 {
-		t.Fatalf("minted X-Request-ID = %q, want 16 hex chars", minted)
-	}
-
-	// A well-formed inbound ID is honored and echoed.
-	req, _ := http.NewRequest("GET", ts.URL+"/v1/measure?machine=vclass&query=Q6&procs=1", nil)
-	req.Header.Set("X-Request-ID", "caller-id-42")
-	req.Header.Set("X-Request-Attempt", "3")
-	resp2, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if got := resp2.Header.Get("X-Request-ID"); got != "caller-id-42" {
-		t.Fatalf("echoed ID = %q, want caller-id-42", got)
-	}
-	if srv.retries.Load() != 1 {
-		t.Fatalf("retries counter = %d, want 1 (attempt 3 arrived)", srv.retries.Load())
-	}
-
-	// A malformed inbound ID (label-breaking characters) is replaced.
-	req3, _ := http.NewRequest("GET", ts.URL+"/v1/measure?machine=vclass&query=Q6&procs=1", nil)
-	req3.Header.Set("X-Request-ID", `evil"id{}`)
-	resp3, err := ts.Client().Do(req3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp3.Body.Close()
-	if got := resp3.Header.Get("X-Request-ID"); got == `evil"id{}` || len(got) != 16 {
-		t.Fatalf("malformed inbound ID must be replaced with a minted one, got %q", got)
-	}
-}
-
-func TestDebugRequests(t *testing.T) {
-	srv := newTestServer(t, "")
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	req, _ := http.NewRequest("GET", ts.URL+"/v1/measure?machine=vclass&query=Q6&procs=1", nil)
-	req.Header.Set("X-Request-ID", "debug-test-req")
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
-	_, body := get(t, ts, "/debug/requests")
-	var doc struct {
-		Inflight []telemetry.RequestView `json:"inflight"`
-		Recent   []telemetry.RequestView `json:"recent"`
-	}
-	if err := json.Unmarshal(body, &doc); err != nil {
-		t.Fatalf("bad /debug/requests JSON: %v\n%s", err, body)
-	}
-	var found *telemetry.RequestView
-	for i := range doc.Recent {
-		if doc.Recent[i].ID == "debug-test-req" {
-			found = &doc.Recent[i]
-		}
-	}
-	if found == nil {
-		t.Fatalf("request debug-test-req not in recent: %s", body)
-	}
-	if found.Endpoint != "/v1/measure" || !found.Done || found.Status != 200 ||
-		found.Outcome != "ok" || found.Cache == "" || found.Digest == "" {
-		t.Fatalf("recent view incomplete: %+v", found)
-	}
-	phases := map[string]bool{}
-	for _, ph := range found.Phases {
-		phases[ph.Name] = true
-	}
-	if !phases[telemetry.PhaseCompute] || !phases[telemetry.PhaseCacheMem] || !phases[telemetry.PhaseEncode] {
-		t.Fatalf("phase breakdown incomplete: %+v", found.Phases)
-	}
-}
-
-func TestStructuredRequestLog(t *testing.T) {
-	tinyDataOnce.Do(func() { tinyData = tpch.Generate(experiments.Tiny.SF, experiments.Tiny.Seed) })
-	var buf bytes.Buffer
-	logger := slog.New(slog.NewJSONHandler(&buf, nil))
-	s, err := New(Config{Preset: experiments.Tiny, Log: logger})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.data = tinyData
-	t.Cleanup(func() { s.Close() })
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	req, _ := http.NewRequest("GET", ts.URL+"/v1/measure?machine=vclass&query=Q6&procs=1", nil)
-	req.Header.Set("X-Request-ID", "log-test-req")
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
-	var line map[string]any
-	dec := json.NewDecoder(&buf)
-	found := false
+// requestLog returns the first "request" line in a JSON request log.
+func requestLog(t *testing.T, buf *bytes.Buffer) map[string]any {
+	t.Helper()
+	dec := json.NewDecoder(buf)
 	for dec.More() {
+		var line map[string]any
 		if err := dec.Decode(&line); err != nil {
 			break
 		}
-		if line["req"] == "log-test-req" {
-			found = true
-			break
+		if line["msg"] == "request" {
+			return line
 		}
 	}
-	if !found {
-		t.Fatalf("no structured log line for the request; log:\n%s", buf.String())
-	}
+	t.Fatalf("no structured log line for the request; log:\n%s", buf.String())
+	return nil
+}
+
+func TestStructuredRequestLog(t *testing.T) {
+	var buf bytes.Buffer
+	s := newTestServerCfg(t, Config{Log: slog.New(slog.NewJSONHandler(&buf, nil))})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	get(t, ts, "/v1/measure?machine=vclass&query=Q6&procs=1")
+
+	line := requestLog(t, &buf)
 	for _, key := range []string{"endpoint", "status", "outcome", "duration_ms", "digest", "cache", "phase_compute_ms", "phase_cache_mem_ms", "phase_encode_ms"} {
 		if _, ok := line[key]; !ok {
 			t.Errorf("log line missing %q: %v", key, line)
@@ -219,5 +126,46 @@ func TestStructuredRequestLog(t *testing.T) {
 	}
 	if line["endpoint"] != "/v1/measure" || line["status"] != float64(200) || line["outcome"] != "ok" {
 		t.Errorf("log line fields wrong: %v", line)
+	}
+}
+
+// TestSweepRequestPhases: a sweep's log line and the phase histograms account
+// for every cell it simulated, as one request.
+func TestSweepRequestPhases(t *testing.T) {
+	var buf bytes.Buffer
+	s := newTestServerCfg(t, Config{Log: slog.New(slog.NewJSONHandler(&buf, nil))})
+	s.runHook = func(ctx context.Context, o workload.Options) (*workload.Stats, error) {
+		time.Sleep(20 * time.Millisecond)
+		return workload.RunContext(ctx, o)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	if resp, body := get(t, ts, "/v1/sweep?machine=vclass&query=Q6"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep: %d %s", resp.StatusCode, body)
+	}
+
+	line := requestLog(t, &buf)
+	if line["endpoint"] != "/v1/sweep" {
+		t.Fatalf("log line is not the sweep's: %v", line)
+	}
+	// Five cells, each sleeping 20 ms in the runner.
+	if ms, _ := line["phase_compute_ms"].(float64); ms < 100 {
+		t.Errorf("phase_compute_ms = %v, want >= 100: %v", line["phase_compute_ms"], line)
+	}
+	for _, key := range []string{"phase_cache_mem_ms", "phase_encode_ms"} {
+		if _, ok := line[key]; !ok {
+			t.Errorf("log line missing %q: %v", key, line)
+		}
+	}
+
+	_, metrics := get(t, ts, "/metrics")
+	for _, want := range []string{
+		`dssmem_request_seconds_count{endpoint="/v1/sweep"} 1` + "\n",
+		`dssmem_phase_seconds_count{phase="compute"} 1` + "\n",
+	} {
+		if !strings.Contains(string(metrics), want) {
+			t.Errorf("metrics missing %q", want)
+		}
 	}
 }

@@ -1,10 +1,10 @@
 // Package telemetry is the request-scoped observability substrate for the
 // serving layer: a dependency-free metrics registry (counters, gauges and
 // fixed-bucket histograms; histograms and polled families take labels; atomic
-// hot paths and a Prometheus text-format renderer), request identity (IDs minted or honored
-// from X-Request-ID) that flows through context, per-request phase timing
-// (queue wait, cache tier lookups, compute, encode), and a live request
-// tracker behind /debug/requests.
+// hot paths and a Prometheus text-format renderer) and per-request phase
+// timing (queue wait, cache tier lookups, compute, encode) that flows through
+// context. A request carries no identity: the content digest of what it asked
+// for already names its response.
 //
 // Design constraints, in order:
 //

@@ -2,10 +2,7 @@ package telemetry
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -15,7 +12,7 @@ import (
 // (PhaseCompute) and writing the response (PhaseEncode) — the same
 // end-to-end attribution question the paper asks of a DSS query, asked of
 // our own service. The names appear as the "phase" label of
-// dssmem_phase_seconds and in /debug/requests.
+// dssmem_phase_seconds and in the request log line.
 const (
 	PhaseQueue     = "queue"
 	PhaseCacheMem  = "cache_mem"
@@ -24,80 +21,27 @@ const (
 	PhaseEncode    = "encode"
 )
 
-var idFallback atomic.Uint64
-
-// NewID mints a 16-hex-char request ID.
-func NewID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// Entropy exhaustion is effectively unreachable; degrade to a
-		// process-unique counter rather than failing a request over an ID.
-		n := idFallback.Add(1)
-		for i := range b {
-			b[i] = byte(n >> (8 * i))
-		}
-	}
-	return hex.EncodeToString(b[:])
-}
-
-// CleanID validates an inbound request ID (X-Request-ID is caller-supplied
-// and ends up in logs, metrics labels and trace files): at most 64
-// characters, each alphanumeric or one of "._-". Anything else returns "",
-// telling the caller to mint a fresh ID.
-func CleanID(s string) string {
-	if len(s) == 0 || len(s) > 64 {
-		return ""
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '.', c == '_', c == '-':
-		default:
-			return ""
-		}
-	}
-	return s
-}
-
-// Request is one tracked API request: its identity, timing, and per-phase
-// breakdown. A nil *Request is valid and every method no-ops, so
+// Request is one API request's per-phase time breakdown, plus whether it
+// waited on a compute. A nil *Request is valid and every method no-ops, so
 // instrumented layers (rescache, workload) record phases unconditionally and
 // pay nothing when no request is in flight.
 type Request struct {
-	ID       string
-	Endpoint string
-	Attempt  int // client's X-Request-Attempt (1 = first try)
-	Start    time.Time
-
-	mu      sync.Mutex
-	digest  string
-	cache   string
-	status  int
-	outcome string
-	done    bool
-	end     time.Time
-	phases  map[string]*phaseAgg
-	order   []string
+	mu     sync.Mutex
+	missed bool
+	phases map[string]float64 // seconds charged, by phase name
+	order  []string           // phase names in first-charge order
 }
 
-type phaseAgg struct {
-	count   uint64
-	seconds float64
-}
-
-// Phase is one aggregated phase of a request (a sweep request runs many
-// measurements, so counts above one are normal).
+// Phase is one phase of a request with the total time charged to it (a
+// sweep request charges one compute per simulated cell).
 type Phase struct {
 	Name    string
-	Count   uint64
 	Seconds float64
 }
 
-// NewRequest starts tracking a request.
-func NewRequest(id, endpoint string) *Request {
-	return &Request{ID: id, Endpoint: endpoint, Attempt: 1, Start: time.Now(),
-		phases: make(map[string]*phaseAgg)}
+// NewRequest starts recording a request.
+func NewRequest() *Request {
+	return &Request{phases: make(map[string]float64)}
 }
 
 // AddPhase charges d to the named phase.
@@ -106,14 +50,10 @@ func (q *Request) AddPhase(name string, d time.Duration) {
 		return
 	}
 	q.mu.Lock()
-	a := q.phases[name]
-	if a == nil {
-		a = &phaseAgg{}
-		q.phases[name] = a
+	if _, ok := q.phases[name]; !ok {
 		q.order = append(q.order, name)
 	}
-	a.count++
-	a.seconds += d.Seconds()
+	q.phases[name] += d.Seconds()
 	q.mu.Unlock()
 }
 
@@ -128,50 +68,26 @@ func (q *Request) StartPhase(name string) func() {
 	return func() { q.AddPhase(name, time.Since(begin)) }
 }
 
-// SetDigest records the result's content address.
-func (q *Request) SetDigest(d string) {
+// Miss records that a result the request needed was not in the cache, so
+// the request waited on a compute.
+func (q *Request) Miss() {
 	if q == nil {
 		return
 	}
 	q.mu.Lock()
-	q.digest = d
+	q.missed = true
 	q.mu.Unlock()
 }
 
-// SetCache records the cache outcome ("hit" or "miss").
-func (q *Request) SetCache(c string) {
+// Missed reports whether Miss was called: false means every result the
+// request needed came from the cache.
+func (q *Request) Missed() bool {
 	if q == nil {
-		return
-	}
-	q.mu.Lock()
-	q.cache = c
-	q.mu.Unlock()
-}
-
-// Finish marks the request complete with its HTTP status and outcome word.
-func (q *Request) Finish(status int, outcome string) {
-	if q == nil {
-		return
-	}
-	q.mu.Lock()
-	q.status = status
-	q.outcome = outcome
-	q.done = true
-	q.end = time.Now()
-	q.mu.Unlock()
-}
-
-// Duration is wall time so far (or total, once finished).
-func (q *Request) Duration() time.Duration {
-	if q == nil {
-		return 0
+		return false
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.done {
-		return q.end.Sub(q.Start)
-	}
-	return time.Since(q.Start)
+	return q.missed
 }
 
 // Phases returns the aggregated phase breakdown in first-charge order.
@@ -183,8 +99,7 @@ func (q *Request) Phases() []Phase {
 	defer q.mu.Unlock()
 	out := make([]Phase, 0, len(q.order))
 	for _, name := range q.order {
-		a := q.phases[name]
-		out = append(out, Phase{Name: name, Count: a.count, Seconds: a.seconds})
+		out = append(out, Phase{Name: name, Seconds: q.phases[name]})
 	}
 	return out
 }

@@ -1,7 +1,9 @@
 // Package cache implements set-associative, write-back, write-allocate caches
 // with true-LRU replacement and MESI line states. It models tags and states
 // only (contents live elsewhere); the machine layer composes caches into
-// hierarchies and drives the coherence protocol.
+// hierarchies and drives the coherence protocol. A cache counts nothing: the
+// machine layer counts each CPU's events in its perfctr.Counters, and the
+// coherence directory, which has the global view, classifies misses.
 package cache
 
 import "fmt"
@@ -67,26 +69,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Stats counts cache events. Miss *classification* (cold / capacity /
-// coherence) is done by the coherence layer, which has the global view.
-type Stats struct {
-	Reads, Writes         uint64
-	ReadMisses            uint64
-	WriteMisses           uint64 // includes write misses to absent lines only
-	Upgrades              uint64 // write hits on Shared lines (ownership needed)
-	Evictions             uint64
-	Writebacks            uint64 // dirty evictions
-	InvalidationsReceived uint64 // lines removed by remote coherence
-	DowngradesReceived    uint64 // M/E -> S by remote read
-	FlushEvictions        uint64 // lines lost to context-switch pollution
-}
-
-// Accesses returns total reads+writes.
-func (s *Stats) Accesses() uint64 { return s.Reads + s.Writes }
-
-// Misses returns read+write misses (upgrades are not misses: data is present).
-func (s *Stats) Misses() uint64 { return s.ReadMisses + s.WriteMisses }
-
 type way struct {
 	tag   uint64 // full line number (addr >> lineShift)
 	state State
@@ -108,7 +90,6 @@ type Cache struct {
 	ways      []way // sets*assoc, set-major
 	assoc     int
 	tick      uint64
-	Stats     Stats
 }
 
 // New builds a cache; it panics on invalid geometry (configs are code, not
@@ -145,11 +126,6 @@ func (c *Cache) set(line uint64) []way {
 // current state with hit=true. On a miss it returns (Invalid, false) and the
 // caller is expected to fetch the line and call Insert.
 func (c *Cache) Lookup(line uint64, write bool) (State, bool) {
-	if write {
-		c.Stats.Writes++
-	} else {
-		c.Stats.Reads++
-	}
 	set := c.set(line)
 	for i := range set {
 		// Tag first: distinct valid lines never share a tag, and a stale tag
@@ -160,11 +136,6 @@ func (c *Cache) Lookup(line uint64, write bool) (State, bool) {
 			set[i].used = c.tick
 			return set[i].state, true
 		}
-	}
-	if write {
-		c.Stats.WriteMisses++
-	} else {
-		c.Stats.ReadMisses++
 	}
 	return Invalid, false
 }
@@ -186,84 +157,75 @@ func (c *Cache) Insert(line uint64, st State) Victim {
 	}
 place:
 	v := Victim{Line: set[victim].tag, State: set[victim].state}
-	if v.State != Invalid {
-		c.Stats.Evictions++
-		if v.State.Dirty() {
-			c.Stats.Writebacks++
-		}
-	}
 	c.tick++
 	set[victim] = way{tag: line, state: st, used: c.tick}
 	return v
 }
 
-// SetState changes the state of a resident line; it panics if absent, which
-// would indicate a protocol bug.
-func (c *Cache) SetState(line uint64, st State) {
+// find returns line's resident way, or nil when the line is absent. It is
+// the one tag match behind every state change except Lookup and Insert.
+func (c *Cache) find(line uint64) *way {
 	set := c.set(line)
 	for i := range set {
 		if set[i].tag == line && set[i].state != Invalid {
-			set[i].state = st
-			return
+			return &set[i]
 		}
 	}
-	panic(fmt.Sprintf("cache %s: SetState(%#x) on absent line", c.cfg.Name, line))
+	return nil
+}
+
+// SetState changes the state of a resident line; it panics if absent, which
+// would indicate a protocol bug.
+func (c *Cache) SetState(line uint64, st State) {
+	w := c.find(line)
+	if w == nil {
+		panic(fmt.Sprintf("cache %s: SetState(%#x) on absent line", c.cfg.Name, line))
+	}
+	w.state = st
 }
 
 // MarkModified sets a resident line to Modified without LRU effects and
 // reports whether the line was present. It is the fused form of the
 // StateOf-then-SetState idiom on the write path (one set scan, not two).
 func (c *Cache) MarkModified(line uint64) bool {
-	set := c.set(line)
-	for i := range set {
-		if set[i].tag == line && set[i].state != Invalid {
-			set[i].state = Modified
-			return true
-		}
+	w := c.find(line)
+	if w == nil {
+		return false
 	}
-	return false
+	w.state = Modified
+	return true
 }
 
 // StateOf returns the state of line without LRU effects (Invalid if absent).
 func (c *Cache) StateOf(line uint64) State {
-	set := c.set(line)
-	for i := range set {
-		if set[i].tag == line && set[i].state != Invalid {
-			return set[i].state
-		}
+	if w := c.find(line); w != nil {
+		return w.state
 	}
 	return Invalid
 }
 
-// Invalidate removes line (coherence action) and returns its prior state.
-func (c *Cache) Invalidate(line uint64) State {
-	set := c.set(line)
-	for i := range set {
-		if set[i].tag == line && set[i].state != Invalid {
-			st := set[i].state
-			set[i].state = Invalid
-			c.Stats.InvalidationsReceived++
-			return st
-		}
+// Invalidate removes line (coherence action) and returns its prior state
+// (Invalid if absent). The named result keeps it within the inlining budget:
+// back-invalidation calls it once per L1 sub-block of every outer victim.
+func (c *Cache) Invalidate(line uint64) (st State) {
+	if w := c.find(line); w != nil {
+		st, w.state = w.state, Invalid
 	}
-	return Invalid
+	return st
 }
 
 // Downgrade moves line from M/E to S (remote read intervention) and returns
 // its prior state (Invalid if absent).
 func (c *Cache) Downgrade(line uint64) State {
-	set := c.set(line)
-	for i := range set {
-		if set[i].tag == line && set[i].state != Invalid {
-			st := set[i].state
-			if st == Modified || st == Exclusive {
-				set[i].state = Shared
-				c.Stats.DowngradesReceived++
-			}
-			return st
-		}
+	w := c.find(line)
+	if w == nil {
+		return Invalid
 	}
-	return Invalid
+	st := w.state
+	if st == Modified || st == Exclusive {
+		w.state = Shared
+	}
+	return st
 }
 
 // FlushFraction invalidates roughly frac of the valid lines (deterministically,
@@ -283,10 +245,6 @@ func (c *Cache) FlushFraction(frac float64) []Victim {
 		w := &c.ways[i]
 		if w.state != Invalid {
 			victims = append(victims, Victim{Line: w.tag, State: w.state})
-			if w.state.Dirty() {
-				c.Stats.Writebacks++
-			}
-			c.Stats.FlushEvictions++
 			w.state = Invalid
 		}
 	}

@@ -41,9 +41,6 @@ func TestMissThenHit(t *testing.T) {
 	if !hit || st != Exclusive {
 		t.Fatalf("expected E hit, got %v %v", st, hit)
 	}
-	if c.Stats.ReadMisses != 1 || c.Stats.Reads != 2 {
-		t.Fatalf("stats: %+v", c.Stats)
-	}
 }
 
 func TestLRUEviction(t *testing.T) {
@@ -65,11 +62,15 @@ func TestLRUEviction(t *testing.T) {
 
 func TestDirtyEvictionCountsWriteback(t *testing.T) {
 	c := small()
-	c.Insert(0, Modified)
-	c.Insert(16, Shared)
-	c.Insert(32, Shared) // evicts line 0 (LRU) which is dirty
-	if c.Stats.Writebacks != 1 || c.Stats.Evictions != 1 {
-		t.Fatalf("stats: %+v", c.Stats)
+	if v := c.Insert(0, Modified); v.State != Invalid {
+		t.Fatalf("insert into an empty set displaced %+v", v)
+	}
+	if v := c.Insert(16, Shared); v.State != Invalid {
+		t.Fatalf("insert into a half-full set displaced %+v", v)
+	}
+	v := c.Insert(32, Shared) // evicts line 0 (LRU) which is dirty
+	if v.Line != 0 || !v.State.Dirty() {
+		t.Fatalf("victim = %+v, want dirty line 0", v)
 	}
 }
 
@@ -91,8 +92,8 @@ func TestInvalidateAndDowngrade(t *testing.T) {
 	if c.Invalidate(5) != Invalid {
 		t.Fatal("double invalidate should be a no-op")
 	}
-	if c.Stats.InvalidationsReceived != 1 || c.Stats.DowngradesReceived != 1 {
-		t.Fatalf("stats: %+v", c.Stats)
+	if c.Downgrade(5) != Invalid {
+		t.Fatal("downgrade of an absent line should be a no-op")
 	}
 }
 
@@ -102,8 +103,8 @@ func TestDowngradeSharedIsNoop(t *testing.T) {
 	if st := c.Downgrade(7); st != Shared {
 		t.Fatalf("got %v", st)
 	}
-	if c.Stats.DowngradesReceived != 0 {
-		t.Fatal("S->S must not count as downgrade")
+	if c.StateOf(7) != Shared {
+		t.Fatal("S->S downgrade must leave the line Shared")
 	}
 }
 
@@ -182,24 +183,92 @@ func TestInsertResidencyProperty(t *testing.T) {
 	}
 }
 
-// Property: hits + misses == accesses for any access pattern.
-func TestStatsBalanceProperty(t *testing.T) {
+// Property: a map-based true-LRU model of small()'s 16 sets of 2 ways
+// predicts every hit or miss, returned state, Insert victim and StateOf over
+// random sequences of Lookup (with Insert after a miss), Invalidate,
+// Downgrade and MarkModified. The six lines 0, 8, ..., 40 fall three to a
+// set in sets 0 and 8, so most fills evict.
+func TestLRUMatchesReferenceModel(t *testing.T) {
+	const sets, assoc, lines, stride = 16, 2, 6, 8
+	type refWay struct {
+		state State
+		used  int // tick of the last Lookup hit or Insert
+	}
 	f := func(ops []uint16) bool {
 		c := small()
-		hits := uint64(0)
+		ref := map[uint64]refWay{}
+		tick := 0
 		for _, op := range ops {
-			line := uint64(op % 97)
-			write := op&1 == 1
-			if _, hit := c.Lookup(line, write); hit {
-				hits++
-			} else {
-				c.Insert(line, Exclusive)
+			line := uint64(op>>3) % lines * stride
+			want, resident := ref[line]
+			switch op & 7 {
+			case 0, 1, 2: // Lookup; a miss is filled with S, E or M
+				st, hit := c.Lookup(line, op&7 == 1)
+				if hit != resident || st != want.state {
+					t.Logf("Lookup(%d) = %v %v, model %v %v", line, st, hit, want.state, resident)
+					return false
+				}
+				tick++
+				if hit {
+					ref[line] = refWay{want.state, tick}
+					break
+				}
+				fill := State(op>>9%3) + Shared
+				var wantV Victim
+				full := 0
+				for l, w := range ref {
+					if l%sets != line%sets {
+						continue
+					}
+					full++
+					if wantV.State == Invalid || w.used < ref[wantV.Line].used {
+						wantV = Victim{Line: l, State: w.state}
+					}
+				}
+				if full < assoc {
+					wantV = Victim{}
+				}
+				if v := c.Insert(line, fill); v.State != wantV.State || (v.State != Invalid && v.Line != wantV.Line) {
+					t.Logf("Insert(%d) victim %+v, model %+v", line, v, wantV)
+					return false
+				}
+				if wantV.State != Invalid {
+					delete(ref, wantV.Line)
+				}
+				ref[line] = refWay{fill, tick}
+			case 3:
+				if st := c.Invalidate(line); st != want.state {
+					t.Logf("Invalidate(%d) = %v, model %v", line, st, want.state)
+					return false
+				}
+				delete(ref, line)
+			case 4:
+				if st := c.Downgrade(line); st != want.state {
+					t.Logf("Downgrade(%d) = %v, model %v", line, st, want.state)
+					return false
+				}
+				if want.state == Modified || want.state == Exclusive {
+					ref[line] = refWay{Shared, want.used}
+				}
+			case 5:
+				if ok := c.MarkModified(line); ok != resident {
+					t.Logf("MarkModified(%d) = %v, model %v", line, ok, resident)
+					return false
+				}
+				if resident {
+					ref[line] = refWay{Modified, want.used}
+				}
+			}
+			for l := uint64(0); l < lines*stride; l += stride {
+				if got := c.StateOf(l); got != ref[l].state {
+					t.Logf("StateOf(%d) = %v, model %v", l, got, ref[l].state)
+					return false
+				}
 			}
 		}
-		return c.Stats.Accesses() == uint64(len(ops)) &&
-			c.Stats.Accesses()-c.Stats.Misses() == hits
+		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -209,14 +278,15 @@ func TestStatsBalanceProperty(t *testing.T) {
 func TestSequentialScanMissesOncePerLine(t *testing.T) {
 	c := New(Config{Name: "t", Size: 2048, LineSize: 32, Assoc: 2})
 	const span = 16 * 1024
+	misses := 0
 	for addr := uint64(0); addr < span; addr += 8 {
 		line := c.LineOf(addr)
 		if _, hit := c.Lookup(line, false); !hit {
+			misses++
 			c.Insert(line, Exclusive)
 		}
 	}
-	wantMisses := uint64(span / 32)
-	if c.Stats.ReadMisses != wantMisses {
-		t.Fatalf("misses = %d, want %d", c.Stats.ReadMisses, wantMisses)
+	if wantMisses := span / 32; misses != wantMisses {
+		t.Fatalf("misses = %d, want %d", misses, wantMisses)
 	}
 }

@@ -111,8 +111,10 @@ type entry struct {
 	inval     uint64 // caches whose copy was killed by coherence (comm. misses)
 }
 
-// Stats aggregates protocol events. Per-requester latency lives in the
-// directory's PerCache slice.
+// Stats aggregates protocol events across all requesters. Per-requester
+// events (requests, latency, miss classes, dirty 3-hop misses) are counted by
+// the machine layer in each CPU's perfctr.Counters from the Results returned
+// here.
 type Stats struct {
 	Reads, Writes, Upgrades uint64
 	CleanMisses             uint64 // served by home memory (2-hop)
@@ -122,19 +124,9 @@ type Stats struct {
 	SpeculativeHits         uint64 // interventions short-circuited by speculation
 	MigratoryTransfers      uint64 // dirty lines migrated with ownership
 	InvalidationsSent       uint64
-	ColdMisses              uint64
-	CapacityMisses          uint64
-	CoherenceMisses         uint64
 	Writebacks              uint64
 	TotalLatency            uint64
 	QueueWait               uint64 // portion of TotalLatency spent queueing
-}
-
-// PerCache carries per-requester latency accounting, the basis of the
-// PA-8200-style "open request" memory-latency counter in Fig. 9.
-type PerCache struct {
-	Requests     uint64
-	TotalLatency uint64
 }
 
 // Hooks observe individual protocol transactions as they happen (the obs
@@ -162,12 +154,11 @@ type Directory struct {
 	caches    []CoherentCache        // per-CPU hierarchy views
 	lineShift uint
 
-	dense   []entry          // lines of the shared region, index = line number
-	sparse  map[uint64]int32 // private-region lines: handle into slab
-	slab    entrySlab
-	Stats   Stats
-	ByCache []PerCache
-	Hooks   Hooks
+	dense  []entry          // lines of the shared region, index = line number
+	sparse map[uint64]int32 // private-region lines: handle into slab
+	slab   entrySlab
+	Stats  Stats
+	Hooks  Hooks
 }
 
 // entrySlab is a chunked arena of directory entries for the sparse (private)
@@ -242,7 +233,6 @@ func NewDirectory(cfg Config) *Directory {
 		lineShift: ls,
 		dense:     make([]entry, cfg.SharedLimit>>ls+1),
 		sparse:    make(map[uint64]int32),
-		ByCache:   make([]PerCache, len(cfg.Caches)),
 	}
 }
 
@@ -277,23 +267,6 @@ func (d *Directory) classify(e *entry, c CacheID) Class {
 	}
 }
 
-func (d *Directory) chargeClass(cl Class) {
-	switch cl {
-	case Cold:
-		d.Stats.ColdMisses++
-	case Capacity:
-		d.Stats.CapacityMisses++
-	case Coherence:
-		d.Stats.CoherenceMisses++
-	}
-}
-
-func (d *Directory) finish(c CacheID, lat uint64) {
-	d.Stats.TotalLatency += lat
-	d.ByCache[c].Requests++
-	d.ByCache[c].TotalLatency += lat
-}
-
 // Read handles a read miss by cache c on the given protocol line at simulated
 // time now. It updates directory and remote cache states and returns the
 // latency and the state to install.
@@ -302,7 +275,6 @@ func (d *Directory) Read(c CacheID, line uint64, now uint64) Result {
 	e := d.entryFor(line)
 	bit := uint64(1) << uint(c)
 	cl := d.classify(e, c)
-	d.chargeClass(cl)
 	e.ever |= bit
 	e.inval &^= bit
 
@@ -419,7 +391,7 @@ func (d *Directory) Read(c CacheID, line uint64, now uint64) Result {
 	}
 
 	res.Latency = lat
-	d.finish(c, lat)
+	d.Stats.TotalLatency += lat
 	if d.Hooks.Request != nil {
 		d.Hooks.Request(c, false, false, line, now, res)
 	}
@@ -432,7 +404,6 @@ func (d *Directory) Write(c CacheID, line uint64, now uint64) Result {
 	e := d.entryFor(line)
 	bit := uint64(1) << uint(c)
 	cl := d.classify(e, c)
-	d.chargeClass(cl)
 	e.ever |= bit
 	e.inval &^= bit
 
@@ -489,7 +460,7 @@ func (d *Directory) Write(c CacheID, line uint64, now uint64) Result {
 	e.sharers = 0
 
 	res.Latency = lat
-	d.finish(c, lat)
+	d.Stats.TotalLatency += lat
 	if d.Hooks.Request != nil {
 		d.Hooks.Request(c, true, false, line, now, res)
 	}
@@ -525,7 +496,7 @@ func (d *Directory) Upgrade(c CacheID, line uint64, now uint64) Result {
 	e.sharers = 0
 
 	res := Result{Latency: lat, Grant: cache.Modified, Class: Capacity}
-	d.finish(c, lat)
+	d.Stats.TotalLatency += lat
 	if d.Hooks.Request != nil {
 		d.Hooks.Request(c, true, true, line, now, res)
 	}
@@ -569,23 +540,5 @@ func (d *Directory) Evict(c CacheID, line uint64, dirty bool, now uint64) {
 		d.Stats.Writebacks++
 		home := d.homeOf(line)
 		d.mem[home].Serve(now)
-	}
-}
-
-// SeedResident marks line as present in cache c with the given state without
-// charging latency — used to set up pre-loaded state (e.g. a warmed buffer
-// pool image built before the measured region starts).
-func (d *Directory) SeedResident(c CacheID, line uint64, st cache.State) {
-	e := d.entryFor(line)
-	bit := uint64(1) << uint(c)
-	e.ever |= bit
-	switch st {
-	case cache.Shared:
-		e.state = dirShared
-		e.sharers |= bit
-	case cache.Exclusive, cache.Modified:
-		e.state = dirOwned
-		e.owner = int16(c)
-		e.ownerMod = st == cache.Modified
 	}
 }

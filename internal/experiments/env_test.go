@@ -264,7 +264,7 @@ func TestColdWarmByteIdentical(t *testing.T) {
 		runs = append(runs, st)
 		return st, err
 	}
-	m1, hit, err := cold.MeasureCached(spec.Name, tpch.Q6, 1, workload.Options{Spec: spec})
+	m1, _, hit, err := cold.MeasureCached(spec.Name, tpch.Q6, 1, workload.Options{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestColdWarmByteIdentical(t *testing.T) {
 		t.Error("warm path ran a simulation")
 		return nil, errors.New("unreachable")
 	}
-	m2, hit, err := warm.MeasureCached(spec.Name, tpch.Q6, 1, workload.Options{Spec: spec})
+	m2, _, hit, err := warm.MeasureCached(spec.Name, tpch.Q6, 1, workload.Options{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}

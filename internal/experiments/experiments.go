@@ -155,7 +155,7 @@ func (e *Env) Measure(spec machine.Spec, q tpch.QueryID, procs int) (core.Measur
 // "vclass-nomigratory"). The cache key is the canonical digest of the full
 // configuration, so the tag carries no identity.
 func (e *Env) MeasureOpts(tag string, q tpch.QueryID, procs int, opts workload.Options) (core.Measurement, error) {
-	m, _, err := e.MeasureCached(tag, q, procs, opts)
+	m, _, _, err := e.MeasureCached(tag, q, procs, opts)
 	return m, err
 }
 
@@ -199,9 +199,10 @@ func (e *Env) runUncached(q tpch.QueryID, procs int, opts workload.Options) (*wo
 	return e.simulate(e.ctx(), e.CanonicalOptions(q, procs, opts))
 }
 
-// MeasureCached is MeasureOpts exposing whether the measurement was answered
-// from the cache (memory or disk) without running a simulation.
-func (e *Env) MeasureCached(tag string, q tpch.QueryID, procs int, opts workload.Options) (core.Measurement, bool, error) {
+// MeasureCached is MeasureOpts also returning the measurement's content
+// digest and whether it was answered from the cache (memory or disk) without
+// running a simulation.
+func (e *Env) MeasureCached(tag string, q tpch.QueryID, procs int, opts workload.Options) (core.Measurement, rescache.Digest, bool, error) {
 	opts = e.CanonicalOptions(q, procs, opts)
 	dig := rescache.DigestOptions(e.Preset.SF, e.Preset.Seed, opts)
 
@@ -213,15 +214,15 @@ func (e *Env) MeasureCached(tag string, q tpch.QueryID, procs int, opts workload
 		return json.Marshal(core.FromStats(st))
 	})
 	if err != nil {
-		return core.Measurement{}, false, fmt.Errorf("%s/%v/p%d: %w", tag, q, procs, err)
+		return core.Measurement{}, dig, false, fmt.Errorf("%s/%v/p%d: %w", tag, q, procs, err)
 	}
 	// Both cold and warm paths decode the stored JSON, so a given digest
 	// yields byte-identical re-encodings regardless of cache state.
 	var m core.Measurement
 	if err := json.Unmarshal(raw, &m); err != nil {
-		return core.Measurement{}, false, fmt.Errorf("%s/%v/p%d: corrupt cached measurement %s: %w", tag, q, procs, dig.Short(), err)
+		return core.Measurement{}, dig, false, fmt.Errorf("%s/%v/p%d: corrupt cached measurement %s: %w", tag, q, procs, dig.Short(), err)
 	}
-	return m, hit, nil
+	return m, dig, hit, nil
 }
 
 // Cell is one measurement of a batch: Query at Procs processes on the machine

@@ -71,10 +71,10 @@ type Server struct {
 	last   uint64
 	avgGap float64 // EWMA of inter-arrival gap in cycles
 
-	// Stats
-	Requests  uint64
-	Waits     uint64 // requests that saw a nonzero queueing delay
-	TotalWait uint64 // total queueing cycles
+	// Requests counts arrivals; the first only seeds the gap average. Serve
+	// keeps no total of its delays: the directory's QueueWait sums those its
+	// requests see.
+	Requests uint64
 }
 
 // serverAlpha is the EWMA smoothing factor for inter-arrival gaps.
@@ -108,10 +108,5 @@ func (s *Server) Serve(now uint64) uint64 {
 	if rho > maxRho {
 		rho = maxRho
 	}
-	wait := uint64(float64(s.Occupancy)*rho/(2*(1-rho)) + 0.5)
-	if wait > 0 {
-		s.Waits++
-		s.TotalWait += wait
-	}
-	return wait
+	return uint64(float64(s.Occupancy)*rho/(2*(1-rho)) + 0.5)
 }

@@ -187,7 +187,7 @@ func (m *Machine) accessLine(c int, l1line uint64, write bool, now uint64) uint6
 	}
 	ct.L1DMisses++
 	if m.l2 == nil {
-		return m.outerMiss(c, l1line, write, now)
+		return m.outerFetch(c, l1line, write, now)
 	}
 	return m.l2Access(c, l1line, write, now)
 }
@@ -255,12 +255,6 @@ func (m *Machine) markOuterDirty(c int, l1line uint64) {
 	m.l2[c].MarkModified(l1line >> m.outerShift)
 }
 
-// outerMiss handles a miss in the outermost (coherent) cache for single-level
-// machines: consult the directory, install, and account stalls.
-func (m *Machine) outerMiss(c int, line uint64, write bool, now uint64) uint64 {
-	return m.outerFetch(c, line, write, now)
-}
-
 // outerFetch performs the directory transaction for an outer-level miss and
 // installs the granted line into the outer cache.
 func (m *Machine) outerFetch(c int, line uint64, write bool, now uint64) uint64 {
@@ -285,15 +279,7 @@ func (m *Machine) outerFetch(c int, line uint64, write bool, now uint64) uint64 
 		ct.Dirty3HopMisses++
 	}
 
-	outer := m.outerCache(c)
-	v := outer.Insert(line, r.Grant)
-	if v.State != cache.Invalid {
-		m.dir.Evict(coherence.CacheID(c), v.Line, v.State.Dirty(), now)
-		if m.l2 != nil {
-			// Inclusion: back-invalidate the L1 sub-blocks of the victim.
-			m.backInvalidateL1(c, v.Line)
-		}
-	}
+	m.evictOuter(c, m.outerCache(c).Insert(line, r.Grant), now)
 
 	factor := m.spec.ReadStallFactor
 	if write {
@@ -315,8 +301,8 @@ func (m *Machine) upgrade(c int, l1line uint64, now uint64) uint64 {
 	stall := m.spec.L2HitCycles
 	if m.l2[c].StateOf(outer) == cache.Shared {
 		stall += m.upgradeOuter(c, outer, now)
-	} else if m.l2[c].StateOf(outer) != cache.Invalid {
-		m.l2[c].SetState(outer, cache.Modified)
+	} else {
+		m.l2[c].MarkModified(outer)
 	}
 	m.l1[c].SetState(l1line, cache.Modified)
 	return stall
@@ -333,13 +319,7 @@ func (m *Machine) upgradeOuter(c int, outerLine uint64, now uint64) uint64 {
 	if outer.StateOf(outerLine) != cache.Invalid {
 		outer.SetState(outerLine, r.Grant)
 	} else {
-		v := outer.Insert(outerLine, r.Grant)
-		if v.State != cache.Invalid {
-			m.dir.Evict(coherence.CacheID(c), v.Line, v.State.Dirty(), now)
-			if m.l2 != nil {
-				m.backInvalidateL1(c, v.Line)
-			}
-		}
+		m.evictOuter(c, outer.Insert(outerLine, r.Grant), now)
 	}
 	stall := uint64(float64(r.Latency)*m.spec.WriteStallFactor + 0.5)
 	ct.StallCycles += stall
@@ -385,10 +365,18 @@ func (m *Machine) outerCache(c int) *cache.Cache {
 	return m.l1[c]
 }
 
-// backInvalidateL1 removes the L1 sub-blocks covered by an evicted outer line
-// (inclusion property).
-func (m *Machine) backInvalidateL1(c int, outerLine uint64) {
-	base := outerLine * m.l1PerOuter
+// evictOuter returns a line displaced from CPU c's outer cache to the
+// directory (a dirty one writes back) and, for inclusion, removes the L1
+// sub-blocks it covers. An Invalid victim displaced nothing.
+func (m *Machine) evictOuter(c int, v cache.Victim, now uint64) {
+	if v.State == cache.Invalid {
+		return
+	}
+	m.dir.Evict(coherence.CacheID(c), v.Line, v.State.Dirty(), now)
+	if m.l2 == nil {
+		return
+	}
+	base := v.Line * m.l1PerOuter
 	for i := uint64(0); i < m.l1PerOuter; i++ {
 		m.l1[c].Invalidate(base + i)
 	}
@@ -401,18 +389,12 @@ func (m *Machine) FlushFraction(c int, frac float64, now uint64) {
 	if m.l2 != nil {
 		for _, v := range m.l1[c].FlushFraction(frac) {
 			if v.State.Dirty() {
-				outer := v.Line >> m.outerShift
-				if m.l2[c].StateOf(outer) != cache.Invalid {
-					m.l2[c].SetState(outer, cache.Modified)
-				}
+				m.l2[c].MarkModified(v.Line >> m.outerShift)
 			}
 		}
 	}
 	for _, v := range m.outerCache(c).FlushFraction(frac) {
-		m.dir.Evict(coherence.CacheID(c), v.Line, v.State.Dirty(), now)
-		if m.l2 != nil {
-			m.backInvalidateL1(c, v.Line)
-		}
+		m.evictOuter(c, v, now)
 	}
 }
 

@@ -74,10 +74,13 @@ func (s *Spec) CPUNode(cpu int) int {
 	return cpu % s.MemNodes
 }
 
-// Validate checks the geometry.
+// Validate checks the geometry and clock.
 func (s *Spec) Validate() error {
 	if s.CPUs <= 0 || s.CPUs > 64 {
 		return fmt.Errorf("machine %s: CPUs must be 1..64, got %d", s.Name, s.CPUs)
+	}
+	if s.ClockMHz <= 0 {
+		return fmt.Errorf("machine %s: ClockMHz must be positive, got %d", s.Name, s.ClockMHz)
 	}
 	if err := s.L1.Validate(); err != nil {
 		return err
@@ -92,6 +95,9 @@ func (s *Spec) Validate() error {
 	}
 	if s.MemNodes <= 0 {
 		return fmt.Errorf("machine %s: need at least one memory node", s.Name)
+	}
+	if s.Net == NetHypercube && s.MemNodes&(s.MemNodes-1) != 0 {
+		return fmt.Errorf("machine %s: a hypercube needs a power-of-two MemNodes, got %d", s.Name, s.MemNodes)
 	}
 	return nil
 }

@@ -362,6 +362,9 @@ func (s *Stats) TxPerMCycle() float64 {
 // the money-conservation invariant (sum of warehouse YTDs equals the total
 // applied payment volume).
 func Run(spec machine.Spec, cfg Config, n int, osTimeScale int) (*Stats, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, fmt.Errorf("oltp: %w", err)
+	}
 	if n <= 0 || n > spec.CPUs {
 		return nil, fmt.Errorf("oltp: bad process count %d", n)
 	}

@@ -50,10 +50,13 @@ const requestSchema = 1
 // and workload.Options.SimFault (wall-clock fault injection; simulated
 // clocks and results are untouched).
 type Request struct {
-	Schema          int          `json:"schema"`
-	DataSF          float64      `json:"data_sf"`
-	DataSeed        uint64       `json:"data_seed"`
-	Spec            machine.Spec `json:"spec"`
+	Schema   int          `json:"schema"`
+	DataSF   float64      `json:"data_sf"`
+	DataSeed uint64       `json:"data_seed"`
+	Spec     machine.Spec `json:"spec"`
+	// OS and Quantum are always zero, as every request has always carried
+	// them: no workload option sets either any more, and keeping them in the
+	// encoding keeps every digest, and so every stored entry, valid.
 	OS              simos.Config `json:"os"`
 	Quantum         uint64       `json:"quantum"`
 	Query           string       `json:"query"`
@@ -81,8 +84,6 @@ func CanonicalRequest(sf float64, seed uint64, opts workload.Options) Request {
 		DataSF:          sf,
 		DataSeed:        seed,
 		Spec:            opts.Spec,
-		OS:              opts.OS,
-		Quantum:         uint64(opts.Quantum),
 		Query:           CanonicalString(opts.Query.String()),
 		Processes:       opts.Processes,
 		Validate:        opts.Validate,

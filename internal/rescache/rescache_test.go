@@ -59,7 +59,6 @@ func TestDigestStableAndSensitive(t *testing.T) {
 	variant("cold", func(o *workload.Options) { o.ColdRun = true }, 0.002, 7)
 	variant("mix", func(o *workload.Options) { o.Mix = []tpch.QueryID{tpch.Q6, tpch.Q21} }, 0.002, 7)
 	variant("machine", func(o *workload.Options) { o.Spec = machine.OriginSpec(32, 256) }, 0.002, 7)
-	variant("quantum", func(o *workload.Options) { o.Quantum = 5000 }, 0.002, 7)
 }
 
 // TestDigestIgnoresNonIdentity: Data and Obs do not change results, so they

@@ -305,14 +305,18 @@ func (s *Server) logRequest(r *http.Request, endpoint string, status int, h http
 // and persistent store; the gated runner funnels every simulation through
 // the worker pool.
 func (s *Server) env(ctx context.Context) *experiments.Env {
-	e := experiments.NewEnvWith(s.cfg.Preset, s.data)
-	e.Results = s.store
-	e.Ctx = ctx
-	e.Runner = s.gatedRun
-	if s.cfg.EnvParallelism > 0 {
-		e.Parallelism = s.cfg.EnvParallelism
+	par := s.cfg.EnvParallelism
+	if par <= 0 {
+		par = runtime.GOMAXPROCS(0)
 	}
-	return e
+	return &experiments.Env{
+		Preset:      s.cfg.Preset,
+		Data:        s.data,
+		Results:     s.store,
+		Ctx:         ctx,
+		Runner:      s.gatedRun,
+		Parallelism: par,
+	}
 }
 
 // sampleQuanta resolves a request's effective sampling period: the
@@ -534,13 +538,11 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		SampleQuanta: sq,
 	}
 
-	env := s.env(ctx)
-	m, hit, err := env.MeasureCached(spec.Name, q, procs, opts)
+	m, dig, hit, err := s.env(ctx).MeasureCached(spec.Name, q, procs, opts)
 	if err != nil {
 		s.failRun(w, err)
 		return
 	}
-	dig := rescache.DigestOptions(s.cfg.Preset.SF, s.cfg.Preset.Seed, env.CanonicalOptions(q, procs, opts))
 	s.respond(w, r, hit, dig, struct {
 		Digest      string           `json:"digest"`
 		Cache       string           `json:"cache"`

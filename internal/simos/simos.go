@@ -13,6 +13,8 @@
 package simos
 
 import (
+	"fmt"
+
 	"dssmem/internal/machine"
 	"dssmem/internal/memsys"
 	"dssmem/internal/obs"
@@ -97,7 +99,14 @@ func (o *OS) Observe(ob *obs.Observer) { o.obs = ob }
 // Spawn registers a process pinned to the given CPU. Bodies run when Run is
 // called. By convention the workload pins process i to CPU i, matching the
 // paper's "different query processes are assigned to different processors".
+// Spawn panics on a second process for a CPU: a CPU's counters are its
+// process's counters.
 func (o *OS) Spawn(cpu int, body func(*Process)) *Process {
+	for _, q := range o.procs {
+		if q.CPU == cpu {
+			panic(fmt.Sprintf("simos: a second process on CPU %d", cpu))
+		}
+	}
 	p := &Process{
 		os:        o,
 		CPU:       cpu,
@@ -143,10 +152,7 @@ type Process struct {
 	sp        *sim.Proc
 	CPU       int
 	sliceLeft uint64
-	thread    uint64 // on-CPU cycles
 	rng       uint64
-
-	vol, invol uint64
 
 	// Classifier, when set, maps addresses to data regions and Regions
 	// accumulates per-region access/miss tallies (the paper's
@@ -155,25 +161,25 @@ type Process struct {
 	Regions    perfctr.RegionCounters
 }
 
-// Counters returns the hardware counter file of the process's CPU. With one
-// process per CPU (the paper's setup) this is also the process's counter set.
+// Counters returns the hardware counter file of the process's CPU, which is
+// also the process's counter set: Spawn allows one process per CPU.
 func (p *Process) Counters() *perfctr.Counters { return p.os.mach.Counters(p.CPU) }
 
 // Now returns the process's wall clock in cycles.
 func (p *Process) Now() uint64 { return uint64(p.sp.Now()) }
 
 // ThreadCycles returns the on-CPU (thread) time in cycles.
-func (p *Process) ThreadCycles() uint64 { return p.thread }
+func (p *Process) ThreadCycles() uint64 { return p.Counters().Cycles }
 
-// VoluntarySwitches and InvoluntarySwitches report the OS-level switch counts.
-func (p *Process) VoluntarySwitches() uint64 { return p.vol }
+// VoluntarySwitches reports select() back-offs and I/O waits.
+func (p *Process) VoluntarySwitches() uint64 { return p.Counters().VolCtxSwitches }
 
 // InvoluntarySwitches reports time-slice expiries.
-func (p *Process) InvoluntarySwitches() uint64 { return p.invol }
+func (p *Process) InvoluntarySwitches() uint64 { return p.Counters().InvolCtxSwitches }
 
-// onCPU charges cycles of on-CPU execution, handling time-slice expiry.
+// onCPU advances the clock by cycles of on-CPU execution (already counted in
+// the CPU's Cycles), handling time-slice expiry.
 func (p *Process) onCPU(cycles uint64) {
-	p.thread += cycles
 	p.sp.Advance(sim.Clock(cycles))
 	if cycles >= p.sliceLeft {
 		p.involuntarySwitch()
@@ -185,7 +191,6 @@ func (p *Process) onCPU(cycles uint64) {
 // involuntarySwitch models a quantum expiry: the kernel runs, pollutes the
 // cache, and (with one runnable process per CPU) reschedules this process.
 func (p *Process) involuntarySwitch() {
-	p.invol++
 	p.Counters().InvolCtxSwitches++
 	p.os.obs.CtxSwitch(p.CPU, p.Now(), false)
 	p.chargeSwitch()
@@ -200,7 +205,6 @@ func (p *Process) involuntarySwitch() {
 // voluntary ones take over).
 func (p *Process) chargeSwitch() {
 	cost := p.os.cfg.SwitchCost
-	p.thread += cost
 	p.Counters().Cycles += cost
 	p.sp.Advance(sim.Clock(cost))
 	p.os.mach.FlushFraction(p.CPU, p.os.cfg.FlushFraction, p.Now())
@@ -265,7 +269,6 @@ func (p *Process) Spin() {
 // deterministic jitter. Wall time advances; thread time does not (beyond the
 // switch cost itself).
 func (p *Process) Backoff() {
-	p.vol++
 	ct := p.Counters()
 	ct.VolCtxSwitches++
 	ct.LockBackoffs++
@@ -291,7 +294,6 @@ func (p *Process) BlockUntil(t uint64) {
 // is initiated by the process itself when it does I/O") and sleeps for the
 // device latency. Thread time gains only the switch cost.
 func (p *Process) IOWait(cycles uint64) {
-	p.vol++
 	p.Counters().VolCtxSwitches++
 	p.os.obs.CtxSwitch(p.CPU, p.Now(), true)
 	p.chargeSwitch()

@@ -145,6 +145,19 @@ func TestLoadStoreCountersFlow(t *testing.T) {
 	}
 }
 
+// A process's counters are its CPU's counter file, so a CPU runs one process.
+func TestSpawnPanicsOnSecondProcessPerCPU(t *testing.T) {
+	o := testOS(2)
+	o.Spawn(0, func(*Process) {})
+	o.Spawn(1, func(*Process) {})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second process on CPU 0 was accepted")
+		}
+	}()
+	o.Spawn(0, func(*Process) {})
+}
+
 func TestBlockUntil(t *testing.T) {
 	o := testOS(1)
 	p := o.Spawn(0, func(p *Process) {

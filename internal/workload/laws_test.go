@@ -1,0 +1,91 @@
+package workload
+
+import (
+	"fmt"
+	"testing"
+
+	"dssmem/internal/machine"
+	"dssmem/internal/perfctr"
+	"dssmem/internal/tpch"
+)
+
+// TestConservationLaws pins the two ledgers of the memory model against each
+// other on real runs: each CPU's perfctr.Counters, which the figures report,
+// and the directory's global Stats, which count the same transactions from
+// the protocol side. The per-region tallies must also add up to the CPU
+// totals. The runs are exact and warm, so no estimate or I/O enters any law.
+func TestConservationLaws(t *testing.T) {
+	data := tpch.Generate(0.001, 7)
+	specs := []machine.Spec{
+		machine.VClassSpec(16, 256),
+		machine.OriginSpec(32, 256),
+		machine.StarfireSpec(64, 256),
+	}
+	// Σ over the matrix of each law's left-hand side: a law that never saw a
+	// nonzero count has not been tested.
+	var exercised perfctr.Counters
+	for _, spec := range specs {
+		for _, q := range []tpch.QueryID{tpch.Q6, tpch.Q21, tpch.Q12} {
+			for _, procs := range []int{1, 4} {
+				name := fmt.Sprintf("%s/%v/p%d", spec.Name, q, procs)
+				st, err := Run(Options{Spec: spec, Data: data, Query: q, Processes: procs, OSTimeScale: 256})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				var ct perfctr.Counters
+				for i := range st.Procs {
+					ct.Add(&st.Procs[i].Counters)
+				}
+				exercised.Add(&ct)
+				checkLaws(t, name, spec, st, &ct)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		n    uint64
+	}{
+		{"coherence misses", exercised.CoherenceMisses},
+		{"upgrades", exercised.Upgrades},
+		{"dirty 3-hop misses", exercised.Dirty3HopMisses},
+		{"lock back-offs", exercised.LockBackoffs},
+		{"L2 misses", exercised.L2DMisses},
+	} {
+		if c.n == 0 {
+			t.Errorf("no run counted any %s", c.name)
+		}
+	}
+}
+
+// checkLaws asserts every conservation law on one run; ct is the sum of its
+// CPUs' counter files.
+func checkLaws(t *testing.T, run string, spec machine.Spec, st *Stats, ct *perfctr.Counters) {
+	t.Helper()
+	d := st.Dir
+	law := func(name string, lhs, rhs uint64) {
+		if lhs != rhs {
+			t.Errorf("%s: %s: %d != %d", run, name, lhs, rhs)
+		}
+	}
+	outerMisses := ct.L1DMisses
+	if spec.L2 != nil {
+		outerMisses = ct.L2DMisses
+	}
+	sum := func(a [perfctr.NumRegions]uint64) (n uint64) {
+		for _, v := range a {
+			n += v
+		}
+		return n
+	}
+	law("cold+capacity+coherence = directory reads+writes",
+		ct.ColdMisses+ct.CapacityMisses+ct.CoherenceMisses, d.Reads+d.Writes)
+	law("directory reads+writes = outer-level misses", d.Reads+d.Writes, outerMisses)
+	law("memory requests = directory reads+writes+upgrades", ct.MemRequests, d.Reads+d.Writes+d.Upgrades)
+	law("memory latency = directory total latency", ct.MemLatencyCycles, d.TotalLatency)
+	law("upgrades = directory upgrades (none fell back to a write miss)", ct.Upgrades, d.Upgrades)
+	law("dirty 3-hop misses = dirty interventions", ct.Dirty3HopMisses, d.DirtyInterventions)
+	law("lock back-offs = voluntary switches (warm runs do no I/O)", ct.LockBackoffs, ct.VolCtxSwitches)
+	law("region accesses = loads+stores", sum(st.Regions.Accesses), ct.Loads+ct.Stores)
+	law("region L1 misses = L1 misses", sum(st.Regions.L1Misses), ct.L1DMisses)
+	law("region L2 misses = L2 misses", sum(st.Regions.L2Misses), ct.L2DMisses)
+}

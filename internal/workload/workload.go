@@ -22,11 +22,9 @@ import (
 
 // Options describes one run.
 type Options struct {
-	Spec    machine.Spec
-	OS      simos.Config // zero value: simos.DefaultConfig(Spec.ClockMHz)
-	Quantum sim.Clock    // 0: sim.DefaultQuantum
-	Data    *tpch.Data
-	Query   tpch.QueryID
+	Spec  machine.Spec
+	Data  *tpch.Data
+	Query tpch.QueryID
 	// Mix, when non-empty, runs a heterogeneous workload: process i runs
 	// Mix[i%len(Mix)] and Query is ignored. This models the reading of the
 	// paper's §4 title ("Multiple (Diff) Query Execution") in which the
@@ -41,8 +39,7 @@ type Options struct {
 	// BufHeaderBytes overrides the buffer-descriptor stride (0 = default).
 	BufHeaderBytes int
 	// OSTimeScale divides the select() back-off to match a scaled-down
-	// machine (pass the memory-scale factor; 0 = 1). Ignored when OS is set
-	// explicitly.
+	// machine (pass the memory-scale factor; 0 = 1).
 	OSTimeScale int
 	// HintBitFraction forwards to the engine (0 = default, negative = off).
 	HintBitFraction float64
@@ -141,6 +138,9 @@ func RunUnchecked(opts Options) (*Stats, error) {
 }
 
 func run(ctx context.Context, opts Options) (*Stats, error) {
+	if err := opts.Spec.Validate(); err != nil {
+		return nil, fmt.Errorf("workload: %w", err)
+	}
 	if opts.Processes <= 0 {
 		return nil, fmt.Errorf("workload: need at least one process")
 	}
@@ -165,12 +165,9 @@ func run(ctx context.Context, opts Options) (*Stats, error) {
 	spec.SharedLimit = db.SharedBytes // dense directory covers all shared data
 	m := machine.New(spec)
 
-	osCfg := opts.OS
-	if osCfg == (simos.Config{}) {
-		osCfg = simos.DefaultConfigScaled(spec.ClockMHz, opts.OSTimeScale)
-	}
+	osCfg := simos.DefaultConfigScaled(spec.ClockMHz, opts.OSTimeScale)
 	osCfg.Seed += uint64(opts.Trial)
-	osys := simos.New(m, osCfg, opts.Quantum)
+	osys := simos.New(m, osCfg, sim.DefaultQuantum)
 
 	if opts.Obs != nil {
 		opts.Obs.Bind(spec.CPUs, spec.ClockMHz)
@@ -182,11 +179,7 @@ func run(ctx context.Context, opts Options) (*Stats, error) {
 	}
 	var sampler *obs.SamplingController
 	if opts.SampleQuanta > 1 {
-		quantum := opts.Quantum
-		if quantum == 0 {
-			quantum = sim.DefaultQuantum
-		}
-		sampler = obs.NewSamplingController(spec.CPUs, uint64(quantum), opts.SampleQuanta)
+		sampler = obs.NewSamplingController(spec.CPUs, uint64(sim.DefaultQuantum), opts.SampleQuanta)
 		osys.SetSampling(sampler)
 	}
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dssmem/internal/machine"
+	"dssmem/internal/oltp"
 	"dssmem/internal/tpch"
 )
 
@@ -41,6 +42,36 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 	}
 	if _, err := Run(Options{Spec: machine.VClassSpec(4, 256), Query: tpch.Q6, Processes: 1}); err == nil {
 		t.Fatal("nil data accepted")
+	}
+}
+
+// A degenerate custom machine is an error naming the bad field, from both
+// run entry points, never a panic or an infinite wall time.
+func TestDegenerateSpecsAreErrors(t *testing.T) {
+	cases := []struct {
+		name, field string
+		mutate      func(*machine.Spec)
+		vclass      bool
+	}{
+		{"zero ways", "Assoc", func(s *machine.Spec) { s.L1.Assoc = 0 }, false},
+		{"65 cpus", "CPUs", func(s *machine.Spec) { s.CPUs = 65 }, false},
+		{"3-node hypercube", "MemNodes", func(s *machine.Spec) { s.MemNodes = 3 }, false},
+		{"zero clock", "ClockMHz", func(s *machine.Spec) { s.ClockMHz = 0 }, true},
+	}
+	for _, c := range cases {
+		spec := machine.OriginSpec(32, 256)
+		if c.vclass {
+			spec = machine.VClassSpec(16, 256)
+		}
+		c.mutate(&spec)
+		_, err := Run(opts(spec, tpch.Q6, 1))
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: workload.Run err = %v, want one naming %s", c.name, err, c.field)
+		}
+		_, err = oltp.Run(spec, oltp.DefaultConfig(), 1, 256)
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: oltp.Run err = %v, want one naming %s", c.name, err, c.field)
+		}
 	}
 }
 

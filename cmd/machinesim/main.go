@@ -21,6 +21,11 @@ func main() {
 	memScale := flag.Int("memscale", 1, "cache capacity divisor")
 	iters := flag.Int("iters", 200_000, "loads per latency point")
 	flag.Parse()
+	if *iters < 1 {
+		// microbench.Latency averages over iters loads: 0 would print NaN.
+		fmt.Fprintf(os.Stderr, "machinesim: bad -iters %d (must be at least 1)\n", *iters)
+		os.Exit(1)
+	}
 
 	var specs []machine.Spec
 	for _, name := range []string{"vclass", "origin"} {

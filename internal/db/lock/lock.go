@@ -88,7 +88,6 @@ type SpinLock struct {
 	// Stats.
 	Acquires  uint64
 	Contended uint64 // acquisitions that found the lock busy at least once
-	Backoffs  uint64 // acquisitions that gave up spinning at least once
 }
 
 // NewSpinLock creates a spinlock whose word lives at addr.
@@ -128,7 +127,6 @@ func (l *SpinLock) Acquire(p Proc, pid int) {
 		spins++
 		if spins > l.spinLimit() {
 			spins = 0
-			l.Backoffs++
 			p.Backoff()
 		} else {
 			p.Spin()

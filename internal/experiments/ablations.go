@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 
-	"dssmem/internal/core"
 	"dssmem/internal/machine"
 	"dssmem/internal/tpch"
 	"dssmem/internal/workload"
@@ -14,33 +13,6 @@ import (
 // Ablations isolate the design choices DESIGN.md §6 calls out. Each compares
 // the default machine against a variant with one mechanism changed and
 // reports the metric that mechanism is supposed to move.
-
-// variant is one configuration an ablation compares: workload overrides opts
-// (Spec included), tagged tag in error messages.
-type variant struct {
-	tag  string
-	opts workload.Options
-}
-
-// acrossQueries measures every query at procs under each variant as one
-// MeasureAll batch; m[i][j] is tpch.AllQueries[i] under variants[j].
-func (e *Env) acrossQueries(procs int, variants ...variant) ([][]core.Measurement, error) {
-	var cells []Cell
-	for _, q := range tpch.AllQueries {
-		for _, v := range variants {
-			cells = append(cells, Cell{Tag: v.tag, Query: q, Procs: procs, Opts: v.opts})
-		}
-	}
-	ms, err := e.MeasureAll(cells)
-	if err != nil {
-		return nil, err
-	}
-	m := make([][]core.Measurement, len(tpch.AllQueries))
-	for i := range m {
-		m[i] = ms[i*len(variants) : (i+1)*len(variants)]
-	}
-	return m, nil
-}
 
 // AblationMigratory turns the V-Class migratory enhancement off. The paper
 // credits it with cheap lock hand-offs (one intervention instead of an
@@ -54,12 +26,12 @@ func AblationMigratory(e *Env) (*Result, error) {
 		Title:   "V-Class migratory enhancement on/off (8 processes)",
 		Headers: []string{"query", "variant", "thread cyc", "mem latency", "dirty-3hop/M", "vol/M"},
 	}
-	m, err := e.acrossQueries(8, variant{on.Name, workload.Options{Spec: on}}, variant{"vclass-nomigratory", workload.Options{Spec: off}})
+	g, err := e.measureGrid([]variant{plain(on), {"vclass-nomigratory", workload.Options{Spec: off}}}, tpch.AllQueries, []int{8})
 	if err != nil {
 		return nil, err
 	}
-	for i, q := range tpch.AllQueries {
-		a, b := m[i][0], m[i][1]
+	for _, q := range tpch.AllQueries {
+		a, b := g.of(0, q)[0], g.of(1, q)[0]
 		r.Rows = append(r.Rows,
 			[]string{q.String(), "migratory", fm(a.ThreadCycles), f1(a.MemLatencyCycles), f1(a.Dirty3HopPerM), f1(a.VolPerM)},
 			[]string{q.String(), "plain MESI", fm(b.ThreadCycles), f1(b.MemLatencyCycles), f1(b.Dirty3HopPerM), f1(b.VolPerM)},
@@ -79,12 +51,12 @@ func AblationSpeculation(e *Env) (*Result, error) {
 		Title:   "Origin speculative reply on/off (8 processes)",
 		Headers: []string{"query", "variant", "thread cyc", "mem latency"},
 	}
-	m, err := e.acrossQueries(8, variant{on.Name, workload.Options{Spec: on}}, variant{"origin-nospec", workload.Options{Spec: off}})
+	g, err := e.measureGrid([]variant{plain(on), {"origin-nospec", workload.Options{Spec: off}}}, tpch.AllQueries, []int{8})
 	if err != nil {
 		return nil, err
 	}
-	for i, q := range tpch.AllQueries {
-		a, b := m[i][0], m[i][1]
+	for _, q := range tpch.AllQueries {
+		a, b := g.of(0, q)[0], g.of(1, q)[0]
 		r.Rows = append(r.Rows,
 			[]string{q.String(), "speculative", fm(a.ThreadCycles), f1(a.MemLatencyCycles)},
 			[]string{q.String(), "no speculation", fm(b.ThreadCycles), f1(b.MemLatencyCycles)},
@@ -108,12 +80,12 @@ func AblationL2Line(e *Env) (*Result, error) {
 		Title:   "Origin L2 line size 128B vs 32B (1 process)",
 		Headers: []string{"query", "variant", "L2 misses", "L2/M instr", "thread cyc"},
 	}
-	m, err := e.acrossQueries(1, variant{long.Name, workload.Options{Spec: long}}, variant{"origin-l2line32", workload.Options{Spec: short}})
+	g, err := e.measureGrid([]variant{plain(long), {"origin-l2line32", workload.Options{Spec: short}}}, tpch.AllQueries, []int{1})
 	if err != nil {
 		return nil, err
 	}
-	for i, q := range tpch.AllQueries {
-		a, b := m[i][0], m[i][1]
+	for _, q := range tpch.AllQueries {
+		a, b := g.of(0, q)[0], g.of(1, q)[0]
 		r.Rows = append(r.Rows,
 			[]string{q.String(), "128B lines", fk(a.L2Misses), f0(a.L2MissesPerM), fm(a.ThreadCycles)},
 			[]string{q.String(), "32B lines", fk(b.L2Misses), f0(b.L2MissesPerM), fm(b.ThreadCycles)},
@@ -132,14 +104,11 @@ func AblationBackoff(e *Env) (*Result, error) {
 		Headers: []string{"variant", "thread cyc", "wall s", "vol/M", "spins/M"},
 	}
 	spec := e.VClass()
-	m, err := e.MeasureAll([]Cell{
-		{Tag: spec.Name, Query: tpch.Q21, Procs: 8, Opts: workload.Options{Spec: spec}},
-		{Tag: "vclass-spinonly", Query: tpch.Q21, Procs: 8, Opts: workload.Options{Spec: spec, SpinLimit: 1 << 30}},
-	})
+	g, err := e.measureGrid([]variant{plain(spec), {"vclass-spinonly", workload.Options{Spec: spec, SpinLimit: 1 << 30}}}, []tpch.QueryID{tpch.Q21}, []int{8})
 	if err != nil {
 		return nil, err
 	}
-	a, b := m[0], m[1]
+	a, b := g.of(0, tpch.Q21)[0], g.of(1, tpch.Q21)[0]
 	r.Rows = append(r.Rows,
 		[]string{"select() backoff", fm(a.ThreadCycles), fmt.Sprintf("%.4f", a.WallSeconds), f1(a.VolPerM), f1(a.SpinsPerM)},
 		[]string{"pure spinning", fm(b.ThreadCycles), fmt.Sprintf("%.4f", b.WallSeconds), f1(b.VolPerM), f1(b.SpinsPerM)},
@@ -157,12 +126,12 @@ func AblationHeaders(e *Env) (*Result, error) {
 		Title:   "Buffer descriptor padding: 32B packed vs 128B line-private (Origin, 8 processes)",
 		Headers: []string{"query", "variant", "L2/M instr", "coherence share", "thread cyc"},
 	}
-	m, err := e.acrossQueries(8, variant{spec.Name, workload.Options{Spec: spec}}, variant{"origin-paddedhdrs", workload.Options{Spec: spec, BufHeaderBytes: 128}})
+	g, err := e.measureGrid([]variant{plain(spec), {"origin-paddedhdrs", workload.Options{Spec: spec, BufHeaderBytes: 128}}}, tpch.AllQueries, []int{8})
 	if err != nil {
 		return nil, err
 	}
-	for i, q := range tpch.AllQueries {
-		a, b := m[i][0], m[i][1]
+	for _, q := range tpch.AllQueries {
+		a, b := g.of(0, q)[0], g.of(1, q)[0]
 		r.Rows = append(r.Rows,
 			[]string{q.String(), "packed 32B", f0(a.L2MissesPerM), pct(a.CoherenceFraction), fm(a.ThreadCycles)},
 			[]string{q.String(), "padded 128B", f0(b.L2MissesPerM), pct(b.CoherenceFraction), fm(b.ThreadCycles)},
@@ -180,12 +149,12 @@ func AblationHints(e *Env) (*Result, error) {
 		Title:   "Hint-bit stores on/off (Origin, 8 processes)",
 		Headers: []string{"query", "variant", "dirty-3hop/M", "coherence share", "mem latency"},
 	}
-	m, err := e.acrossQueries(8, variant{spec.Name, workload.Options{Spec: spec}}, variant{"origin-nohints", workload.Options{Spec: spec, HintBitFraction: -1}})
+	g, err := e.measureGrid([]variant{plain(spec), {"origin-nohints", workload.Options{Spec: spec, HintBitFraction: -1}}}, tpch.AllQueries, []int{8})
 	if err != nil {
 		return nil, err
 	}
-	for i, q := range tpch.AllQueries {
-		a, b := m[i][0], m[i][1]
+	for _, q := range tpch.AllQueries {
+		a, b := g.of(0, q)[0], g.of(1, q)[0]
 		r.Rows = append(r.Rows,
 			[]string{q.String(), "hint bits", f1(a.Dirty3HopPerM), pct(a.CoherenceFraction), f1(a.MemLatencyCycles)},
 			[]string{q.String(), "no hint bits", f1(b.Dirty3HopPerM), pct(b.CoherenceFraction), f1(b.MemLatencyCycles)},
@@ -205,16 +174,16 @@ func AblationPlacement(e *Env) (*Result, error) {
 		Title:   "Origin shared-memory placement: concentrated vs interleaved (Q6, sweep)",
 		Headers: append([]string{"variant"}, procHeaders()...),
 	}
-	ss, err := e.sweeps(sweep{tag: conc.Name, spec: conc, q: tpch.Q6}, sweep{tag: "origin-interleaved", spec: inter, q: tpch.Q6})
+	g, err := e.measureGrid([]variant{plain(conc), {"origin-interleaved", workload.Options{Spec: inter}}}, []tpch.QueryID{tpch.Q6}, ProcCounts)
 	if err != nil {
 		return nil, err
 	}
-	a, b := ss[0], ss[1]
+	a, b := g.of(0, tpch.Q6), g.of(1, tpch.Q6)
 	rowA := []string{"concentrated"}
 	rowB := []string{"interleaved"}
-	for i := range a.Points {
-		rowA = append(rowA, f1(a.Points[i].MemLatencyCycles))
-		rowB = append(rowB, f1(b.Points[i].MemLatencyCycles))
+	for i := range a {
+		rowA = append(rowA, f1(a[i].MemLatencyCycles))
+		rowB = append(rowB, f1(b[i].MemLatencyCycles))
 	}
 	r.Rows = append(r.Rows, rowA, rowB)
 	r.Notes = append(r.Notes, "memory latency in cycles; the paper blames the 6-8 process steepening on requests routed to the couple of nodes holding the DBMS shared memory")
@@ -223,13 +192,19 @@ func AblationPlacement(e *Env) (*Result, error) {
 
 // Ablations maps names to runners.
 var Ablations = map[string]func(*Env) (*Result, error){
-	"migratory":   AblationMigratory,
-	"speculation": AblationSpeculation,
-	"l2line":      AblationL2Line,
 	"backoff":     AblationBackoff,
+	"coldrun":     ColdRun,
+	"estate":      EState,
 	"headers":     AblationHeaders,
 	"hints":       AblationHints,
+	"l2line":      AblationL2Line,
+	"migratory":   AblationMigratory,
+	"mix":         Mix,
+	"oltp":        OLTP,
 	"placement":   AblationPlacement,
+	"platforms":   Platforms,
+	"speculation": AblationSpeculation,
+	"taxonomy":    Taxonomy,
 }
 
 // AblationNames returns the sorted ablation names.
@@ -248,14 +223,5 @@ func RunAblation(e *Env, name string, w io.Writer) (*Result, error) {
 	if fn == nil {
 		return nil, fmt.Errorf("experiments: no ablation %q (have %v)", name, AblationNames())
 	}
-	r, err := fn(e)
-	if err != nil {
-		return nil, err
-	}
-	if w != nil {
-		if _, err := r.WriteTo(w); err != nil {
-			return nil, err
-		}
-	}
-	return r, nil
+	return run(e, fn, w)
 }

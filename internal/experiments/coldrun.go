@@ -18,12 +18,12 @@ func ColdRun(e *Env) (*Result, error) {
 		Headers: []string{"query", "variant", "wall s", "thread cyc", "vol switches", "disk reads"},
 	}
 	spec := e.VClass()
-	m, err := e.acrossQueries(1, variant{spec.Name, workload.Options{Spec: spec}})
+	g, err := e.measureGrid([]variant{plain(spec)}, tpch.AllQueries, []int{1})
 	if err != nil {
 		return nil, err
 	}
-	for i, q := range tpch.AllQueries {
-		warm := m[i][0]
+	for _, q := range tpch.AllQueries {
+		warm := g.of(0, q)[0]
 		// The cold run goes through the same option canonicalization and
 		// runner as every cached measurement — one definition of the warmup
 		// prelude (workload's engineConfig) serves warm and cold runs, so the
@@ -47,8 +47,4 @@ func ColdRun(e *Env) (*Result, error) {
 	r.Notes = append(r.Notes,
 		"cold runs are dominated by I/O waits (every page's first touch blocks), inflating wall time and voluntary switches while thread time barely moves — the behaviour the paper's 4-trial averaging washes out")
 	return r, nil
-}
-
-func init() {
-	Ablations["coldrun"] = ColdRun
 }

@@ -281,57 +281,66 @@ func (e *Env) MeasureAll(cells []Cell) ([]core.Measurement, error) {
 	return out, nil
 }
 
-// sweep names one process sweep of a batch: query q over ProcCounts on spec,
-// with workload overrides opts.
-type sweep struct {
+// variant is one machine configuration an experiment measures: workload
+// overrides opts (Spec included), tagged tag in error messages.
+type variant struct {
 	tag  string
-	spec machine.Spec
-	q    tpch.QueryID
 	opts workload.Options
 }
 
-// sweeps measures every sweep's cells as one MeasureAll batch and returns the
-// series in argument order, each in ascending process count and owning its
-// own Points.
-func (e *Env) sweeps(ss ...sweep) ([]core.Series, error) {
+// plain is the unmodified machine spec, tagged with its name.
+func plain(spec machine.Spec) variant {
+	return variant{spec.Name, workload.Options{Spec: spec}}
+}
+
+// grid holds an experiment's measurements: every variant × query × process
+// count, measured as one MeasureAll batch.
+type grid struct {
+	vs    []variant
+	qs    []tpch.QueryID
+	procs []int
+	ms    []core.Measurement // variant-major, then query, then procs
+}
+
+// measureGrid measures every cell of vs × qs × procs as one MeasureAll batch.
+func (e *Env) measureGrid(vs []variant, qs []tpch.QueryID, procs []int) (*grid, error) {
 	var cells []Cell
-	for _, s := range ss {
-		o := s.opts
-		o.Spec = s.spec
-		for _, n := range ProcCounts {
-			cells = append(cells, Cell{Tag: s.tag, Query: s.q, Procs: n, Opts: o})
+	for _, v := range vs {
+		for _, q := range qs {
+			for _, n := range procs {
+				cells = append(cells, Cell{Tag: v.tag, Query: q, Procs: n, Opts: v.opts})
+			}
 		}
 	}
 	ms, err := e.MeasureAll(cells)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]core.Series, len(ss))
-	for i, s := range ss {
-		pts := ms[i*len(ProcCounts) : (i+1)*len(ProcCounts)]
-		out[i] = core.Series{Machine: s.spec.Name, Query: s.q.String(), Points: slices.Clone(pts)}
-	}
-	return out, nil
+	return &grid{vs, qs, procs, ms}, nil
 }
 
-// querySweeps sweeps every query on spec as one batch, in tpch.AllQueries
-// order (the shared substrate of Figs. 5–10).
-func (e *Env) querySweeps(spec machine.Spec) ([]core.Series, error) {
-	ss := make([]sweep, len(tpch.AllQueries))
-	for i, q := range tpch.AllQueries {
-		ss[i] = sweep{tag: spec.Name, spec: spec, q: q}
-	}
-	return e.sweeps(ss...)
+// of returns query q's measurements under variant vs[v], one per process
+// count in procs order.
+func (g *grid) of(v int, q tpch.QueryID) []core.Measurement {
+	i := (v*len(g.qs) + slices.Index(g.qs, q)) * len(g.procs)
+	return g.ms[i : i+len(g.procs)]
+}
+
+// series returns of(v, q) as a series on the variant's machine that owns its
+// Points.
+func (g *grid) series(v int, q tpch.QueryID) core.Series {
+	return core.Series{Machine: g.vs[v].opts.Spec.Name, Query: q.String(), Points: slices.Clone(g.of(v, q))}
 }
 
 // Sweep measures a query over ProcCounts on one machine variant as one
 // MeasureAll batch and returns the series in ascending process count.
 func (e *Env) Sweep(tag string, spec machine.Spec, q tpch.QueryID, opts workload.Options) (core.Series, error) {
-	ss, err := e.sweeps(sweep{tag, spec, q, opts})
+	opts.Spec = spec
+	g, err := e.measureGrid([]variant{{tag, opts}}, []tpch.QueryID{q}, ProcCounts)
 	if err != nil {
 		return core.Series{}, err
 	}
-	return ss[0], nil
+	return g.series(0, q), nil
 }
 
 func (e *Env) parallelism() int {

@@ -10,7 +10,6 @@ import (
 	"dssmem/internal/machine"
 	"dssmem/internal/tpch"
 	"dssmem/internal/viz"
-	"dssmem/internal/workload"
 )
 
 // Result is one regenerated figure (or ablation): a titled table plus the
@@ -22,6 +21,8 @@ type Result struct {
 	Rows    [][]string
 	Series  []core.Series
 	Notes   []string
+
+	chart func(core.Measurement) float64 // the metric WriteChart plots; set where Series are built
 }
 
 // WriteChart renders the result's series (if any) as terminal sparklines.
@@ -35,27 +36,11 @@ func (r *Result) WriteChart(w io.Writer) error {
 		labels[i] = s.Query
 		vals := make([]float64, len(s.Points))
 		for j, p := range s.Points {
-			vals[j] = chartMetricFor(r.ID)(p)
+			vals[j] = r.chart(p)
 		}
 		series[i] = vals
 	}
 	return viz.Lines(w, "  ["+r.ID+" series]", labels, series)
-}
-
-// chartMetricFor picks the figure's plotted metric.
-func chartMetricFor(id string) func(core.Measurement) float64 {
-	switch id {
-	case "fig6":
-		return core.MetricL2PerM
-	case "fig8":
-		return core.MetricL1PerM
-	case "fig9", "estate", "ablation-placement":
-		return core.MetricMemLatency
-	case "fig10":
-		return core.MetricVolPerM
-	default:
-		return core.MetricCyclesPerM
-	}
 }
 
 // WriteTo renders the result as an aligned text table.
@@ -101,38 +86,22 @@ func fm(v float64) string  { return fmt.Sprintf("%.3gM", v/1e6) }
 func fk(v float64) string  { return fmt.Sprintf("%.3gK", v/1e3) }
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }
 
-// bothEnds measures all queries on both machines at 1 and 8 processes as one
-// batch (the shared substrate of Figs. 2–4).
-func (e *Env) bothEnds() (map[string]map[tpch.QueryID][2]core.Measurement, error) {
-	specs := map[string]machine.Spec{"HPV": e.VClass(), "SGI": e.Origin()}
-	machines := []string{"HPV", "SGI"}
-	var cells []Cell
-	for _, q := range tpch.AllQueries {
-		for _, which := range machines {
-			spec := specs[which]
-			for _, procs := range []int{1, 8} {
-				cells = append(cells, Cell{Tag: spec.Name, Query: q, Procs: procs, Opts: workload.Options{Spec: spec}})
-			}
-		}
-	}
-	ms, err := e.MeasureAll(cells)
-	if err != nil {
-		return nil, err
-	}
-	out := map[string]map[tpch.QueryID][2]core.Measurement{"HPV": {}, "SGI": {}}
-	for _, q := range tpch.AllQueries {
-		for _, which := range machines {
-			out[which][q] = [2]core.Measurement{ms[0], ms[1]}
-			ms = ms[2:]
-		}
-	}
-	return out, nil
+// Variants of the bothEnds grid.
+const (
+	hpv = iota
+	sgi
+)
+
+// bothEnds measures all queries on the V-Class (hpv) and the Origin (sgi) at
+// 1 and 8 processes as one batch (the shared substrate of Figs. 2–4).
+func (e *Env) bothEnds() (*grid, error) {
+	return e.measureGrid([]variant{plain(e.VClass()), plain(e.Origin())}, tpch.AllQueries, []int{1, 8})
 }
 
 // Fig2 regenerates Figure 2: thread time in cycles for Q6, Q21, Q12 on both
 // machines, at 1 process (a) and 8 processes (b).
 func Fig2(e *Env) (*Result, error) {
-	data, err := e.bothEnds()
+	g, err := e.bothEnds()
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +111,7 @@ func Fig2(e *Env) (*Result, error) {
 		Headers: []string{"query", "HPV 1p", "SGI 1p", "HPV 8p", "SGI 8p", "SGI/HPV 1p", "SGI/HPV 8p"},
 	}
 	for _, q := range tpch.AllQueries {
-		h, s := data["HPV"][q], data["SGI"][q]
+		h, s := g.of(hpv, q), g.of(sgi, q)
 		r.Rows = append(r.Rows, []string{
 			q.String(),
 			fm(h[0].ThreadCycles), fm(s[0].ThreadCycles),
@@ -151,7 +120,7 @@ func Fig2(e *Env) (*Result, error) {
 			f3(s[1].ThreadCycles / h[1].ThreadCycles),
 		})
 	}
-	h6, s6 := data["HPV"][tpch.Q6], data["SGI"][tpch.Q6]
+	h6, s6 := g.of(hpv, tpch.Q6), g.of(sgi, tpch.Q6)
 	r.Notes = append(r.Notes,
 		fmt.Sprintf("paper: 1-process cycle counts nearly equal; measured Q6 SGI/HPV = %.2f", s6[0].ThreadCycles/h6[0].ThreadCycles),
 		fmt.Sprintf("paper: at 8 processes SGI grows more; measured Q6 growth SGI %.3fx vs HPV %.3fx",
@@ -162,7 +131,7 @@ func Fig2(e *Env) (*Result, error) {
 
 // Fig3 regenerates Figure 3: CPI at 1 and 8 processes.
 func Fig3(e *Env) (*Result, error) {
-	data, err := e.bothEnds()
+	g, err := e.bothEnds()
 	if err != nil {
 		return nil, err
 	}
@@ -172,12 +141,12 @@ func Fig3(e *Env) (*Result, error) {
 		Headers: []string{"query", "HPV 1p", "SGI 1p", "HPV 8p", "SGI 8p"},
 	}
 	for _, q := range tpch.AllQueries {
-		h, s := data["HPV"][q], data["SGI"][q]
+		h, s := g.of(hpv, q), g.of(sgi, q)
 		r.Rows = append(r.Rows, []string{
 			q.String(), f3(h[0].CPI), f3(s[0].CPI), f3(h[1].CPI), f3(s[1].CPI),
 		})
 	}
-	h6, s6 := data["HPV"][tpch.Q6], data["SGI"][tpch.Q6]
+	h6, s6 := g.of(hpv, tpch.Q6), g.of(sgi, tpch.Q6)
 	r.Notes = append(r.Notes,
 		"paper: CPI in 1.3..1.6; CPI rises with processes, more on the Origin",
 		fmt.Sprintf("measured Q6 CPI growth: HPV +%.1f%%, SGI +%.1f%%",
@@ -188,7 +157,7 @@ func Fig3(e *Env) (*Result, error) {
 // Fig4 regenerates Figure 4: data-cache misses and miss rates — the HPV
 // D-cache vs the Origin's L1 and L2 — at 1 and 8 processes.
 func Fig4(e *Env) (*Result, error) {
-	data, err := e.bothEnds()
+	g, err := e.bothEnds()
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +168,7 @@ func Fig4(e *Env) (*Result, error) {
 	}
 	for _, q := range tpch.AllQueries {
 		for i, procs := range []int{1, 8} {
-			h, s := data["HPV"][q][i], data["SGI"][q][i]
+			h, s := g.of(hpv, q)[i], g.of(sgi, q)[i]
 			r.Rows = append(r.Rows, []string{
 				q.String(), fmt.Sprint(procs),
 				fk(h.L1Misses), fk(s.L1Misses), fk(s.L2Misses),
@@ -207,8 +176,8 @@ func Fig4(e *Env) (*Result, error) {
 			})
 		}
 	}
-	h21, s21 := data["HPV"][tpch.Q21][0], data["SGI"][tpch.Q21][0]
-	h6, s6 := data["HPV"][tpch.Q6][0], data["SGI"][tpch.Q6][0]
+	h21, s21 := g.of(hpv, tpch.Q21)[0], g.of(sgi, tpch.Q21)[0]
+	h6, s6 := g.of(hpv, tpch.Q6)[0], g.of(sgi, tpch.Q6)[0]
 	r.Notes = append(r.Notes,
 		fmt.Sprintf("paper: Q6 SGI-L1 ≈ 2x HPV misses; measured %.1fx", s6.L1Misses/h6.L1Misses),
 		fmt.Sprintf("paper: Q21 SGI-L1/HPV ratio far larger than Q6's; measured Q21 %.1fx vs Q6 %.1fx",
@@ -218,13 +187,16 @@ func Fig4(e *Env) (*Result, error) {
 	return r, nil
 }
 
-// sweepFigure builds a per-query process sweep on one machine.
-func (e *Env) sweepFigure(id, title string, machineSpec int, metric func(core.Measurement) float64, format func(float64) string) (*Result, error) {
-	ms := e.VClass()
-	if machineSpec == 1 {
-		ms = e.Origin()
-	}
-	series, err := e.querySweeps(ms)
+// querySweeps sweeps every query over ProcCounts on spec as one batch (the
+// shared substrate of Figs. 5–10).
+func (e *Env) querySweeps(spec machine.Spec) (*grid, error) {
+	return e.measureGrid([]variant{plain(spec)}, tpch.AllQueries, ProcCounts)
+}
+
+// sweepFigure builds a per-query process sweep on one machine, tabulating
+// and plotting metric.
+func (e *Env) sweepFigure(id, title string, spec machine.Spec, metric func(core.Measurement) float64, format func(float64) string) (*Result, error) {
+	g, err := e.querySweeps(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -232,14 +204,16 @@ func (e *Env) sweepFigure(id, title string, machineSpec int, metric func(core.Me
 		ID:      id,
 		Title:   title,
 		Headers: append([]string{"query"}, procHeaders()...),
-		Series:  series,
+		chart:   metric,
 	}
-	for _, s := range series {
+	for _, q := range tpch.AllQueries {
+		s := g.series(0, q)
 		row := []string{s.Query}
 		for _, p := range s.Points {
 			row = append(row, format(metric(p)))
 		}
 		r.Rows = append(r.Rows, row)
+		r.Series = append(r.Series, s)
 	}
 	return r, nil
 }
@@ -255,7 +229,7 @@ func procHeaders() []string {
 // Fig5 regenerates Figure 5: Origin thread time (cycles per 1M instructions)
 // vs number of query processes.
 func Fig5(e *Env) (*Result, error) {
-	r, err := e.sweepFigure("fig5", "SGI Origin 2000 thread time (cycles/1M instr)", 1, core.MetricCyclesPerM, fm)
+	r, err := e.sweepFigure("fig5", "SGI Origin 2000 thread time (cycles/1M instr)", e.Origin(), core.MetricCyclesPerM, fm)
 	if err != nil {
 		return nil, err
 	}
@@ -268,7 +242,7 @@ func Fig5(e *Env) (*Result, error) {
 
 // Fig6 regenerates Figure 6: Origin L2 data-cache misses per 1M instructions.
 func Fig6(e *Env) (*Result, error) {
-	r, err := e.sweepFigure("fig6", "SGI Origin 2000 L2 data cache misses per 1M instr", 1, core.MetricL2PerM, f0)
+	r, err := e.sweepFigure("fig6", "SGI Origin 2000 L2 data cache misses per 1M instr", e.Origin(), core.MetricL2PerM, f0)
 	if err != nil {
 		return nil, err
 	}
@@ -293,7 +267,7 @@ func Fig6(e *Env) (*Result, error) {
 
 // Fig7 regenerates Figure 7: V-Class thread time per 1M instructions.
 func Fig7(e *Env) (*Result, error) {
-	r, err := e.sweepFigure("fig7", "HP V-Class thread time (cycles/1M instr)", 0, core.MetricCyclesPerM, fm)
+	r, err := e.sweepFigure("fig7", "HP V-Class thread time (cycles/1M instr)", e.VClass(), core.MetricCyclesPerM, fm)
 	if err != nil {
 		return nil, err
 	}
@@ -308,7 +282,7 @@ func Fig7(e *Env) (*Result, error) {
 
 // Fig8 regenerates Figure 8: V-Class D-cache misses per 1M instructions.
 func Fig8(e *Env) (*Result, error) {
-	r, err := e.sweepFigure("fig8", "HP V-Class Dcache misses per 1M instr", 0, core.MetricL1PerM, f0)
+	r, err := e.sweepFigure("fig8", "HP V-Class Dcache misses per 1M instr", e.VClass(), core.MetricL1PerM, f0)
 	if err != nil {
 		return nil, err
 	}
@@ -322,7 +296,7 @@ func Fig8(e *Env) (*Result, error) {
 
 // Fig9 regenerates Figure 9: V-Class memory latency vs process count.
 func Fig9(e *Env) (*Result, error) {
-	r, err := e.sweepFigure("fig9", "HP V-Class memory latency (cycles; microseconds in series)", 0, core.MetricMemLatency, f1)
+	r, err := e.sweepFigure("fig9", "HP V-Class memory latency (cycles; microseconds in series)", e.VClass(), core.MetricMemLatency, f1)
 	if err != nil {
 		return nil, err
 	}
@@ -339,7 +313,7 @@ func Fig9(e *Env) (*Result, error) {
 // Fig10 regenerates Figure 10: voluntary and involuntary context switches per
 // 1M instructions on the V-Class.
 func Fig10(e *Env) (*Result, error) {
-	series, err := e.querySweeps(e.VClass())
+	g, err := e.querySweeps(e.VClass())
 	if err != nil {
 		return nil, err
 	}
@@ -347,9 +321,11 @@ func Fig10(e *Env) (*Result, error) {
 		ID:      "fig10",
 		Title:   "HP V-Class context switches per 1M instr (voluntary/involuntary)",
 		Headers: append([]string{"query", "kind"}, procHeaders()...),
-		Series:  series,
+		chart:   core.MetricVolPerM,
 	}
-	for _, s := range series {
+	for _, q := range tpch.AllQueries {
+		s := g.series(0, q)
+		r.Series = append(r.Series, s)
 		vol := []string{s.Query, "voluntary"}
 		inv := []string{s.Query, "involuntary"}
 		for _, p := range s.Points {
@@ -387,6 +363,12 @@ func RunFigure(e *Env, id int, w io.Writer) (*Result, error) {
 	if fn == nil {
 		return nil, fmt.Errorf("experiments: no figure %d (have 2..10)", id)
 	}
+	return run(e, fn, w)
+}
+
+// run executes one figure or ablation and, when w is non-nil, writes its
+// table to w.
+func run(e *Env, fn func(*Env) (*Result, error), w io.Writer) (*Result, error) {
 	r, err := fn(e)
 	if err != nil {
 		return nil, err

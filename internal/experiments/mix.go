@@ -21,13 +21,7 @@ func Mix(e *Env) (*Result, error) {
 	}
 	mix := []tpch.QueryID{tpch.Q6, tpch.Q21, tpch.Q12}
 	specs := []machine.Spec{e.VClass(), e.Origin()}
-	var cells []Cell
-	for _, spec := range specs {
-		for _, q := range mix {
-			cells = append(cells, Cell{Tag: spec.Name, Query: q, Procs: 1, Opts: workload.Options{Spec: spec}})
-		}
-	}
-	alone, err := e.MeasureAll(cells)
+	alone, err := e.measureGrid([]variant{plain(specs[0]), plain(specs[1])}, mix, []int{1})
 	if err != nil {
 		return nil, err
 	}
@@ -44,8 +38,8 @@ func Mix(e *Env) (*Result, error) {
 			mixed[p.Query] += float64(p.ThreadCycles)
 			counts[p.Query]++
 		}
-		for qi, q := range mix {
-			a := alone[si*len(mix)+qi]
+		for _, q := range mix {
+			a := alone.of(si, q)[0]
 			avg := mixed[q] / counts[q]
 			r.Rows = append(r.Rows, []string{
 				spec.Name, q.String(),
@@ -57,8 +51,4 @@ func Mix(e *Env) (*Result, error) {
 	r.Notes = append(r.Notes,
 		"slowdown = mean thread cycles in the mix / thread cycles alone; processes never share CPUs, so all interference is memory-system and lock-level")
 	return r, nil
-}
-
-func init() {
-	Ablations["mix"] = Mix
 }

@@ -49,7 +49,3 @@ func OLTP(e *Env) (*Result, error) {
 		"contrast with DSS: writes make communication (dirty 3-hop hand-offs) a first-order miss component, as the OLTP characterizations in the paper's related work report")
 	return r, nil
 }
-
-func init() {
-	Ablations["oltp"] = OLTP
-}

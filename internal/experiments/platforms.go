@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"dssmem/internal/core"
 	"dssmem/internal/machine"
 	"dssmem/internal/tpch"
 	"dssmem/internal/workload"
@@ -20,17 +21,13 @@ func Platforms(e *Env) (*Result, error) {
 		e.Origin(),
 		machine.StarfireSpec(16, e.Preset.MemScale),
 	}
-	variants := make([]variant, len(specs))
-	for i, spec := range specs {
-		variants[i] = variant{spec.Name, workload.Options{Spec: spec}}
-	}
-	ms, err := e.acrossQueries(1, variants...)
+	g, err := e.measureGrid([]variant{plain(specs[0]), plain(specs[1]), plain(specs[2])}, tpch.AllQueries, []int{1})
 	if err != nil {
 		return nil, err
 	}
-	for i, q := range tpch.AllQueries {
+	for _, q := range tpch.AllQueries {
 		for j, spec := range specs {
-			m := ms[i][j]
+			m := g.of(j, q)[0]
 			outer := m.L2MissesPerM
 			if outer == 0 {
 				outer = m.L1MissesPerM
@@ -60,11 +57,11 @@ func EState(e *Env) (*Result, error) {
 		Title:   "MESI vs MSI on the V-Class: the E state behind Fig. 9 (Q6)",
 		Headers: append([]string{"variant"}, procHeaders()...),
 	}
-	ss, err := e.sweeps(sweep{tag: mesi.Name, spec: mesi, q: tpch.Q6}, sweep{tag: "vclass-msi", spec: msi, q: tpch.Q6})
+	g, err := e.measureGrid([]variant{plain(mesi), {"vclass-msi", workload.Options{Spec: msi}}}, []tpch.QueryID{tpch.Q6}, ProcCounts)
 	if err != nil {
 		return nil, err
 	}
-	a, b := ss[0], ss[1]
+	a, b := g.series(0, tpch.Q6), g.series(1, tpch.Q6)
 	rowA := []string{"MESI (E state)"}
 	rowB := []string{"MSI (no E)"}
 	for i := range a.Points {
@@ -73,13 +70,9 @@ func EState(e *Env) (*Result, error) {
 	}
 	r.Rows = append(r.Rows, rowA, rowB)
 	r.Series = append(r.Series, a, b)
+	r.chart = core.MetricMemLatency
 	r.Notes = append(r.Notes,
 		"memory latency in cycles: the 1->2 process jump (second readers paying interventions on E lines) flattens under MSI",
 		"MSI's cost appears elsewhere: every private write-after-read becomes an upgrade transaction")
 	return r, nil
-}
-
-func init() {
-	Ablations["platforms"] = Platforms
-	Ablations["estate"] = EState
 }

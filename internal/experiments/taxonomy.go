@@ -48,7 +48,3 @@ func Taxonomy(e *Env) (*Result, error) {
 		"paper §3.3: 'index queries express a somewhat bigger footprint but have better locality'")
 	return r, nil
 }
-
-func init() {
-	Ablations["taxonomy"] = Taxonomy
-}

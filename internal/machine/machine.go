@@ -187,7 +187,8 @@ func (m *Machine) accessLine(c int, l1line uint64, write bool, now uint64) uint6
 	}
 	ct.L1DMisses++
 	if m.l2 == nil {
-		return m.outerFetch(c, l1line, write, now)
+		stall, _ := m.outerFetch(c, l1line, write, now)
+		return stall
 	}
 	return m.l2Access(c, l1line, write, now)
 }
@@ -211,10 +212,9 @@ func (m *Machine) l2Access(c int, l1line uint64, write bool, now uint64) uint64 
 		return stall
 	}
 	ct.L2DMisses++
-	stall := m.spec.L2HitCycles + m.outerFetch(c, outerLine, write, now)
-	grant := m.l2[c].StateOf(outerLine)
+	stall, grant := m.outerFetch(c, outerLine, write, now)
 	m.installL1(c, l1line, l1State(grant, write))
-	return stall
+	return m.spec.L2HitCycles + stall
 }
 
 // l1State derives the L1 install state from the outer-level state.
@@ -230,19 +230,12 @@ func l1State(outer cache.State, write bool) cache.State {
 	}
 }
 
-// installL1 inserts a line into L1, handling the dirty-victim writeback into
-// L2 (or the directory on single-level machines — not used there).
+// installL1 inserts a line into L1 on a two-level machine, writing a dirty
+// victim sub-block back into its covering L2 line. A write installs into an
+// L2 line its caller has already made Modified.
 func (m *Machine) installL1(c int, l1line uint64, st cache.State) {
-	v := m.l1[c].Insert(l1line, st)
-	if v.State == cache.Invalid {
-		return
-	}
-	if v.State.Dirty() && m.l2 != nil {
-		// Write the dirty sub-block back into the covering L2 line.
+	if v := m.l1[c].Insert(l1line, st); v.State.Dirty() {
 		m.l2[c].MarkModified(v.Line >> m.outerShift)
-	}
-	if st == cache.Modified {
-		m.markOuterDirty(c, l1line)
 	}
 }
 
@@ -255,9 +248,10 @@ func (m *Machine) markOuterDirty(c int, l1line uint64) {
 	m.l2[c].MarkModified(l1line >> m.outerShift)
 }
 
-// outerFetch performs the directory transaction for an outer-level miss and
-// installs the granted line into the outer cache.
-func (m *Machine) outerFetch(c int, line uint64, write bool, now uint64) uint64 {
+// outerFetch performs the directory transaction for an outer-level miss,
+// installs the granted line into the outer cache and returns the stall and
+// the granted state.
+func (m *Machine) outerFetch(c int, line uint64, write bool, now uint64) (uint64, cache.State) {
 	ct := &m.ctrs[c]
 	var r coherence.Result
 	if write {
@@ -287,15 +281,13 @@ func (m *Machine) outerFetch(c int, line uint64, write bool, now uint64) uint64 
 	}
 	stall := uint64(float64(r.Latency)*factor + 0.5)
 	ct.StallCycles += stall
-	return stall
+	return stall, r.Grant
 }
 
 // upgrade handles a write hit on a Shared L1 line (single- or multi-level).
 func (m *Machine) upgrade(c int, l1line uint64, now uint64) uint64 {
 	if m.l2 == nil {
-		stall := m.upgradeOuter(c, l1line, now)
-		m.l1[c].SetState(l1line, cache.Modified)
-		return stall
+		return m.upgradeOuter(c, l1line, now)
 	}
 	outer := l1line >> m.outerShift
 	stall := m.spec.L2HitCycles
@@ -308,19 +300,17 @@ func (m *Machine) upgrade(c int, l1line uint64, now uint64) uint64 {
 	return stall
 }
 
-// upgradeOuter performs the directory upgrade for the outer cache.
+// upgradeOuter performs the directory upgrade for a line every caller has
+// just hit on in the outer cache. The directory's upgrade, and the write miss
+// it falls back to, act only on other caches, so the line is still resident:
+// SetState panics otherwise.
 func (m *Machine) upgradeOuter(c int, outerLine uint64, now uint64) uint64 {
 	ct := &m.ctrs[c]
 	r := m.dir.Upgrade(coherence.CacheID(c), outerLine, now)
 	ct.Upgrades++
 	ct.MemRequests++
 	ct.MemLatencyCycles += r.Latency
-	outer := m.outerCache(c)
-	if outer.StateOf(outerLine) != cache.Invalid {
-		outer.SetState(outerLine, r.Grant)
-	} else {
-		m.evictOuter(c, outer.Insert(outerLine, r.Grant), now)
-	}
+	m.outerCache(c).SetState(outerLine, r.Grant)
 	stall := uint64(float64(r.Latency)*m.spec.WriteStallFactor + 0.5)
 	ct.StallCycles += stall
 	return stall

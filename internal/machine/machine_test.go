@@ -83,6 +83,10 @@ func TestOriginL2Hierarchy(t *testing.T) {
 	if ct.L1DMisses != 1 || ct.L2DMisses != 1 {
 		t.Fatalf("counters: %+v", ct)
 	}
+	// The directory grants an uncached line Exclusive; L1 installs the grant.
+	if st := m.L1(0).StateOf(0x4000 / 32); st != cache.Exclusive {
+		t.Fatalf("L1 state after a read miss = %v, want E", st)
+	}
 	// A different 32B L1 line inside the same 128B L2 line: L1 miss, L2 hit.
 	m.Access(0, 0x4000+64, 8, false, 100)
 	if ct.L1DMisses != 2 || ct.L2DMisses != 1 {

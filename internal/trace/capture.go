@@ -52,17 +52,17 @@ type MachineMem struct {
 	now uint64
 }
 
-// Load implements Mem.
+// Load implements storage.Mem.
 func (r *MachineMem) Load(addr memsys.Addr, size int) {
 	r.now += r.M.Access(r.CPU, addr, size, false, r.now)
 }
 
-// Store implements Mem.
+// Store implements storage.Mem.
 func (r *MachineMem) Store(addr memsys.Addr, size int) {
 	r.now += r.M.Access(r.CPU, addr, size, true, r.now)
 }
 
-// Work implements Mem.
+// Work implements storage.Mem.
 func (r *MachineMem) Work(n uint64) { r.now += r.M.InstrCycles(r.CPU, n) }
 
 // Cycles returns the accumulated simulated time.

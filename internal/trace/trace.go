@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 
+	"dssmem/internal/db/storage"
 	"dssmem/internal/memsys"
 )
 
@@ -29,8 +30,7 @@ const (
 var header = []byte("DSSTRC1\n")
 
 // Writer records a reference stream. It implements the charging interface
-// (storage.Mem), so it can be slotted anywhere a Mem goes — typically inside
-// Tee, which forwards to a real Mem while recording.
+// (storage.Mem), so it can be slotted anywhere a Mem goes.
 type Writer struct {
 	w        *bufio.Writer
 	lastAddr uint64
@@ -106,40 +106,8 @@ func (t *Writer) Store(addr memsys.Addr, size int) { t.emit(opStore, t.delta(add
 // Work implements the charging interface.
 func (t *Writer) Work(n uint64) { t.emit(opWork, n, 0) }
 
-// Mem is the replay target (identical to storage.Mem; re-declared to keep
-// this package free of db dependencies).
-type Mem interface {
-	Load(addr memsys.Addr, size int)
-	Store(addr memsys.Addr, size int)
-	Work(n uint64)
-}
-
-// Tee forwards to Out while recording into Trace.
-type Tee struct {
-	Out   Mem
-	Trace *Writer
-}
-
-// Load implements Mem.
-func (t Tee) Load(addr memsys.Addr, size int) {
-	t.Trace.Load(addr, size)
-	t.Out.Load(addr, size)
-}
-
-// Store implements Mem.
-func (t Tee) Store(addr memsys.Addr, size int) {
-	t.Trace.Store(addr, size)
-	t.Out.Store(addr, size)
-}
-
-// Work implements Mem.
-func (t Tee) Work(n uint64) {
-	t.Trace.Work(n)
-	t.Out.Work(n)
-}
-
 // Replay streams a trace into mem and returns the number of events.
-func Replay(r io.Reader, mem Mem) (uint64, error) {
+func Replay(r io.Reader, mem storage.Mem) (uint64, error) {
 	br := bufio.NewReader(r)
 	head := make([]byte, len(header))
 	if _, err := io.ReadFull(br, head); err != nil {

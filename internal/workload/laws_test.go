@@ -13,7 +13,9 @@ import (
 // other on real runs: each CPU's perfctr.Counters, which the figures report,
 // and the directory's global Stats, which count the same transactions from
 // the protocol side. The per-region tallies must also add up to the CPU
-// totals. The runs are exact and warm, so no estimate or I/O enters any law.
+// totals. The runs are exact, so no estimate enters any law. Warm runs at 1
+// and 4 processes do no I/O; a cold run of each query and machine at 4
+// processes adds the disk path to the switch law.
 func TestConservationLaws(t *testing.T) {
 	data := tpch.Generate(0.001, 7)
 	specs := []machine.Spec{
@@ -24,21 +26,30 @@ func TestConservationLaws(t *testing.T) {
 	// Σ over the matrix of each law's left-hand side: a law that never saw a
 	// nonzero count has not been tested.
 	var exercised perfctr.Counters
+	var diskReads uint64
+	run := func(spec machine.Spec, q tpch.QueryID, procs int, cold bool) {
+		name := fmt.Sprintf("%s/%v/p%d", spec.Name, q, procs)
+		if cold {
+			name += "/cold"
+		}
+		st, err := Run(Options{Spec: spec, Data: data, Query: q, Processes: procs, OSTimeScale: 256, ColdRun: cold})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var ct perfctr.Counters
+		for i := range st.Procs {
+			ct.Add(&st.Procs[i].Counters)
+		}
+		exercised.Add(&ct)
+		diskReads += st.DiskReads
+		checkLaws(t, name, spec, st, &ct, cold)
+	}
 	for _, spec := range specs {
 		for _, q := range []tpch.QueryID{tpch.Q6, tpch.Q21, tpch.Q12} {
 			for _, procs := range []int{1, 4} {
-				name := fmt.Sprintf("%s/%v/p%d", spec.Name, q, procs)
-				st, err := Run(Options{Spec: spec, Data: data, Query: q, Processes: procs, OSTimeScale: 256})
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				var ct perfctr.Counters
-				for i := range st.Procs {
-					ct.Add(&st.Procs[i].Counters)
-				}
-				exercised.Add(&ct)
-				checkLaws(t, name, spec, st, &ct)
+				run(spec, q, procs, false)
 			}
+			run(spec, q, 4, true)
 		}
 	}
 	for _, c := range []struct {
@@ -50,6 +61,7 @@ func TestConservationLaws(t *testing.T) {
 		{"dirty 3-hop misses", exercised.Dirty3HopMisses},
 		{"lock back-offs", exercised.LockBackoffs},
 		{"L2 misses", exercised.L2DMisses},
+		{"disk reads", diskReads},
 	} {
 		if c.n == 0 {
 			t.Errorf("no run counted any %s", c.name)
@@ -58,8 +70,8 @@ func TestConservationLaws(t *testing.T) {
 }
 
 // checkLaws asserts every conservation law on one run; ct is the sum of its
-// CPUs' counter files.
-func checkLaws(t *testing.T, run string, spec machine.Spec, st *Stats, ct *perfctr.Counters) {
+// CPUs' counter files, and cold says the run started with an empty pool.
+func checkLaws(t *testing.T, run string, spec machine.Spec, st *Stats, ct *perfctr.Counters, cold bool) {
 	t.Helper()
 	d := st.Dir
 	law := func(name string, lhs, rhs uint64) {
@@ -84,7 +96,10 @@ func checkLaws(t *testing.T, run string, spec machine.Spec, st *Stats, ct *perfc
 	law("memory latency = directory total latency", ct.MemLatencyCycles, d.TotalLatency)
 	law("upgrades = directory upgrades (none fell back to a write miss)", ct.Upgrades, d.Upgrades)
 	law("dirty 3-hop misses = dirty interventions", ct.Dirty3HopMisses, d.DirtyInterventions)
-	law("lock back-offs = voluntary switches (warm runs do no I/O)", ct.LockBackoffs, ct.VolCtxSwitches)
+	law("voluntary switches = lock back-offs + disk reads", ct.VolCtxSwitches, ct.LockBackoffs+st.DiskReads)
+	if !cold {
+		law("disk reads = 0 (warm runs do no I/O)", st.DiskReads, 0)
+	}
 	law("region accesses = loads+stores", sum(st.Regions.Accesses), ct.Loads+ct.Stores)
 	law("region L1 misses = L1 misses", sum(st.Regions.L1Misses), ct.L1DMisses)
 	law("region L2 misses = L2 misses", sum(st.Regions.L2Misses), ct.L2DMisses)

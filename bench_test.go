@@ -192,8 +192,8 @@ func BenchmarkCacheLookup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		line := uint64(i) & 2047
-		if _, hit := c.Lookup(line, false); !hit {
-			c.Insert(line, cache.Exclusive)
+		if st, w := c.Probe(line); st == cache.Invalid {
+			c.Fill(w, line, cache.Exclusive)
 		}
 	}
 }

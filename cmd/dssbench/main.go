@@ -23,6 +23,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -46,6 +47,34 @@ func main() {
 	case "table", "csv", "json":
 	default:
 		fatal(fmt.Errorf("unknown -format %q (table|csv|json)", *format))
+	}
+	// Every name is checked before the data is generated, so a bad one
+	// fails at once instead of after the figures before it have run.
+	var figs []int
+	switch *fig {
+	case "all":
+		figs = dssmem.FigureIDs()
+	case "none":
+	default:
+		n, err := strconv.Atoi(*fig)
+		if err != nil || !slices.Contains(dssmem.FigureIDs(), n) {
+			fatal(fmt.Errorf("no figure %q (have %v, all or none)", *fig, dssmem.FigureIDs()))
+		}
+		figs = []int{n}
+	}
+	var abls []string
+	switch *ablation {
+	case "all":
+		abls = dssmem.AblationNames()
+	case "none", "":
+	default:
+		if !slices.Contains(dssmem.AblationNames(), *ablation) {
+			fatal(fmt.Errorf("no ablation %q (have %v, all or none)", *ablation, dssmem.AblationNames()))
+		}
+		abls = []string{*ablation}
+	}
+	if *sampleQuanta < 0 {
+		fatal(fmt.Errorf("bad -sample-quanta %d (must be at least 0)", *sampleQuanta))
 	}
 
 	if *list {
@@ -79,18 +108,6 @@ func main() {
 			float64(env.Data.RawBytes())/1e6)
 	}
 
-	var figs []int
-	switch *fig {
-	case "all":
-		figs = dssmem.FigureIDs()
-	case "none":
-	default:
-		n, err := strconv.Atoi(*fig)
-		if err != nil {
-			fatal(fmt.Errorf("bad -fig %q: %w", *fig, err))
-		}
-		figs = []int{n}
-	}
 	doc := benchDoc{
 		Preset:   p.Name,
 		SF:       p.SF,
@@ -135,14 +152,6 @@ func main() {
 		emit(timed(func() (*dssmem.FigureResult, error) { return dssmem.RunFigure(env, id, nil) }))
 	}
 
-	var abls []string
-	switch *ablation {
-	case "all":
-		abls = dssmem.AblationNames()
-	case "none", "":
-	default:
-		abls = []string{*ablation}
-	}
 	for _, name := range abls {
 		name := name
 		emit(timed(func() (*dssmem.FigureResult, error) { return dssmem.RunAblation(env, name, nil) }))

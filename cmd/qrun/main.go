@@ -47,6 +47,9 @@ func main() {
 	if !(*sf > 0) {
 		fatal(fmt.Errorf("bad -sf %g: scale factor must be positive", *sf))
 	}
+	if *sampleQuanta < 0 {
+		fatal(fmt.Errorf("bad -sample-quanta %d (must be at least 0)", *sampleQuanta))
+	}
 	q, err := tpch.QueryByName(*query)
 	if err != nil {
 		fatal(err)

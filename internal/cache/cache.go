@@ -69,10 +69,13 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// A way holds one resident line: its number and MESI state packed into one
+// key, line<<2 | state, so that the hit test is a single compare, and the
+// tick of its last use. An Invalid way is all zero, so an empty way is always
+// the least recently used one of its set.
 type way struct {
-	tag   uint64 // full line number (addr >> lineShift)
-	state State
-	used  uint64 // LRU timestamp
+	key  uint64
+	used uint64
 }
 
 // Victim describes a line displaced from the cache.
@@ -117,113 +120,114 @@ func (c *Cache) Config() Config { return c.cfg }
 // LineOf maps a byte address to this cache's line number.
 func (c *Cache) LineOf(addr uint64) uint64 { return addr >> c.lineShift }
 
-func (c *Cache) set(line uint64) []way {
-	s := line & c.setMask
-	return c.ways[s*uint64(c.assoc) : (s+1)*uint64(c.assoc)]
-}
-
-// Lookup records an access to line. On a hit it refreshes LRU and returns the
-// current state with hit=true. On a miss it returns (Invalid, false) and the
-// caller is expected to fetch the line and call Insert.
-func (c *Cache) Lookup(line uint64, write bool) (State, bool) {
-	set := c.set(line)
+// Probe looks line up and returns its state and a way. On a hit it refreshes
+// LRU and returns the line's way. On a miss it returns Invalid and the way a
+// fill would take now: the first Invalid way of the set, or else the least
+// recently used one. The way stays good for Fill or SetAt until the set next
+// changes.
+func (c *Cache) Probe(line uint64) (State, int) {
+	// A resident line's key lies in [line<<2|1, line<<2|3], so key-lo < 3
+	// is the whole hit test, and key-lo+1 is the line's state.
+	lo := line<<2 | 1
+	base := int(line&c.setMask) * c.assoc
+	set := c.ways[base : base+c.assoc]
+	victim, oldest := 0, ^uint64(0)
 	for i := range set {
-		// Tag first: distinct valid lines never share a tag, and a stale tag
-		// on an Invalid way is rejected by the state check, so most ways fail
-		// after a single compare.
-		if set[i].tag == line && set[i].state != Invalid {
+		w := &set[i]
+		if d := w.key - lo; d < 3 {
 			c.tick++
-			set[i].used = c.tick
-			return set[i].state, true
+			w.used = c.tick
+			return State(d + 1), base + i
+		}
+		if w.used < oldest {
+			victim, oldest = i, w.used
 		}
 	}
-	return Invalid, false
+	return Invalid, base + victim
 }
 
-// Insert places line with the given state, evicting the LRU way if the set is
-// full. It returns the victim (State==Invalid when no valid line was
-// displaced).
-func (c *Cache) Insert(line uint64, st State) Victim {
-	set := c.set(line)
-	victim := 0
-	for i := range set {
-		if set[i].state == Invalid {
-			victim = i
-			goto place
-		}
-		if set[i].used < set[victim].used {
-			victim = i
-		}
-	}
-place:
-	v := Victim{Line: set[victim].tag, State: set[victim].state}
+// Fill installs line with state st (not Invalid) in way, which a Probe that
+// missed on line returned, and returns the line it displaced (State ==
+// Invalid when the way was empty).
+func (c *Cache) Fill(way int, line uint64, st State) Victim {
+	w := &c.ways[way]
+	v := Victim{Line: w.key >> 2, State: State(w.key & 3)}
 	c.tick++
-	set[victim] = way{tag: line, state: st, used: c.tick}
+	w.key, w.used = line<<2|uint64(st), c.tick
 	return v
 }
 
-// find returns line's resident way, or nil when the line is absent. It is
-// the one tag match behind every state change except Lookup and Insert.
-func (c *Cache) find(line uint64) *way {
-	set := c.set(line)
-	for i := range set {
-		if set[i].tag == line && set[i].state != Invalid {
-			return &set[i]
-		}
+// SetAt changes the state of the line in way, which a Probe that hit
+// returned, to st (not Invalid), without LRU effects. It panics on an empty
+// way, which would indicate a protocol bug.
+func (c *Cache) SetAt(way int, st State) {
+	w := &c.ways[way]
+	if w.key&3 == 0 {
+		panic(fmt.Sprintf("cache %s: SetAt(%d) on an empty way", c.cfg.Name, way))
 	}
-	return nil
+	w.key = w.key&^3 | uint64(st)
 }
 
-// SetState changes the state of a resident line; it panics if absent, which
-// would indicate a protocol bug.
-func (c *Cache) SetState(line uint64, st State) {
-	w := c.find(line)
-	if w == nil {
-		panic(fmt.Sprintf("cache %s: SetState(%#x) on absent line", c.cfg.Name, line))
+// Insert places line, which must be absent, with state st in the way Probe
+// names and returns the victim (State==Invalid when no valid line was
+// displaced).
+func (c *Cache) Insert(line uint64, st State) Victim {
+	_, w := c.Probe(line)
+	return c.Fill(w, line, st)
+}
+
+// find returns the index of line's resident way, or -1 when the line is
+// absent. It is the one tag match behind every change that takes a line
+// rather than a way.
+func (c *Cache) find(line uint64) int {
+	lo := line<<2 | 1
+	base := int(line&c.setMask) * c.assoc
+	for i := base; i < base+c.assoc; i++ {
+		if c.ways[i].key-lo < 3 {
+			return i
+		}
 	}
-	w.state = st
+	return -1
 }
 
 // MarkModified sets a resident line to Modified without LRU effects and
-// reports whether the line was present. It is the fused form of the
-// StateOf-then-SetState idiom on the write path (one set scan, not two).
-func (c *Cache) MarkModified(line uint64) bool {
-	w := c.find(line)
-	if w == nil {
-		return false
+// returns its prior state (Invalid if absent, which changes nothing).
+func (c *Cache) MarkModified(line uint64) (st State) {
+	if i := c.find(line); i >= 0 {
+		st = State(c.ways[i].key & 3)
+		c.ways[i].key |= uint64(Modified)
 	}
-	w.state = Modified
-	return true
+	return st
 }
 
 // StateOf returns the state of line without LRU effects (Invalid if absent).
 func (c *Cache) StateOf(line uint64) State {
-	if w := c.find(line); w != nil {
-		return w.state
+	if i := c.find(line); i >= 0 {
+		return State(c.ways[i].key & 3)
 	}
 	return Invalid
 }
 
 // Invalidate removes line (coherence action) and returns its prior state
-// (Invalid if absent). The named result keeps it within the inlining budget:
-// back-invalidation calls it once per L1 sub-block of every outer victim.
+// (Invalid if absent). Back-invalidation calls it once per L1 sub-block of
+// every outer victim.
 func (c *Cache) Invalidate(line uint64) (st State) {
-	if w := c.find(line); w != nil {
-		st, w.state = w.state, Invalid
+	if i := c.find(line); i >= 0 {
+		st = State(c.ways[i].key & 3)
+		c.ways[i] = way{}
 	}
 	return st
 }
 
 // Downgrade moves line from M/E to S (remote read intervention) and returns
 // its prior state (Invalid if absent).
-func (c *Cache) Downgrade(line uint64) State {
-	w := c.find(line)
-	if w == nil {
-		return Invalid
-	}
-	st := w.state
-	if st == Modified || st == Exclusive {
-		w.state = Shared
+func (c *Cache) Downgrade(line uint64) (st State) {
+	if i := c.find(line); i >= 0 {
+		w := &c.ways[i]
+		st = State(w.key & 3)
+		if st == Modified || st == Exclusive {
+			w.key = w.key&^3 | uint64(Shared)
+		}
 	}
 	return st
 }
@@ -232,6 +236,8 @@ func (c *Cache) Downgrade(line uint64) State {
 // by walking ways with a stride) to model the cache pollution caused by a
 // context switch running kernel/scheduler code. Victims (with their states,
 // so the caller can write back dirty ones and fix the directory) are returned.
+// It picks ways by physical index, so which lines it hits depends on the way
+// each fill chose: way placement is part of the model's output.
 func (c *Cache) FlushFraction(frac float64) []Victim {
 	if frac <= 0 {
 		return nil
@@ -242,10 +248,9 @@ func (c *Cache) FlushFraction(frac float64) []Victim {
 	}
 	var victims []Victim
 	for i := 0; i < len(c.ways); i += stride {
-		w := &c.ways[i]
-		if w.state != Invalid {
-			victims = append(victims, Victim{Line: w.tag, State: w.state})
-			w.state = Invalid
+		if k := c.ways[i].key; k&3 != 0 {
+			victims = append(victims, Victim{Line: k >> 2, State: State(k & 3)})
+			c.ways[i] = way{}
 		}
 	}
 	return victims
@@ -255,7 +260,7 @@ func (c *Cache) FlushFraction(frac float64) []Victim {
 func (c *Cache) ValidLines() int {
 	n := 0
 	for i := range c.ways {
-		if c.ways[i].state != Invalid {
+		if c.ways[i].key&3 != 0 {
 			n++
 		}
 	}

@@ -33,24 +33,22 @@ func TestConfigValidate(t *testing.T) {
 func TestMissThenHit(t *testing.T) {
 	c := small()
 	line := c.LineOf(0x1000)
-	if _, hit := c.Lookup(line, false); hit {
-		t.Fatal("cold lookup should miss")
+	st, w := c.Probe(line)
+	if st != Invalid {
+		t.Fatal("cold probe should miss")
 	}
-	c.Insert(line, Exclusive)
-	st, hit := c.Lookup(line, false)
-	if !hit || st != Exclusive {
-		t.Fatalf("expected E hit, got %v %v", st, hit)
+	c.Fill(w, line, Exclusive)
+	if st, hw := c.Probe(line); st != Exclusive || hw != w {
+		t.Fatalf("expected an E hit in way %d, got %v in way %d", w, st, hw)
 	}
 }
 
 func TestLRUEviction(t *testing.T) {
 	c := small() // 2-way; lines mapping to same set differ by 16 in line number
 	a, b, d := uint64(0), uint64(16), uint64(32)
-	c.Lookup(a, false)
 	c.Insert(a, Shared)
-	c.Lookup(b, false)
 	c.Insert(b, Shared)
-	c.Lookup(a, false) // touch a, making b the LRU
+	c.Probe(a) // touch a, making b the LRU
 	v := c.Insert(d, Shared)
 	if v.Line != b || v.State != Shared {
 		t.Fatalf("victim = %+v, want line %d", v, b)
@@ -108,25 +106,26 @@ func TestDowngradeSharedIsNoop(t *testing.T) {
 	}
 }
 
-func TestSetStatePanicsOnAbsent(t *testing.T) {
+func TestSetAtPanicsOnEmptyWay(t *testing.T) {
 	c := small()
+	_, w := c.Probe(99) // a miss names an empty way
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	c.SetState(99, Modified)
+	c.SetAt(w, Modified)
 }
 
 func TestUpgradePath(t *testing.T) {
 	c := small()
 	c.Insert(3, Shared)
-	st, hit := c.Lookup(3, true)
-	if !hit || st != Shared {
-		t.Fatalf("write lookup: %v %v", st, hit)
+	st, w := c.Probe(3)
+	if st != Shared {
+		t.Fatalf("probe: %v", st)
 	}
 	// The protocol layer decides this is an upgrade; cache just changes state.
-	c.SetState(3, Modified)
+	c.SetAt(w, Modified)
 	if c.StateOf(3) != Modified {
 		t.Fatal("upgrade failed")
 	}
@@ -166,8 +165,8 @@ func TestInsertResidencyProperty(t *testing.T) {
 		c := small()
 		for _, a := range addrs {
 			line := c.LineOf(uint64(a))
-			if _, hit := c.Lookup(line, false); !hit {
-				c.Insert(line, Exclusive)
+			if st, w := c.Probe(line); st == Invalid {
+				c.Fill(w, line, Exclusive)
 			}
 			if c.StateOf(line) == Invalid {
 				return false
@@ -183,93 +182,105 @@ func TestInsertResidencyProperty(t *testing.T) {
 	}
 }
 
-// Property: a map-based true-LRU model of small()'s 16 sets of 2 ways
-// predicts every hit or miss, returned state, Insert victim and StateOf over
-// random sequences of Lookup (with Insert after a miss), Invalidate,
-// Downgrade and MarkModified. The six lines 0, 8, ..., 40 fall three to a
-// set in sets 0 and 8, so most fills evict.
+// Property: a map-based true-LRU model of caches of 16 sets of 1, 2 and 4
+// ways predicts every Probe hit or miss and returned state, Fill victim and
+// StateOf over random sequences of Probe (with Fill after a miss and SetAt
+// after a hit), Invalidate, Downgrade and MarkModified. The lines 0, 8, 16,
+// ... fall assoc+1 to a set in sets 0 and 8, so most fills evict. A hit must
+// name the way the line was filled into.
 func TestLRUMatchesReferenceModel(t *testing.T) {
-	const sets, assoc, lines, stride = 16, 2, 6, 8
+	const sets, stride = 16, 8
 	type refWay struct {
 		state State
-		used  int // tick of the last Lookup hit or Insert
+		used  int // tick of the last Probe hit or Fill
+		way   int
 	}
-	f := func(ops []uint16) bool {
-		c := small()
-		ref := map[uint64]refWay{}
-		tick := 0
-		for _, op := range ops {
-			line := uint64(op>>3) % lines * stride
-			want, resident := ref[line]
-			switch op & 7 {
-			case 0, 1, 2: // Lookup; a miss is filled with S, E or M
-				st, hit := c.Lookup(line, op&7 == 1)
-				if hit != resident || st != want.state {
-					t.Logf("Lookup(%d) = %v %v, model %v %v", line, st, hit, want.state, resident)
-					return false
-				}
-				tick++
-				if hit {
-					ref[line] = refWay{want.state, tick}
-					break
-				}
-				fill := State(op>>9%3) + Shared
-				var wantV Victim
-				full := 0
-				for l, w := range ref {
-					if l%sets != line%sets {
-						continue
+	for _, assoc := range []int{1, 2, 4} {
+		lines := uint64(2 * (assoc + 1))
+		f := func(ops []uint16) bool {
+			c := New(Config{Name: "t", Size: sets * assoc * 32, LineSize: 32, Assoc: assoc})
+			ref := map[uint64]refWay{}
+			tick := 0
+			for _, op := range ops {
+				line := uint64(op>>3) % lines * stride
+				want, resident := ref[line]
+				switch op & 7 {
+				case 0, 1, 2, 6: // Probe; a miss is filled with S, E or M
+					st, w := c.Probe(line)
+					if (st != Invalid) != resident || st != want.state || (resident && w != want.way) {
+						t.Logf("%d-way: Probe(%d) = %v in way %d, model %v in way %d", assoc, line, st, w, want.state, want.way)
+						return false
 					}
-					full++
-					if wantV.State == Invalid || w.used < ref[wantV.Line].used {
-						wantV = Victim{Line: l, State: w.state}
+					tick++
+					if resident {
+						want.used = tick
+						if op&7 == 6 { // a write hit: E or S becomes M
+							c.SetAt(w, Modified)
+							want.state = Modified
+						}
+						ref[line] = want
+						break
+					}
+					fill := State(op>>9%3) + Shared
+					var wantV Victim
+					full := 0
+					for l, rw := range ref {
+						if l%sets != line%sets {
+							continue
+						}
+						full++
+						if wantV.State == Invalid || rw.used < ref[wantV.Line].used {
+							wantV = Victim{Line: l, State: rw.state}
+						}
+					}
+					if full < assoc {
+						wantV = Victim{}
+					}
+					if v := c.Fill(w, line, fill); v.State != wantV.State || (v.State != Invalid && v.Line != wantV.Line) {
+						t.Logf("%d-way: Fill(%d) victim %+v, model %+v", assoc, line, v, wantV)
+						return false
+					}
+					if wantV.State != Invalid {
+						delete(ref, wantV.Line)
+					}
+					ref[line] = refWay{fill, tick, w}
+				case 3:
+					if st := c.Invalidate(line); st != want.state {
+						t.Logf("%d-way: Invalidate(%d) = %v, model %v", assoc, line, st, want.state)
+						return false
+					}
+					delete(ref, line)
+				case 4:
+					if st := c.Downgrade(line); st != want.state {
+						t.Logf("%d-way: Downgrade(%d) = %v, model %v", assoc, line, st, want.state)
+						return false
+					}
+					if want.state == Modified || want.state == Exclusive {
+						want.state = Shared
+						ref[line] = want
+					}
+				case 5:
+					if st := c.MarkModified(line); st != want.state {
+						t.Logf("%d-way: MarkModified(%d) = %v, model %v", assoc, line, st, want.state)
+						return false
+					}
+					if resident {
+						want.state = Modified
+						ref[line] = want
 					}
 				}
-				if full < assoc {
-					wantV = Victim{}
-				}
-				if v := c.Insert(line, fill); v.State != wantV.State || (v.State != Invalid && v.Line != wantV.Line) {
-					t.Logf("Insert(%d) victim %+v, model %+v", line, v, wantV)
-					return false
-				}
-				if wantV.State != Invalid {
-					delete(ref, wantV.Line)
-				}
-				ref[line] = refWay{fill, tick}
-			case 3:
-				if st := c.Invalidate(line); st != want.state {
-					t.Logf("Invalidate(%d) = %v, model %v", line, st, want.state)
-					return false
-				}
-				delete(ref, line)
-			case 4:
-				if st := c.Downgrade(line); st != want.state {
-					t.Logf("Downgrade(%d) = %v, model %v", line, st, want.state)
-					return false
-				}
-				if want.state == Modified || want.state == Exclusive {
-					ref[line] = refWay{Shared, want.used}
-				}
-			case 5:
-				if ok := c.MarkModified(line); ok != resident {
-					t.Logf("MarkModified(%d) = %v, model %v", line, ok, resident)
-					return false
-				}
-				if resident {
-					ref[line] = refWay{Modified, want.used}
+				for l := uint64(0); l < lines*stride; l += stride {
+					if got := c.StateOf(l); got != ref[l].state {
+						t.Logf("%d-way: StateOf(%d) = %v, model %v", assoc, l, got, ref[l].state)
+						return false
+					}
 				}
 			}
-			for l := uint64(0); l < lines*stride; l += stride {
-				if got := c.StateOf(l); got != ref[l].state {
-					t.Logf("StateOf(%d) = %v, model %v", l, got, ref[l].state)
-					return false
-				}
-			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Fatalf("%d-way: %v", assoc, err)
+		}
 	}
 }
 
@@ -281,9 +292,9 @@ func TestSequentialScanMissesOncePerLine(t *testing.T) {
 	misses := 0
 	for addr := uint64(0); addr < span; addr += 8 {
 		line := c.LineOf(addr)
-		if _, hit := c.Lookup(line, false); !hit {
+		if st, w := c.Probe(line); st == Invalid {
 			misses++
-			c.Insert(line, Exclusive)
+			c.Fill(w, line, Exclusive)
 		}
 	}
 	if wantMisses := span / 32; misses != wantMisses {

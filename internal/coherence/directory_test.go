@@ -35,18 +35,18 @@ func testRig(n int, p Params) (*Directory, []*cache.Cache) {
 
 var baseParams = Params{MemAccess: 50, DirAccess: 5, CacheExtract: 20, InvalLatency: 15}
 
-// access simulates the machine layer: lookup, and on miss consult the
-// directory and insert.
+// access simulates the machine layer: probe, and on miss consult the
+// directory and fill the probed way.
 func access(d *Directory, caches []*cache.Cache, c int, line uint64, write bool, now uint64) Result {
-	st, hit := caches[c].Lookup(line, write)
-	if hit {
+	st, w := caches[c].Probe(line)
+	if st != cache.Invalid {
 		if write && st == cache.Shared {
 			r := d.Upgrade(CacheID(c), line, now)
-			caches[c].SetState(line, r.Grant)
+			caches[c].SetAt(w, r.Grant)
 			return r
 		}
 		if write && st == cache.Exclusive {
-			caches[c].SetState(line, cache.Modified)
+			caches[c].SetAt(w, cache.Modified)
 		}
 		return Result{}
 	}
@@ -56,7 +56,7 @@ func access(d *Directory, caches []*cache.Cache, c int, line uint64, write bool,
 	} else {
 		r = d.Read(CacheID(c), line, now)
 	}
-	v := caches[c].Insert(line, r.Grant)
+	v := caches[c].Fill(w, line, r.Grant)
 	if v.State != cache.Invalid {
 		d.Evict(CacheID(c), v.Line, v.State.Dirty(), now)
 	}
@@ -158,8 +158,7 @@ func TestMigratoryReadMigratesOwnership(t *testing.T) {
 		t.Fatalf("stats: %+v", d.Stats)
 	}
 	// The new owner can now write without any further protocol traffic.
-	st, hit := caches[2].Lookup(7, true)
-	if !hit || st != cache.Modified {
+	if st, _ := caches[2].Probe(7); st != cache.Modified {
 		t.Fatal("new owner should write-hit in M")
 	}
 }

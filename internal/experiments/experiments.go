@@ -194,9 +194,13 @@ func (e *Env) simulate(ctx context.Context, opts workload.Options) (*workload.St
 // runUncached simulates one configuration the way a measurement would
 // (CanonicalOptions, the env's runner and context) but returns the raw stats
 // and caches nothing: for experiments that need more than a core.Measurement
-// holds.
+// holds. The caller's observer, which canonicalization clears, stays
+// attached.
 func (e *Env) runUncached(q tpch.QueryID, procs int, opts workload.Options) (*workload.Stats, error) {
-	return e.simulate(e.ctx(), e.CanonicalOptions(q, procs, opts))
+	ob := opts.Obs
+	opts = e.CanonicalOptions(q, procs, opts)
+	opts.Obs = ob
+	return e.simulate(e.ctx(), opts)
 }
 
 // MeasureCached is MeasureOpts also returning the measurement's content

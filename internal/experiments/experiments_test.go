@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dssmem/internal/core"
+	"dssmem/internal/obs"
 	"dssmem/internal/perfctr"
 	"dssmem/internal/tpch"
 	"dssmem/internal/workload"
@@ -201,7 +202,7 @@ func regionStats(e *Env, origin bool, q tpch.QueryID, procs int) (perfctr.Region
 	if origin {
 		spec = e.Origin()
 	}
-	st, err := e.runUncached(q, procs, workload.Options{Spec: spec})
+	st, err := e.runUncached(q, procs, workload.Options{Spec: spec, Obs: obs.New(obs.Config{Regions: true})})
 	if err != nil {
 		return perfctr.RegionCounters{}, fmt.Errorf("taxonomy run: %w", err)
 	}

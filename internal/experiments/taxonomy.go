@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"dssmem/internal/obs"
 	"dssmem/internal/perfctr"
 	"dssmem/internal/tpch"
 	"dssmem/internal/workload"
@@ -23,7 +24,7 @@ func Taxonomy(e *Env) (*Result, error) {
 			if which == 1 {
 				spec = e.Origin()
 			}
-			st, err := e.runUncached(q, 1, workload.Options{Spec: spec})
+			st, err := e.runUncached(q, 1, workload.Options{Spec: spec, Obs: obs.New(obs.Config{Regions: true})})
 			if err != nil {
 				return nil, err
 			}

@@ -166,54 +166,56 @@ func (m *Machine) Access(c int, addr memsys.Addr, size int, write bool, now uint
 }
 
 // accessLine handles one L1-line reference and returns its stall cycles.
+// Each cache level's set is scanned once: the way a probe finds is passed on
+// to the fill or state change that follows it.
 func (m *Machine) accessLine(c int, l1line uint64, write bool, now uint64) uint64 {
-	ct := &m.ctrs[c]
 	l1 := m.l1[c]
-	st, hit := l1.Lookup(l1line, write)
-	if hit {
-		if !write {
+	st, w := l1.Probe(l1line)
+	if st != cache.Invalid {
+		switch {
+		case !write || st == cache.Modified:
 			return 0
-		}
-		switch st {
-		case cache.Modified:
-			return 0
-		case cache.Exclusive:
-			l1.SetState(l1line, cache.Modified)
+		case st == cache.Exclusive:
+			l1.SetAt(w, cache.Modified)
 			m.markOuterDirty(c, l1line)
 			return 0
 		default: // Shared: needs ownership
-			return m.upgrade(c, l1line, now)
+			return m.upgrade(c, l1line, w, now)
 		}
 	}
-	ct.L1DMisses++
+	m.ctrs[c].L1DMisses++
 	if m.l2 == nil {
-		stall, _ := m.outerFetch(c, l1line, write, now)
+		stall, _ := m.outerFetch(c, l1line, w, write, now)
 		return stall
 	}
-	return m.l2Access(c, l1line, write, now)
+	return m.l2Access(c, l1line, w, write, now)
 }
 
-// l2Access services an L1 miss against the L2 (Origin path).
-func (m *Machine) l2Access(c int, l1line uint64, write bool, now uint64) uint64 {
-	ct := &m.ctrs[c]
+// l2Access services an L1 miss against the L2 (Origin path); w1 is the L1
+// way the miss probed.
+func (m *Machine) l2Access(c int, l1line uint64, w1 int, write bool, now uint64) uint64 {
 	l2 := m.l2[c]
 	outerLine := l1line >> m.outerShift
-	st, hit := l2.Lookup(outerLine, write)
-	if hit {
+	st, w2 := l2.Probe(outerLine)
+	if st != cache.Invalid {
 		stall := m.spec.L2HitCycles
-		if write && st == cache.Shared {
-			stall += m.upgradeOuter(c, outerLine, now)
-			st = cache.Modified
-		} else if write && st == cache.Exclusive {
-			l2.SetState(outerLine, cache.Modified)
+		if write && st != cache.Modified {
+			if st == cache.Shared {
+				stall += m.upgradeOuter(c, outerLine, now)
+			}
+			l2.SetAt(w2, cache.Modified)
 			st = cache.Modified
 		}
-		m.installL1(c, l1line, l1State(st, write))
+		// The directory acted only on other CPUs' caches, so the L1 set
+		// is as the probe left it.
+		m.l1[c].Fill(w1, l1line, l1State(st, write))
 		return stall
 	}
-	ct.L2DMisses++
-	stall, grant := m.outerFetch(c, outerLine, write, now)
-	m.installL1(c, l1line, l1State(grant, write))
+	m.ctrs[c].L2DMisses++
+	stall, grant := m.outerFetch(c, outerLine, w2, write, now)
+	// The L2 victim's back-invalidation may have emptied a way of this L1
+	// set, so the install scans it again.
+	m.l1[c].Insert(l1line, l1State(grant, write))
 	return m.spec.L2HitCycles + stall
 }
 
@@ -230,28 +232,20 @@ func l1State(outer cache.State, write bool) cache.State {
 	}
 }
 
-// installL1 inserts a line into L1 on a two-level machine, writing a dirty
-// victim sub-block back into its covering L2 line. A write installs into an
-// L2 line its caller has already made Modified.
-func (m *Machine) installL1(c int, l1line uint64, st cache.State) {
-	if v := m.l1[c].Insert(l1line, st); v.State.Dirty() {
-		m.l2[c].MarkModified(v.Line >> m.outerShift)
-	}
-}
-
-// markOuterDirty propagates an L1 write into the covering outer-level state
-// so the protocol (which acts at outer granularity) sees the line as dirty.
+// markOuterDirty propagates an L1 write into the covering L2 line, so the
+// protocol, which acts on L2 lines, sees the line dirty. With the upgrade
+// paths, which set both levels Modified, it keeps every Modified L1 line
+// under a Modified L2 line.
 func (m *Machine) markOuterDirty(c int, l1line uint64) {
-	if m.l2 == nil {
-		return
+	if m.l2 != nil {
+		m.l2[c].MarkModified(l1line >> m.outerShift)
 	}
-	m.l2[c].MarkModified(l1line >> m.outerShift)
 }
 
 // outerFetch performs the directory transaction for an outer-level miss,
-// installs the granted line into the outer cache and returns the stall and
-// the granted state.
-func (m *Machine) outerFetch(c int, line uint64, write bool, now uint64) (uint64, cache.State) {
+// installs the granted line into way w of the outer cache (the way its probe
+// returned) and returns the stall and the granted state.
+func (m *Machine) outerFetch(c int, line uint64, w int, write bool, now uint64) (uint64, cache.State) {
 	ct := &m.ctrs[c]
 	var r coherence.Result
 	if write {
@@ -273,7 +267,7 @@ func (m *Machine) outerFetch(c int, line uint64, write bool, now uint64) (uint64
 		ct.Dirty3HopMisses++
 	}
 
-	m.evictOuter(c, m.outerCache(c).Insert(line, r.Grant), now)
+	m.evictOuter(c, m.outerCache(c).Fill(w, line, r.Grant), now)
 
 	factor := m.spec.ReadStallFactor
 	if write {
@@ -284,33 +278,32 @@ func (m *Machine) outerFetch(c int, line uint64, write bool, now uint64) (uint64
 	return stall, r.Grant
 }
 
-// upgrade handles a write hit on a Shared L1 line (single- or multi-level).
-func (m *Machine) upgrade(c int, l1line uint64, now uint64) uint64 {
+// upgrade handles a write hit on the Shared L1 line in way w (single- or
+// multi-level).
+func (m *Machine) upgrade(c int, l1line uint64, w int, now uint64) uint64 {
+	m.l1[c].SetAt(w, cache.Modified)
 	if m.l2 == nil {
 		return m.upgradeOuter(c, l1line, now)
 	}
 	outer := l1line >> m.outerShift
 	stall := m.spec.L2HitCycles
-	if m.l2[c].StateOf(outer) == cache.Shared {
+	if m.l2[c].MarkModified(outer) == cache.Shared {
 		stall += m.upgradeOuter(c, outer, now)
-	} else {
-		m.l2[c].MarkModified(outer)
 	}
-	m.l1[c].SetState(l1line, cache.Modified)
 	return stall
 }
 
-// upgradeOuter performs the directory upgrade for a line every caller has
-// just hit on in the outer cache. The directory's upgrade, and the write miss
-// it falls back to, act only on other caches, so the line is still resident:
-// SetState panics otherwise.
+// upgradeOuter performs the directory upgrade for a Shared line every caller
+// has just hit on in the outer cache, and counts it. The directory grants
+// Modified, on the upgrade and on the write miss it falls back to; the caller
+// sets its way Modified. Both act only on other caches, so the line and its
+// way stay put.
 func (m *Machine) upgradeOuter(c int, outerLine uint64, now uint64) uint64 {
 	ct := &m.ctrs[c]
 	r := m.dir.Upgrade(coherence.CacheID(c), outerLine, now)
 	ct.Upgrades++
 	ct.MemRequests++
 	ct.MemLatencyCycles += r.Latency
-	m.outerCache(c).SetState(outerLine, r.Grant)
 	stall := uint64(float64(r.Latency)*m.spec.WriteStallFactor + 0.5)
 	ct.StallCycles += stall
 	return stall
@@ -325,7 +318,7 @@ type hierarchyView struct {
 }
 
 // StateOf implements coherence.CoherentCache. The L2 state is authoritative:
-// L1 writes are propagated into the L2 state eagerly (markOuterDirty).
+// every L1 write marks the covering L2 line Modified at once.
 func (h *hierarchyView) StateOf(line uint64) cache.State { return h.l2.StateOf(line) }
 
 // Invalidate implements coherence.CoherentCache.
@@ -377,11 +370,8 @@ func (m *Machine) evictOuter(c int, v cache.Victim, now uint64) {
 // state is kept consistent (dirty outer victims write back).
 func (m *Machine) FlushFraction(c int, frac float64, now uint64) {
 	if m.l2 != nil {
-		for _, v := range m.l1[c].FlushFraction(frac) {
-			if v.State.Dirty() {
-				m.l2[c].MarkModified(v.Line >> m.outerShift)
-			}
-		}
+		// A Modified L1 victim lies under a Modified L2 line already.
+		m.l1[c].FlushFraction(frac)
 	}
 	for _, v := range m.outerCache(c).FlushFraction(frac) {
 		m.evictOuter(c, v, now)

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -273,39 +274,69 @@ func TestCounterIdentities(t *testing.T) {
 	}
 }
 
-// Property: single-writer invariant holds across the full machine for any
-// interleaving (at L2/protocol granularity).
+// Property: after every reference of any interleaving, on each two-level
+// machine of referenceSpecs, each protocol (L2) line has at most one E or M
+// holder and never one beside an S holder; every valid L1 line lies under a
+// valid L2 line; and every Modified L1 line lies under a Modified L2 line,
+// which is why an L1 victim never needs a write-back.
 func TestMachineMESIInvariant(t *testing.T) {
-	f := func(ops []uint16) bool {
-		m := tinyOrigin(4)
-		now := uint64(0)
-		lines := map[uint64]bool{}
-		for _, op := range ops {
-			cpu := int(op & 3)
-			line := uint64(op>>2) % 16
-			addr := memsys.Addr(line * 128)
-			m.Access(cpu, addr, 8, op&0x400 != 0, now)
-			lines[line] = true
-			now += 25
+	for _, spec := range referenceSpecs(4) {
+		if spec.L2 == nil {
+			continue
 		}
-		for line := range lines {
-			owners, sharers := 0, 0
-			for c := 0; c < 4; c++ {
-				switch m.L2(c).StateOf(line) {
-				case cache.Exclusive, cache.Modified:
-					owners++
-				case cache.Shared:
-					sharers++
+		f := func(ops []uint16) bool {
+			m := New(spec)
+			now := uint64(0)
+			l1Lines, l2Lines := map[uint64]bool{}, map[uint64]bool{}
+			for _, op := range ops {
+				cpu := int(op & 3)
+				addr := uint64(op>>2)%32*128 + uint64(op>>7&3)*32
+				m.Access(cpu, memsys.Addr(addr), 8, op&0x400 != 0, now)
+				l1Lines[m.L1(0).LineOf(addr)] = true
+				l2Lines[m.L2(0).LineOf(addr)] = true
+				now += 25
+				if err := checkHierarchy(m, l1Lines, l2Lines); err != nil {
+					t.Logf("%s: %v", spec.Name, err)
+					return false
 				}
 			}
-			if owners > 1 || (owners == 1 && sharers > 0) {
-				return false
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+	}
+}
+
+// checkHierarchy checks the single-writer and inclusion invariants of a
+// two-level machine over the given L1 and L2 lines.
+func checkHierarchy(m *Machine, l1Lines, l2Lines map[uint64]bool) error {
+	spec := m.Spec()
+	for line := range l2Lines {
+		owners, sharers := 0, 0
+		for c := 0; c < spec.CPUs; c++ {
+			switch m.L2(c).StateOf(line) {
+			case cache.Exclusive, cache.Modified:
+				owners++
+			case cache.Shared:
+				sharers++
 			}
 		}
-		return true
+		if owners > 1 || (owners == 1 && sharers > 0) {
+			return fmt.Errorf("L2 line %#x: %d owners, %d sharers", line, owners, sharers)
+		}
 	}
-	cfg := &quick.Config{MaxCount: 40}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
+	ratio := uint64(spec.L2.LineSize / spec.L1.LineSize)
+	for line := range l1Lines {
+		for c := 0; c < spec.CPUs; c++ {
+			st1, st2 := m.L1(c).StateOf(line), m.L2(c).StateOf(line/ratio)
+			if st1 != cache.Invalid && st2 == cache.Invalid {
+				return fmt.Errorf("cpu %d: L1 line %#x %v but its L2 line absent", c, line, st1)
+			}
+			if st1 == cache.Modified && st2 != cache.Modified {
+				return fmt.Errorf("cpu %d: L1 line %#x Modified but L2 line %v", c, line, st2)
+			}
+		}
 	}
+	return nil
 }

@@ -10,6 +10,7 @@ import (
 
 	"dssmem/internal/machine"
 	"dssmem/internal/obs"
+	"dssmem/internal/perfctr"
 	"dssmem/internal/tpch"
 	"dssmem/internal/workload"
 )
@@ -113,7 +114,7 @@ func TestChromeTraceWellFormed(t *testing.T) {
 // must be byte-identical — observation must never perturb the simulation.
 func TestObservationIsPassive(t *testing.T) {
 	off := runQ6(t, nil, 2)
-	ob := obs.New(obs.Config{SampleInterval: 500_000, Events: true, ByOperator: true})
+	ob := obs.New(obs.Config{SampleInterval: 500_000, Events: true, ByOperator: true, Regions: true})
 	on := runQ6(t, ob, 2)
 
 	if len(off.Procs) != len(on.Procs) {
@@ -133,7 +134,14 @@ func TestObservationIsPassive(t *testing.T) {
 		t.Errorf("directory stats differ:\noff: %+v\non:  %+v", off.Dir, on.Dir)
 	}
 
-	// And the observer actually collected all three pillars.
+	// And the observer actually collected all four pillars, and only an
+	// observed run carries region tallies.
+	if on.Regions != ob.Regions() || on.Regions.Accesses[perfctr.RegionRecord] == 0 {
+		t.Errorf("region tallies not collected: stats %+v, observer %+v", on.Regions, ob.Regions())
+	}
+	if off.Regions != (perfctr.RegionCounters{}) {
+		t.Errorf("an unobserved run tallied regions: %+v", off.Regions)
+	}
 	if len(ob.Samples()) == 0 {
 		t.Error("no samples collected")
 	}

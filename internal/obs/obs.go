@@ -4,7 +4,7 @@
 // evolve over a query run, plus a structured protocol-event trace and
 // per-query-operator attribution.
 //
-// Three pillars:
+// Four pillars:
 //
 //   - an interval sampler that snapshots each CPU's perfctr.Counters every
 //     SampleInterval simulated cycles (driven from the sim kernel's
@@ -18,7 +18,10 @@
 //   - span-based attribution: the DB executor opens spans per query-plan
 //     operator (scan, index scan, aggregate, sort), so counters and events
 //     are attributed to operators — the paper's "which DBMS data region /
-//     which phase" question at operator granularity.
+//     which phase" question at operator granularity;
+//   - region attribution: every detailed memory reference, and the L1 and L2
+//     misses it causes, is tallied by the data region its address falls in
+//     (the paper's §3.3 record/index/metadata/private taxonomy).
 //
 // A nil *Observer is valid everywhere and every hook is a no-op on it, so
 // observation is strictly zero-cost when disabled. An Observer observes one
@@ -27,7 +30,10 @@
 // simulations.
 package obs
 
-import "dssmem/internal/perfctr"
+import (
+	"dssmem/internal/memsys"
+	"dssmem/internal/perfctr"
+)
 
 // DefaultMaxEvents bounds the in-memory event buffer (~1M events).
 const DefaultMaxEvents = 1 << 20
@@ -46,6 +52,9 @@ type Config struct {
 	MaxEvents int
 	// ByOperator enables per-operator span attribution.
 	ByOperator bool
+	// Regions enables region attribution. The workload layer binds the
+	// database's address classifier (BindRegions).
+	Regions bool
 }
 
 // Sample is one closed sampling window on one CPU. C holds the counter
@@ -120,6 +129,9 @@ type Observer struct {
 	ops     []opState
 	opStats map[string]*OpStats
 	opOrder []string
+
+	classify func(memsys.Addr) perfctr.Region
+	regions  []perfctr.RegionCounters
 }
 
 // New creates an Observer; Bind must be called (the workload layer does)
@@ -147,6 +159,10 @@ func (o *Observer) Bind(cpus, clockMHz int) {
 	o.dropped = 0
 	o.opStats = make(map[string]*OpStats)
 	o.opOrder = nil
+	o.regions = nil
+	if o.cfg.Regions {
+		o.regions = make([]perfctr.RegionCounters, cpus)
+	}
 }
 
 // Config returns the active configuration.
@@ -382,4 +398,39 @@ func (o *Observer) Operators() []OpStats {
 		out = append(out, *o.opStats[name])
 	}
 	return out
+}
+
+// ---- region attribution ----
+
+// BindRegions installs the classifier that maps an address to its data
+// region. Region attribution needs one: the workload layer binds the
+// database's.
+func (o *Observer) BindRegions(classify func(memsys.Addr) perfctr.Region) {
+	if o == nil {
+		return
+	}
+	o.classify = classify
+}
+
+// Reference tallies one detailed memory reference at addr on CPU cpu, which
+// caused l1Misses L1 and l2Misses L2 misses, under addr's data region.
+func (o *Observer) Reference(cpu int, addr memsys.Addr, l1Misses, l2Misses uint64) {
+	r := &o.regions[cpu]
+	reg := o.classify(addr)
+	r.Accesses[reg]++
+	r.L1Misses[reg] += l1Misses
+	r.L2Misses[reg] += l2Misses
+}
+
+// Regions returns the region tallies summed over every CPU (all zero when
+// region attribution is off).
+func (o *Observer) Regions() perfctr.RegionCounters {
+	var sum perfctr.RegionCounters
+	if o == nil {
+		return sum
+	}
+	for i := range o.regions {
+		sum.Add(&o.regions[i])
+	}
+	return sum
 }

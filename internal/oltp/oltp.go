@@ -378,7 +378,6 @@ func Run(spec machine.Spec, cfg Config, n int, osTimeScale int) (*Stats, error) 
 	for i := 0; i < n; i++ {
 		i := i
 		osys.Spawn(i, func(p *simos.Process) {
-			p.Classifier = d.db.Classify
 			c := d.NewClient(p, i)
 			clients[i] = c
 			errs[i] = c.RunMix()

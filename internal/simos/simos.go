@@ -92,8 +92,9 @@ func New(m *machine.Machine, cfg Config, quantum sim.Clock) *OS {
 func (o *OS) Machine() *machine.Machine { return o.mach }
 
 // Observe attaches an observer: counter sampling at kernel scheduling
-// points, plus context-switch, back-off and lock events. Call before Run
-// (Spawn order does not matter — the hooks bind when processes start).
+// points, context-switch, back-off and lock events, and, when the observer
+// attributes regions, every detailed reference. Call before Run (Spawn order
+// does not matter — the hooks bind when processes start).
 func (o *OS) Observe(ob *obs.Observer) { o.obs = ob }
 
 // Spawn registers a process pinned to the given CPU. Bodies run when Run is
@@ -118,6 +119,9 @@ func (o *OS) Spawn(cpu int, body func(*Process)) *Process {
 		if ob := o.obs; ob != nil {
 			sp.OnYield = func(now sim.Clock) { ob.Tick(p.CPU, uint64(now), p.Counters()) }
 			sp.OnExit = func(now sim.Clock) { ob.ProcExit(p.CPU, uint64(now), p.Counters()) }
+			if ob.Config().Regions {
+				p.regions = ob
+			}
 		}
 		body(p)
 	})
@@ -153,12 +157,9 @@ type Process struct {
 	CPU       int
 	sliceLeft uint64
 	rng       uint64
-
-	// Classifier, when set, maps addresses to data regions and Regions
-	// accumulates per-region access/miss tallies (the paper's
-	// record/index/metadata/private taxonomy).
-	Classifier func(memsys.Addr) perfctr.Region
-	Regions    perfctr.RegionCounters
+	// regions is the observer when it attributes references to data
+	// regions, and nil otherwise.
+	regions *obs.Observer
 }
 
 // Counters returns the hardware counter file of the process's CPU, which is
@@ -227,7 +228,7 @@ func (p *Process) access(addr memsys.Addr, size int, write bool) {
 			return
 		}
 	}
-	if p.Classifier == nil {
+	if p.regions == nil {
 		cyc := p.os.mach.Access(p.CPU, addr, size, write, p.Now())
 		if sc != nil {
 			sc.Detailed(p.CPU, cyc)
@@ -241,10 +242,7 @@ func (p *Process) access(addr memsys.Addr, size int, write bool) {
 	if sc != nil {
 		sc.Detailed(p.CPU, cyc)
 	}
-	region := p.Classifier(addr)
-	p.Regions.Accesses[region]++
-	p.Regions.L1Misses[region] += ct.L1DMisses - l1
-	p.Regions.L2Misses[region] += ct.L2DMisses - l2
+	p.regions.Reference(p.CPU, addr, ct.L1DMisses-l1, ct.L2DMisses-l2)
 	p.onCPU(cyc)
 }
 

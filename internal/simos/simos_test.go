@@ -5,6 +5,7 @@ import (
 
 	"dssmem/internal/machine"
 	"dssmem/internal/memsys"
+	"dssmem/internal/obs"
 	"dssmem/internal/perfctr"
 )
 
@@ -256,13 +257,16 @@ func TestSeedPerturbsBackoffJitter(t *testing.T) {
 func TestRegionClassifierCounts(t *testing.T) {
 	m := machine.New(machine.VClassSpec(1, 256))
 	o := New(m, DefaultConfig(200), 0)
-	o.Spawn(0, func(p *Process) {
-		p.Classifier = func(a memsys.Addr) perfctr.Region {
-			if _, priv := memsys.IsPrivate(a); priv {
-				return perfctr.RegionPrivate
-			}
-			return perfctr.RegionRecord
+	ob := obs.New(obs.Config{Regions: true})
+	ob.Bind(1, 200)
+	ob.BindRegions(func(a memsys.Addr) perfctr.Region {
+		if _, priv := memsys.IsPrivate(a); priv {
+			return perfctr.RegionPrivate
 		}
+		return perfctr.RegionRecord
+	})
+	o.Observe(ob)
+	o.Spawn(0, func(p *Process) {
 		p.Load(0x100, 8)                      // shared -> record
 		p.Load(memsys.PrivateBase(0)+64, 8)   // private
 		p.Store(memsys.PrivateBase(0)+128, 8) // private
@@ -270,14 +274,14 @@ func TestRegionClassifierCounts(t *testing.T) {
 	if err := o.Run(); err != nil {
 		t.Fatal(err)
 	}
-	pr := o.Processes()[0]
-	if pr.Regions.Accesses[perfctr.RegionRecord] != 1 ||
-		pr.Regions.Accesses[perfctr.RegionPrivate] != 2 {
-		t.Fatalf("region accesses: %+v", pr.Regions.Accesses)
+	reg := ob.Regions()
+	if reg.Accesses[perfctr.RegionRecord] != 1 ||
+		reg.Accesses[perfctr.RegionPrivate] != 2 {
+		t.Fatalf("region accesses: %+v", reg.Accesses)
 	}
 	// All three were cold misses; the classifier must attribute them.
-	if pr.Regions.L1Misses[perfctr.RegionRecord] != 1 ||
-		pr.Regions.L1Misses[perfctr.RegionPrivate] != 2 {
-		t.Fatalf("region misses: %+v", pr.Regions.L1Misses)
+	if reg.L1Misses[perfctr.RegionRecord] != 1 ||
+		reg.L1Misses[perfctr.RegionPrivate] != 2 {
+		t.Fatalf("region misses: %+v", reg.L1Misses)
 	}
 }

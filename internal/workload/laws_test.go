@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dssmem/internal/machine"
+	"dssmem/internal/obs"
 	"dssmem/internal/perfctr"
 	"dssmem/internal/tpch"
 )
@@ -12,8 +13,9 @@ import (
 // TestConservationLaws pins the two ledgers of the memory model against each
 // other on real runs: each CPU's perfctr.Counters, which the figures report,
 // and the directory's global Stats, which count the same transactions from
-// the protocol side. The per-region tallies must also add up to the CPU
-// totals. The runs are exact, so no estimate enters any law. Warm runs at 1
+// the protocol side. The per-region tallies, which an observer with region
+// attribution on collects, must also add up to the CPU totals. The runs are
+// exact, so no estimate enters any law. Warm runs at 1
 // and 4 processes do no I/O; a cold run of each query and machine at 4
 // processes adds the disk path to the switch law.
 func TestConservationLaws(t *testing.T) {
@@ -32,7 +34,8 @@ func TestConservationLaws(t *testing.T) {
 		if cold {
 			name += "/cold"
 		}
-		st, err := Run(Options{Spec: spec, Data: data, Query: q, Processes: procs, OSTimeScale: 256, ColdRun: cold})
+		st, err := Run(Options{Spec: spec, Data: data, Query: q, Processes: procs, OSTimeScale: 256, ColdRun: cold,
+			Obs: obs.New(obs.Config{Regions: true})})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

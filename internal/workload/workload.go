@@ -51,10 +51,10 @@ type Options struct {
 	// voluntary context switch.
 	ColdRun bool
 	// Obs, when non-nil, attaches the observability layer: interval
-	// counter sampling, the structured event trace, and per-operator
-	// attribution, per its configuration. The observer is rebound to this
-	// run's CPU count and clock; observation is passive and does not
-	// perturb counters or timing.
+	// counter sampling, the structured event trace, and per-operator and
+	// per-region attribution, per its configuration. The observer is
+	// rebound to this run's CPU count and clock; observation is passive
+	// and does not perturb counters or timing.
 	Obs *obs.Observer
 	// SimFault, when non-nil, is installed as the simulation kernel's
 	// quantum-boundary fault hook (sim.Kernel.FaultHook): the chaos layer
@@ -92,7 +92,9 @@ type Stats struct {
 	Dir         coherence.Stats
 	Sess        SessStats
 	// Regions aggregates per-data-region access/miss tallies across all
-	// processes (the paper's record/index/metadata/private taxonomy).
+	// processes (the paper's record/index/metadata/private taxonomy). Only
+	// an observer with region attribution on (obs.Config.Regions) fills
+	// it; it is all zero otherwise.
 	Regions perfctr.RegionCounters
 	// DiskReads counts cold-pool device reads (0 for warm runs).
 	DiskReads uint64
@@ -171,6 +173,7 @@ func run(ctx context.Context, opts Options) (*Stats, error) {
 
 	if opts.Obs != nil {
 		opts.Obs.Bind(spec.CPUs, spec.ClockMHz)
+		opts.Obs.BindRegions(db.Classify)
 		m.Observe(opts.Obs)
 		osys.Observe(opts.Obs)
 	}
@@ -194,7 +197,6 @@ func run(ctx context.Context, opts Options) (*Stats, error) {
 	for i := 0; i < opts.Processes; i++ {
 		i := i
 		osys.Spawn(i, func(p *simos.Process) {
-			p.Classifier = db.Classify
 			sess := db.NewSession(p, i)
 			sessions[i] = sess
 			p.BeginOp("query:" + queryOf(i).String())
@@ -242,6 +244,7 @@ func run(ctx context.Context, opts Options) (*Stats, error) {
 
 	st := &Stats{
 		DiskReads:      db.DiskReads,
+		Regions:        opts.Obs.Regions(),
 		WarmupHostNS:   warmupNS,
 		MeasuredHostNS: measuredNS,
 		MachineName:    spec.Name,
@@ -259,9 +262,6 @@ func run(ctx context.Context, opts Options) (*Stats, error) {
 		if sess != nil {
 			st.Sess.Pins += sess.Pins
 		}
-	}
-	for _, p := range osys.Processes() {
-		st.Regions.Add(&p.Regions)
 	}
 	for i, p := range osys.Processes() {
 		st.Procs = append(st.Procs, ProcStats{

@@ -37,7 +37,6 @@ func fakeStats(o workload.Options) *workload.Stats {
 		Query:       o.Query,
 		Processes:   o.Processes,
 		Procs: []workload.ProcStats{{
-			Query:        o.Query,
 			Counters:     perfctr.Counters{Instructions: 1000, Cycles: cyc},
 			ThreadCycles: cyc,
 			WallCycles:   cyc + 100,
@@ -232,6 +231,46 @@ func TestMixRunsThroughEnv(t *testing.T) {
 		if q != 8 {
 			t.Fatalf("run %d has SampleQuanta %d, want the env's 8", i, q)
 		}
+	}
+}
+
+// TestOLTPRunsThroughEnv: the oltp experiment's runs go through the env's
+// runner like every other simulation, and stay exact under env-wide
+// sampling.
+func TestOLTPRunsThroughEnv(t *testing.T) {
+	var runs atomic.Int64
+	e := fakeEnv(func(ctx context.Context, o workload.Options) (*workload.Stats, error) {
+		runs.Add(1)
+		return workload.RunContext(ctx, o)
+	})
+	e.SampleQuanta = 8
+	sampled, err := OLTP(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs.Load() != 8 {
+		t.Fatalf("runner saw %d runs, want 8", runs.Load())
+	}
+	exact, err := OLTP(NewEnvWith(Tiny, sharedEnv.Data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.EqualFunc(sampled.Rows, exact.Rows, slices.Equal) {
+		t.Fatalf("a sampling env changed the OLTP rows:\n%v\nwant\n%v", sampled.Rows, exact.Rows)
+	}
+}
+
+// TestMeasureCachedRejectsProgram: no digest covers a Program, so a cached
+// measurement of one is an error before anything runs.
+func TestMeasureCachedRejectsProgram(t *testing.T) {
+	e := fakeEnv(func(context.Context, workload.Options) (*workload.Stats, error) {
+		t.Fatal("a Program run reached the runner")
+		return nil, nil
+	})
+	spec := e.VClass()
+	opts := workload.Options{Spec: spec, Program: workload.Queries(tpch.Q6, tpch.Q21)}
+	if _, _, _, err := e.MeasureCached(spec.Name, tpch.Q6, 2, opts); err == nil {
+		t.Fatal("MeasureCached accepted a Program")
 	}
 }
 

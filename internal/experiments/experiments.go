@@ -194,8 +194,8 @@ func (e *Env) simulate(ctx context.Context, opts workload.Options) (*workload.St
 // runUncached simulates one configuration the way a measurement would
 // (CanonicalOptions, the env's runner and context) but returns the raw stats
 // and caches nothing: for experiments that need more than a core.Measurement
-// holds. The caller's observer, which canonicalization clears, stays
-// attached.
+// holds, or that run a workload.Program, which no digest covers. The
+// caller's observer, which canonicalization clears, stays attached.
 func (e *Env) runUncached(q tpch.QueryID, procs int, opts workload.Options) (*workload.Stats, error) {
 	ob := opts.Obs
 	opts = e.CanonicalOptions(q, procs, opts)
@@ -207,6 +207,9 @@ func (e *Env) runUncached(q tpch.QueryID, procs int, opts workload.Options) (*wo
 // digest and whether it was answered from the cache (memory or disk) without
 // running a simulation.
 func (e *Env) MeasureCached(tag string, q tpch.QueryID, procs int, opts workload.Options) (core.Measurement, rescache.Digest, bool, error) {
+	if opts.Program != nil {
+		return core.Measurement{}, "", false, fmt.Errorf("%s/%v/p%d: no digest covers a Program; run it uncached", tag, q, procs)
+	}
 	opts = e.CanonicalOptions(q, procs, opts)
 	dig := rescache.DigestOptions(e.Preset.SF, e.Preset.Seed, opts)
 

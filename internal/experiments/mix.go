@@ -26,17 +26,18 @@ func Mix(e *Env) (*Result, error) {
 		return nil, err
 	}
 	for si, spec := range specs {
-		// Under Mix the query argument only labels the stats.
-		st, err := e.runUncached(mix[0], 6, workload.Options{Spec: spec, Mix: mix})
+		// Under a Program the query argument only labels the stats.
+		st, err := e.runUncached(mix[0], 6, workload.Options{Spec: spec, Program: workload.Queries(mix...)})
 		if err != nil {
 			return nil, err
 		}
-		// Mean thread cycles per query within the mix.
+		// Mean thread cycles per query within the mix: process i ran
+		// mix[i%len(mix)].
 		mixed := map[tpch.QueryID]float64{}
 		counts := map[tpch.QueryID]float64{}
-		for _, p := range st.Procs {
-			mixed[p.Query] += float64(p.ThreadCycles)
-			counts[p.Query]++
+		for i, p := range st.Procs {
+			mixed[mix[i%len(mix)]] += float64(p.ThreadCycles)
+			counts[mix[i%len(mix)]]++
 		}
 		for _, q := range mix {
 			a := alone.of(si, q)[0]

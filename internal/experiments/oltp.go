@@ -3,7 +3,9 @@ package experiments
 import (
 	"fmt"
 
+	"dssmem/internal/machine"
 	"dssmem/internal/oltp"
+	"dssmem/internal/workload"
 )
 
 // OLTP contrasts the DSS study with a transactional companion workload and
@@ -21,19 +23,18 @@ func OLTP(e *Env) (*Result, error) {
 		Title:   "OLTP companion workload: lock granularity under write contention",
 		Headers: []string{"machine", "locks", "procs", "tx/Mcycle", "backoffs", "dirty-3hop", "coherence%"},
 	}
-	for _, which := range []int{0, 1} {
-		spec := e.VClass()
-		if which == 1 {
-			spec = e.Origin()
-		}
+	for _, spec := range []machine.Spec{e.VClass(), e.Origin()} {
 		for _, gran := range []oltp.Granularity{oltp.RelationLocks, oltp.RowLocks} {
 			for _, n := range []int{1, 8} {
 				c := cfg
 				c.Granularity = gran
-				st, err := oltp.Run(spec, c, n, e.Preset.MemScale)
+				prog := oltp.NewProgram(c)
+				// Exact: the sampler was validated on DSS metrics only.
+				ws, err := e.runUncached(0, n, workload.Options{Spec: spec, Program: prog, SampleQuanta: 1})
 				if err != nil {
 					return nil, err
 				}
+				st := prog.Stats(ws)
 				r.Rows = append(r.Rows, []string{
 					spec.Name, gran.String(), fmt.Sprint(n),
 					fmt.Sprintf("%.2f", st.TxPerMCycle()),

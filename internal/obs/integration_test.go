@@ -10,6 +10,7 @@ import (
 
 	"dssmem/internal/machine"
 	"dssmem/internal/obs"
+	"dssmem/internal/oltp"
 	"dssmem/internal/perfctr"
 	"dssmem/internal/tpch"
 	"dssmem/internal/workload"
@@ -113,25 +114,27 @@ func TestChromeTraceWellFormed(t *testing.T) {
 // off and fully on: the per-CPU hardware counters and the directory stats
 // must be byte-identical — observation must never perturb the simulation.
 func TestObservationIsPassive(t *testing.T) {
+	all := obs.Config{SampleInterval: 500_000, Events: true, ByOperator: true, Regions: true}
 	off := runQ6(t, nil, 2)
-	ob := obs.New(obs.Config{SampleInterval: 500_000, Events: true, ByOperator: true, Regions: true})
+	ob := obs.New(all)
 	on := runQ6(t, ob, 2)
+	samePassive(t, "Q6", off, on)
 
-	if len(off.Procs) != len(on.Procs) {
-		t.Fatalf("process counts differ: %d vs %d", len(off.Procs), len(on.Procs))
-	}
-	for i := range off.Procs {
-		if off.Procs[i].Counters != on.Procs[i].Counters {
-			t.Errorf("CPU %d counters differ with observation on:\noff: %+v\non:  %+v",
-				i, off.Procs[i].Counters, on.Procs[i].Counters)
+	// The OLTP mix's stores and lock hand-offs go through the same hooks.
+	cfg := oltp.DefaultConfig()
+	cfg.Transactions = 40
+	runOLTP := func(ob *obs.Observer) *workload.Stats {
+		st, err := workload.Run(workload.Options{Spec: machine.OriginSpec(32, 256), Processes: 4,
+			OSTimeScale: 256, Obs: ob, Program: oltp.NewProgram(cfg)})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if off.Procs[i].WallCycles != on.Procs[i].WallCycles {
-			t.Errorf("CPU %d wall cycles differ: %d vs %d",
-				i, off.Procs[i].WallCycles, on.Procs[i].WallCycles)
-		}
+		return st
 	}
-	if off.Dir != on.Dir {
-		t.Errorf("directory stats differ:\noff: %+v\non:  %+v", off.Dir, on.Dir)
+	offOLTP, onOLTP := runOLTP(nil), runOLTP(obs.New(all))
+	samePassive(t, "OLTP", offOLTP, onOLTP)
+	if onOLTP.Regions.Accesses[perfctr.RegionRecord] == 0 {
+		t.Errorf("OLTP: region tallies not collected: %+v", onOLTP.Regions)
 	}
 
 	// And the observer actually collected all four pillars, and only an
@@ -150,6 +153,28 @@ func TestObservationIsPassive(t *testing.T) {
 	}
 	if len(ob.Operators()) == 0 {
 		t.Error("no operator stats collected")
+	}
+}
+
+// samePassive asserts that an observed run's per-CPU counters, wall cycles
+// and directory stats equal the unobserved run's.
+func samePassive(t *testing.T, run string, off, on *workload.Stats) {
+	t.Helper()
+	if len(off.Procs) != len(on.Procs) {
+		t.Fatalf("%s: process counts differ: %d vs %d", run, len(off.Procs), len(on.Procs))
+	}
+	for i := range off.Procs {
+		if off.Procs[i].Counters != on.Procs[i].Counters {
+			t.Errorf("%s: CPU %d counters differ with observation on:\noff: %+v\non:  %+v",
+				run, i, off.Procs[i].Counters, on.Procs[i].Counters)
+		}
+		if off.Procs[i].WallCycles != on.Procs[i].WallCycles {
+			t.Errorf("%s: CPU %d wall cycles differ: %d vs %d",
+				run, i, off.Procs[i].WallCycles, on.Procs[i].WallCycles)
+		}
+	}
+	if off.Dir != on.Dir {
+		t.Errorf("%s: directory stats differ:\noff: %+v\non:  %+v", run, off.Dir, on.Dir)
 	}
 }
 

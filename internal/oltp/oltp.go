@@ -18,6 +18,7 @@ import (
 	"dssmem/internal/db/storage"
 	"dssmem/internal/machine"
 	"dssmem/internal/simos"
+	"dssmem/internal/workload"
 )
 
 // Granularity selects the write-lock unit.
@@ -178,7 +179,6 @@ type Client struct {
 	s   *engine.Session
 	ctx *executor.Context
 	rng txRng
-	pid int
 
 	// Stats.
 	Payments  int
@@ -188,32 +188,31 @@ type Client struct {
 	AppliedAmount int64
 }
 
-// NewClient opens a transaction client for process pid.
-func (d *DB) NewClient(p engine.Proc, pid int) *Client {
-	s := d.db.NewSession(p, pid)
+// NewClient opens a transaction client on session s, whose PID seeds its
+// transaction stream.
+func (d *DB) NewClient(s *engine.Session) *Client {
 	return &Client{
 		d:   d,
 		s:   s,
 		ctx: executor.NewContext(s),
-		rng: txRng{s: d.cfg.Seed + uint64(pid)*0x9E3779B97F4A7C15},
-		pid: pid,
+		rng: txRng{s: d.cfg.Seed + uint64(s.PID)*0x9E3779B97F4A7C15},
 	}
 }
 
 // lockWrite takes the configured write lock for (rel,row).
 func (c *Client) lockWrite(rel *catalog.Relation, row int64) {
 	if c.d.cfg.Granularity == RowLocks {
-		c.d.db.LockMgr.AcquireRowExclusive(c.s.P, c.pid, rel.ID, row)
+		c.d.db.LockMgr.AcquireRowExclusive(c.s.P, c.s.PID, rel.ID, row)
 	} else {
-		c.d.db.LockMgr.AcquireExclusive(c.s.P, c.pid, rel.ID)
+		c.d.db.LockMgr.AcquireExclusive(c.s.P, c.s.PID, rel.ID)
 	}
 }
 
 func (c *Client) unlockWrite(rel *catalog.Relation, row int64) {
 	if c.d.cfg.Granularity == RowLocks {
-		c.d.db.LockMgr.ReleaseRowExclusive(c.s.P, c.pid, rel.ID, row)
+		c.d.db.LockMgr.ReleaseRowExclusive(c.s.P, c.s.PID, rel.ID, row)
 	} else {
-		c.d.db.LockMgr.ReleaseExclusive(c.s.P, c.pid, rel.ID)
+		c.d.db.LockMgr.ReleaseExclusive(c.s.P, c.s.PID, rel.ID)
 	}
 }
 
@@ -358,75 +357,83 @@ func (s *Stats) TxPerMCycle() float64 {
 	return float64(s.Transactions) / (float64(s.WallCycles) / 1e6)
 }
 
-// Run executes the OLTP mix with n processes on the given machine and checks
-// the money-conservation invariant (sum of warehouse YTDs equals the total
-// applied payment volume).
-func Run(spec machine.Spec, cfg Config, n int, osTimeScale int) (*Stats, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, fmt.Errorf("oltp: %w", err)
-	}
-	if n <= 0 || n > spec.CPUs {
-		return nil, fmt.Errorf("oltp: bad process count %d", n)
-	}
-	d := Load(cfg)
-	spec.SharedLimit = d.db.SharedBytes
-	m := machine.New(spec)
-	osys := simos.New(m, simos.DefaultConfigScaled(spec.ClockMHz, osTimeScale), 0)
+// Program is the OLTP mix as a workload.Program: Load builds the tables,
+// each process runs the configured transactions on its own client, and
+// Check asserts money conservation (the warehouse YTDs sum to the applied
+// payment volume). It keeps its run's database and clients, so it serves
+// one run at a time.
+type Program struct {
+	cfg     Config
+	d       *DB
+	clients []*Client
+}
 
-	clients := make([]*Client, n)
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		i := i
-		osys.Spawn(i, func(p *simos.Process) {
-			c := d.NewClient(p, i)
-			clients[i] = c
-			errs[i] = c.RunMix()
-		})
-	}
-	if err := osys.Run(); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
+// NewProgram returns the OLTP mix under cfg.
+func NewProgram(cfg Config) *Program { return &Program{cfg: cfg} }
 
-	st := &Stats{
-		MachineName: spec.Name,
-		Granularity: cfg.Granularity,
-		Processes:   n,
+// Load builds the tables.
+func (w *Program) Load(opts workload.Options) (*engine.Database, error) {
+	if w.cfg.Warehouses <= 0 {
+		return nil, fmt.Errorf("oltp: need at least one warehouse")
+	}
+	w.d = Load(w.cfg)
+	w.clients = make([]*Client, opts.Processes)
+	return w.d.db, nil
+}
+
+// Run opens a client on the process's session and runs the mix.
+func (w *Program) Run(_ *simos.Process, s *engine.Session) error {
+	w.clients[s.PID] = w.d.NewClient(s)
+	return w.clients[s.PID].RunMix()
+}
+
+// Check asserts money conservation: the warehouse YTDs sum to the payment
+// volume the clients applied.
+func (w *Program) Check(workload.Options) error {
+	if s := w.Stats(&workload.Stats{}); s.YtdTotal != s.AppliedAmount {
+		return fmt.Errorf("oltp: money not conserved: ytd %d vs applied %d", s.YtdTotal, s.AppliedAmount)
+	}
+	return nil
+}
+
+// Stats builds the OLTP view of the run that st measured: the clients'
+// transactions, the warehouse YTDs and st's per-process clocks and counters.
+func (w *Program) Stats(st *workload.Stats) *Stats {
+	s := &Stats{MachineName: st.MachineName, Granularity: w.cfg.Granularity, Processes: st.Processes}
+	for _, c := range w.clients {
+		s.Transactions += c.Payments + c.NewOrders
+		s.Payments += c.Payments
+		s.NewOrders += c.NewOrders
+		s.AppliedAmount += c.AppliedAmount
+	}
+	wh := w.d.wh.Heap
+	for r := 0; r < wh.NumTuples(); r++ { // read without charging the simulation
+		s.YtdTotal += wh.ReadField(storage.NullMem{}, wh.TIDOf(r), WYtd)
 	}
 	var cold, capac, coh uint64
-	for i, p := range osys.Processes() {
-		c := clients[i]
-		st.Transactions += c.Payments + c.NewOrders
-		st.Payments += c.Payments
-		st.NewOrders += c.NewOrders
-		st.AppliedAmount += c.AppliedAmount
-		st.ThreadCycles += p.ThreadCycles()
-		if p.Now() > st.WallCycles {
-			st.WallCycles = p.Now()
-		}
-		st.VolSwitches += p.VoluntarySwitches()
-		ct := m.Counters(i)
-		st.Backoffs += ct.LockBackoffs
-		st.Dirty3Hop += ct.Dirty3HopMisses
-		cold += ct.ColdMisses
-		capac += ct.CapacityMisses
-		coh += ct.CoherenceMisses
+	for _, p := range st.Procs {
+		s.ThreadCycles += p.ThreadCycles
+		s.WallCycles = max(s.WallCycles, p.WallCycles)
+		s.VolSwitches += p.Vol
+		s.Backoffs += p.Counters.LockBackoffs
+		s.Dirty3Hop += p.Counters.Dirty3HopMisses
+		cold += p.Counters.ColdMisses
+		capac += p.Counters.CapacityMisses
+		coh += p.Counters.CoherenceMisses
 	}
 	if total := cold + capac + coh; total > 0 {
-		st.CoherencePct = 100 * float64(coh) / float64(total)
+		s.CoherencePct = 100 * float64(coh) / float64(total)
 	}
+	return s
+}
 
-	// Conservation: warehouse YTDs must equal the applied payment volume.
-	for r := 0; r < d.wh.Heap.NumTuples(); r++ {
-		st.YtdTotal += d.wh.Heap.ReadField(storage.NullMem{}, d.wh.Heap.TIDOf(r), WYtd)
+// Run executes the OLTP mix with n processes on the given machine through
+// the workload lifecycle and checks money conservation.
+func Run(spec machine.Spec, cfg Config, n int, osTimeScale int) (*Stats, error) {
+	w := NewProgram(cfg)
+	st, err := workload.Run(workload.Options{Spec: spec, Processes: n, OSTimeScale: osTimeScale, Program: w})
+	if err != nil {
+		return nil, err
 	}
-	if st.YtdTotal != st.AppliedAmount {
-		return nil, fmt.Errorf("oltp: money not conserved: ytd %d vs applied %d",
-			st.YtdTotal, st.AppliedAmount)
-	}
-	return st, nil
+	return w.Stats(st), nil
 }

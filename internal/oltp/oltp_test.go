@@ -1,10 +1,14 @@
 package oltp
 
 import (
+	"context"
+	"errors"
+	"strings"
 	"testing"
 
 	"dssmem/internal/db/dbtest"
 	"dssmem/internal/machine"
+	"dssmem/internal/workload"
 )
 
 func tinyCfg() Config {
@@ -28,6 +32,11 @@ func TestLoadShape(t *testing.T) {
 }
 
 func TestLoadRejectsZeroWarehouses(t *testing.T) {
+	// Through the run lifecycle, the program's Load returns an error.
+	_, err := workload.Run(workload.Options{Spec: machine.VClassSpec(4, 256), Processes: 1, Program: NewProgram(Config{})})
+	if err == nil || !strings.Contains(err.Error(), "warehouse") {
+		t.Errorf("program err = %v, want one naming the warehouses", err)
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -36,10 +45,59 @@ func TestLoadRejectsZeroWarehouses(t *testing.T) {
 	Load(Config{})
 }
 
+// A degenerate custom machine is an error naming the bad field, never a
+// panic or an infinite wall time (the workload.Run half lives in
+// internal/workload).
+func TestDegenerateSpecsAreErrors(t *testing.T) {
+	cases := []struct {
+		name, field string
+		mutate      func(*machine.Spec)
+		vclass      bool
+	}{
+		{"zero ways", "Assoc", func(s *machine.Spec) { s.L1.Assoc = 0 }, false},
+		{"65 cpus", "CPUs", func(s *machine.Spec) { s.CPUs = 65 }, false},
+		{"3-node hypercube", "MemNodes", func(s *machine.Spec) { s.MemNodes = 3 }, false},
+		{"zero clock", "ClockMHz", func(s *machine.Spec) { s.ClockMHz = 0 }, true},
+	}
+	for _, c := range cases {
+		spec := machine.OriginSpec(32, 256)
+		if c.vclass {
+			spec = machine.VClassSpec(16, 256)
+		}
+		c.mutate(&spec)
+		_, err := Run(spec, DefaultConfig(), 1, 256)
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: oltp.Run err = %v, want one naming %s", c.name, err, c.field)
+		}
+	}
+}
+
+// An OLTP run whose context is already done aborts with the cause before it
+// simulates anything, as a query run does.
+func TestRunContextPreCancelled(t *testing.T) {
+	cause := errors.New("client went away")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(cause)
+	fired := false
+	st, err := workload.RunContext(ctx, workload.Options{
+		Spec: machine.OriginSpec(32, 256), Processes: 4, OSTimeScale: 256,
+		Program: NewProgram(tinyCfg()), SimFault: func() { fired = true },
+	})
+	if st != nil {
+		t.Fatalf("cancelled run returned stats for %d processes", st.Processes)
+	}
+	if !errors.Is(err, cause) {
+		t.Fatalf("err = %v, want the cause in the chain", err)
+	}
+	if fired {
+		t.Fatal("the simulation ran: the fault hook fired")
+	}
+}
+
 func TestPaymentUpdatesBalances(t *testing.T) {
 	d := Load(tinyCfg())
 	p := &dbtest.FakeProc{}
-	c := d.NewClient(p, 0)
+	c := d.NewClient(d.Engine().NewSession(p, 0))
 	for i := 0; i < 10; i++ {
 		if err := c.Payment(); err != nil {
 			t.Fatal(err)
@@ -55,7 +113,7 @@ func TestPaymentUpdatesBalances(t *testing.T) {
 
 func TestNewOrderConsumesStock(t *testing.T) {
 	d := Load(tinyCfg())
-	c := d.NewClient(&dbtest.FakeProc{}, 0)
+	c := d.NewClient(d.Engine().NewSession(&dbtest.FakeProc{}, 0))
 	for i := 0; i < 10; i++ {
 		if err := c.NewOrder(); err != nil {
 			t.Fatal(err)

@@ -46,9 +46,10 @@ const requestSchema = 1
 //
 // Deliberately excluded: workload.Options.Data (the dataset is identified by
 // its generator inputs SF and Seed — the generator is deterministic),
-// workload.Options.Obs (observation is passive and never perturbs results)
-// and workload.Options.SimFault (wall-clock fault injection; simulated
-// clocks and results are untouched).
+// workload.Options.Obs (observation is passive and never perturbs results),
+// workload.Options.SimFault (wall-clock fault injection; simulated
+// clocks and results are untouched) and workload.Options.Program (code, not
+// data: experiments.Env.MeasureCached refuses to cache a run that sets one).
 type Request struct {
 	Schema   int          `json:"schema"`
 	DataSF   float64      `json:"data_sf"`
@@ -60,7 +61,6 @@ type Request struct {
 	OS              simos.Config `json:"os"`
 	Quantum         uint64       `json:"quantum"`
 	Query           string       `json:"query"`
-	Mix             []string     `json:"mix,omitempty"`
 	Processes       int          `json:"processes"`
 	Validate        bool         `json:"validate"`
 	SpinLimit       int          `json:"spin_limit"`
@@ -79,7 +79,7 @@ type Request struct {
 // CanonicalRequest builds the Request for opts run over the dataset generated
 // by tpch.Generate(sf, seed).
 func CanonicalRequest(sf float64, seed uint64, opts workload.Options) Request {
-	r := Request{
+	return Request{
 		Schema:          requestSchema,
 		DataSF:          sf,
 		DataSeed:        seed,
@@ -95,10 +95,6 @@ func CanonicalRequest(sf float64, seed uint64, opts workload.Options) Request {
 		ColdRun:         opts.ColdRun,
 		SampleQuanta:    opts.SampleQuanta,
 	}
-	for _, q := range opts.Mix {
-		r.Mix = append(r.Mix, CanonicalString(q.String()))
-	}
-	return r
 }
 
 // CanonicalString maps a string to the form that survives a JSON round trip

@@ -57,7 +57,6 @@ func TestDigestStableAndSensitive(t *testing.T) {
 	variant("hint", func(o *workload.Options) { o.HintBitFraction = -1 }, 0.002, 7)
 	variant("trial", func(o *workload.Options) { o.Trial = 1 }, 0.002, 7)
 	variant("cold", func(o *workload.Options) { o.ColdRun = true }, 0.002, 7)
-	variant("mix", func(o *workload.Options) { o.Mix = []tpch.QueryID{tpch.Q6, tpch.Q21} }, 0.002, 7)
 	variant("machine", func(o *workload.Options) { o.Spec = machine.OriginSpec(32, 256) }, 0.002, 7)
 }
 

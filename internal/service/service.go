@@ -531,10 +531,15 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
+	cold, err := boolParam(r, "cold")
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, err)
+		return
+	}
 	opts := workload.Options{
 		Spec:         spec,
 		Trial:        trial,
-		ColdRun:      boolParam(r, "cold"),
+		ColdRun:      cold,
 		SampleQuanta: sq,
 	}
 
@@ -781,10 +786,16 @@ func parseIntDefault(s string, def int) (int, error) {
 	return strconv.Atoi(s)
 }
 
-func boolParam(r *http.Request, name string) bool {
-	switch strings.ToLower(r.URL.Query().Get(name)) {
+// boolParam reads a flag parameter: 1, true, yes or on (any case) is true;
+// 0, false, no, off or an absent parameter is false; anything else is an
+// error naming the value, so a typo never silently selects the default.
+func boolParam(r *http.Request, name string) (bool, error) {
+	v := r.URL.Query().Get(name)
+	switch strings.ToLower(v) {
 	case "1", "true", "yes", "on":
-		return true
+		return true, nil
+	case "", "0", "false", "no", "off":
+		return false, nil
 	}
-	return false
+	return false, fmt.Errorf("bad %s %q (want 1/true/yes/on or 0/false/no/off)", name, v)
 }

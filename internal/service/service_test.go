@@ -139,6 +139,9 @@ func TestBadRequests(t *testing.T) {
 		"/v1/measure?machine=vclass&cpus=100&procs=1",
 		"/v1/measure?machine=vclass&cpus=4&procs=5",
 		"/v1/sweep?machine=origin&cpus=2",
+		// A malformed flag is an error, never the warm default.
+		"/v1/measure?cold=bogus",
+		"/v1/measure?cold=t",
 	} {
 		resp, body := get(t, ts, path)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -1,4 +1,5 @@
-package workload
+// External test package: the OLTP program imports workload.
+package workload_test
 
 import (
 	"fmt"
@@ -6,8 +7,10 @@ import (
 
 	"dssmem/internal/machine"
 	"dssmem/internal/obs"
+	"dssmem/internal/oltp"
 	"dssmem/internal/perfctr"
 	"dssmem/internal/tpch"
+	"dssmem/internal/workload"
 )
 
 // TestConservationLaws pins the two ledgers of the memory model against each
@@ -17,7 +20,9 @@ import (
 // attribution on collects, must also add up to the CPU totals. The runs are
 // exact, so no estimate enters any law. Warm runs at 1
 // and 4 processes do no I/O; a cold run of each query and machine at 4
-// processes adds the disk path to the switch law.
+// processes adds the disk path to the switch law; the OLTP mix under
+// relation and row locks at 1, 4 and 8 processes adds the write-heavy path:
+// stores, upgrades and ownership transfers.
 func TestConservationLaws(t *testing.T) {
 	data := tpch.Generate(0.001, 7)
 	specs := []machine.Spec{
@@ -29,13 +34,10 @@ func TestConservationLaws(t *testing.T) {
 	// nonzero count has not been tested.
 	var exercised perfctr.Counters
 	var diskReads uint64
-	run := func(spec machine.Spec, q tpch.QueryID, procs int, cold bool) {
-		name := fmt.Sprintf("%s/%v/p%d", spec.Name, q, procs)
-		if cold {
-			name += "/cold"
-		}
-		st, err := Run(Options{Spec: spec, Data: data, Query: q, Processes: procs, OSTimeScale: 256, ColdRun: cold,
-			Obs: obs.New(obs.Config{Regions: true})})
+	run := func(name string, o workload.Options) {
+		spec, cold := o.Spec, o.ColdRun
+		o.OSTimeScale, o.Obs = 256, obs.New(obs.Config{Regions: true})
+		st, err := workload.Run(o)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -50,9 +52,19 @@ func TestConservationLaws(t *testing.T) {
 	for _, spec := range specs {
 		for _, q := range []tpch.QueryID{tpch.Q6, tpch.Q21, tpch.Q12} {
 			for _, procs := range []int{1, 4} {
-				run(spec, q, procs, false)
+				run(fmt.Sprintf("%s/%v/p%d", spec.Name, q, procs),
+					workload.Options{Spec: spec, Data: data, Query: q, Processes: procs})
 			}
-			run(spec, q, 4, true)
+			run(fmt.Sprintf("%s/%v/p4/cold", spec.Name, q),
+				workload.Options{Spec: spec, Data: data, Query: q, Processes: 4, ColdRun: true})
+		}
+		for _, gran := range []oltp.Granularity{oltp.RelationLocks, oltp.RowLocks} {
+			cfg := oltp.DefaultConfig()
+			cfg.Transactions, cfg.Granularity = 40, gran
+			for _, procs := range []int{1, 4, 8} {
+				run(fmt.Sprintf("%s/oltp-%v/p%d", spec.Name, gran, procs),
+					workload.Options{Spec: spec, Processes: procs, Program: oltp.NewProgram(cfg)})
+			}
 		}
 	}
 	for _, c := range []struct {
@@ -74,7 +86,7 @@ func TestConservationLaws(t *testing.T) {
 
 // checkLaws asserts every conservation law on one run; ct is the sum of its
 // CPUs' counter files, and cold says the run started with an empty pool.
-func checkLaws(t *testing.T, run string, spec machine.Spec, st *Stats, ct *perfctr.Counters, cold bool) {
+func checkLaws(t *testing.T, run string, spec machine.Spec, st *workload.Stats, ct *perfctr.Counters, cold bool) {
 	t.Helper()
 	d := st.Dir
 	law := func(name string, lhs, rhs uint64) {

@@ -1,7 +1,8 @@
-// Package workload runs the paper's experimental configurations: N query
-// processes (all running the same TPC-H query) pinned to distinct CPUs of a
-// simulated machine, with hardware counters collected over the measured
-// region and query answers validated against reference implementations.
+// Package workload runs the paper's experimental configurations: N
+// processes pinned to distinct CPUs of a simulated machine, each running a
+// Program (by default one TPC-H query), with hardware counters collected
+// over the measured region and the results validated by the program. run is
+// the one place a simulation is built, run and measured.
 package workload
 
 import (
@@ -25,14 +26,13 @@ type Options struct {
 	Spec  machine.Spec
 	Data  *tpch.Data
 	Query tpch.QueryID
-	// Mix, when non-empty, runs a heterogeneous workload: process i runs
-	// Mix[i%len(Mix)] and Query is ignored. This models the reading of the
-	// paper's §4 title ("Multiple (Diff) Query Execution") in which the
-	// concurrent processes run different queries.
-	Mix       []tpch.QueryID
+	// Program, when non-nil, is what the processes run, and Query only
+	// labels the stats; nil means Queries(Query). No content digest covers
+	// a program, so experiments.Env.MeasureCached rejects one.
+	Program   Program
 	Processes int
-	// Validate compares each process's answer against the reference
-	// implementation (default on via Run; RunUnchecked skips).
+	// Validate has Queries compare each process's answer against the
+	// reference implementation (default on via Run; RunUnchecked skips).
 	Validate bool
 	// SpinLimit overrides the DBMS spin-before-backoff count (0 = default).
 	SpinLimit int
@@ -75,7 +75,6 @@ type Options struct {
 
 // ProcStats is one process's measured region.
 type ProcStats struct {
-	Query        tpch.QueryID
 	Counters     perfctr.Counters
 	ThreadCycles uint64
 	WallCycles   uint64
@@ -119,6 +118,69 @@ type SessStats struct {
 	RelationAcquires uint64
 }
 
+// Program is what a run's processes execute. Load builds the database and
+// is the warm-up prelude; Run is one process's body, on a session whose PID
+// is the process index; Check validates the results once every process has
+// finished. Everything else (the machine, the OS, observation, sampling,
+// cancellation and the Stats) belongs to the run. A Program value may keep
+// per-run state, so it serves one run at a time.
+type Program interface {
+	Load(Options) (*engine.Database, error)
+	Run(*simos.Process, *engine.Session) error
+	Check(Options) error
+}
+
+// Queries is the TPC-H program: process i runs qs[i%len(qs)], and Check
+// compares each answer with tpch.Ref when Options.Validate is set. Several
+// queries model the reading of the paper's §4 title ("Multiple (Diff) Query
+// Execution") in which the concurrent processes run different queries.
+func Queries(qs ...tpch.QueryID) Program { return &queries{qs: qs} }
+
+type queries struct {
+	qs      []tpch.QueryID
+	results []*tpch.Result
+}
+
+func (w *queries) Load(opts Options) (*engine.Database, error) {
+	if opts.Data == nil {
+		return nil, fmt.Errorf("workload: no data")
+	}
+	if len(w.qs) == 0 {
+		return nil, fmt.Errorf("workload: no queries")
+	}
+	w.results = make([]*tpch.Result, opts.Processes)
+	db := engine.Open(engineConfig(opts))
+	tpch.Load(db, opts.Data)
+	return db, nil
+}
+
+func (w *queries) Run(p *simos.Process, s *engine.Session) error {
+	q := w.qs[s.PID%len(w.qs)]
+	p.BeginOp("query:" + q.String())
+	w.results[s.PID] = tpch.Run(q, s)
+	p.EndOp()
+	return nil
+}
+
+func (w *queries) Check(opts Options) error {
+	if !opts.Validate {
+		return nil
+	}
+	wants := map[tpch.QueryID]uint64{}
+	for i, r := range w.results {
+		q := w.qs[i%len(w.qs)]
+		want, ok := wants[q]
+		if !ok {
+			want = tpch.Ref(q, opts.Data).Digest()
+			wants[q] = want
+		}
+		if r == nil || r.Digest() != want {
+			return fmt.Errorf("workload: process %d returned a wrong %v answer", i, q)
+		}
+	}
+	return nil
+}
+
 // Run executes the configuration and validates the answers.
 func Run(opts Options) (*Stats, error) {
 	return RunContext(context.Background(), opts)
@@ -149,18 +211,21 @@ func run(ctx context.Context, opts Options) (*Stats, error) {
 	if opts.Processes > opts.Spec.CPUs {
 		return nil, fmt.Errorf("workload: %d processes exceed %d CPUs", opts.Processes, opts.Spec.CPUs)
 	}
-	if opts.Data == nil {
-		return nil, fmt.Errorf("workload: no data")
-	}
 	if ctx != nil && ctx.Err() != nil {
 		// The interrupt below lands asynchronously, so a short run could
 		// otherwise finish before it and return a result nobody asked for.
 		return nil, fmt.Errorf("workload: run aborted: %w", context.Cause(ctx))
 	}
 
+	prog := opts.Program
+	if prog == nil {
+		prog = Queries(opts.Query)
+	}
 	preludeStart := time.Now()
-	db := engine.Open(engineConfig(opts))
-	tpch.Load(db, opts.Data)
+	db, err := prog.Load(opts)
+	if err != nil {
+		return nil, err
+	}
 	warmupNS := time.Since(preludeStart).Nanoseconds()
 
 	spec := opts.Spec
@@ -186,22 +251,12 @@ func run(ctx context.Context, opts Options) (*Stats, error) {
 		osys.SetSampling(sampler)
 	}
 
-	queryOf := func(i int) tpch.QueryID {
-		if len(opts.Mix) > 0 {
-			return opts.Mix[i%len(opts.Mix)]
-		}
-		return opts.Query
-	}
-	results := make([]*tpch.Result, opts.Processes)
 	sessions := make([]*engine.Session, opts.Processes)
+	errs := make([]error, opts.Processes)
 	for i := 0; i < opts.Processes; i++ {
-		i := i
 		osys.Spawn(i, func(p *simos.Process) {
-			sess := db.NewSession(p, i)
-			sessions[i] = sess
-			p.BeginOp("query:" + queryOf(i).String())
-			results[i] = tpch.Run(queryOf(i), sess)
-			p.EndOp()
+			sessions[i] = db.NewSession(p, i)
+			errs[i] = prog.Run(p, sessions[i])
 		})
 	}
 
@@ -218,28 +273,13 @@ func run(ctx context.Context, opts Options) (*Stats, error) {
 		return nil, err
 	}
 	measuredNS := time.Since(measuredStart).Nanoseconds()
-	if sampler != nil {
-		// Estimate the event counters the fast-forwarded quanta skipped from
-		// the measured windows' rates; the estimated counter files then flow
-		// through the normal Stats -> Measurement pipeline.
-		for i := 0; i < opts.Processes; i++ {
-			sampler.Extrapolate(i, m.Counters(i))
+	for _, err := range errs {
+		if err != nil {
+			return nil, err // the lowest-index failing process's
 		}
 	}
-
-	if opts.Validate {
-		wants := map[tpch.QueryID]uint64{}
-		for i, r := range results {
-			q := queryOf(i)
-			want, ok := wants[q]
-			if !ok {
-				want = tpch.Ref(q, opts.Data).Digest()
-				wants[q] = want
-			}
-			if r == nil || r.Digest() != want {
-				return nil, fmt.Errorf("workload: process %d returned a wrong %v answer", i, q)
-			}
-		}
+	if err := prog.Check(opts); err != nil {
+		return nil, err
 	}
 
 	st := &Stats{
@@ -258,25 +298,22 @@ func run(ctx context.Context, opts Options) (*Stats, error) {
 			RelationAcquires: db.LockMgr.RelationAcquires,
 		},
 	}
-	for _, sess := range sessions {
-		if sess != nil {
-			st.Sess.Pins += sess.Pins
-		}
-	}
 	for i, p := range osys.Processes() {
+		if sampler != nil {
+			// Estimate the event counters the fast-forwarded quanta skipped
+			// from the measured windows' rates; the estimated counter file
+			// then flows through the normal Stats -> Measurement pipeline.
+			sampler.Extrapolate(i, m.Counters(i))
+			st.Sampling = append(st.Sampling, sampler.Estimate(i))
+		}
+		st.Sess.Pins += sessions[i].Pins
 		st.Procs = append(st.Procs, ProcStats{
-			Query:        queryOf(i),
 			Counters:     *m.Counters(i),
 			ThreadCycles: p.ThreadCycles(),
 			WallCycles:   p.Now(),
 			Vol:          p.VoluntarySwitches(),
 			Invol:        p.InvoluntarySwitches(),
 		})
-	}
-	if sampler != nil {
-		for i := 0; i < opts.Processes; i++ {
-			st.Sampling = append(st.Sampling, sampler.Estimate(i))
-		}
 	}
 	return st, nil
 }
@@ -336,12 +373,8 @@ func (s *Stats) MeanCounters() perfctr.Counters {
 	for i := range s.Procs {
 		sum.Add(&s.Procs[i].Counters)
 	}
-	return scaleCounters(sum, len(s.Procs))
-}
-
-func scaleCounters(c perfctr.Counters, n int) perfctr.Counters {
-	c.Scale(n)
-	return c
+	sum.Scale(len(s.Procs))
+	return sum
 }
 
 // MeanThreadCycles averages thread time across processes.

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dssmem/internal/machine"
-	"dssmem/internal/oltp"
 	"dssmem/internal/tpch"
 )
 
@@ -45,8 +44,8 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 	}
 }
 
-// A degenerate custom machine is an error naming the bad field, from both
-// run entry points, never a panic or an infinite wall time.
+// A degenerate custom machine is an error naming the bad field, never a
+// panic or an infinite wall time (the oltp.Run half lives in internal/oltp).
 func TestDegenerateSpecsAreErrors(t *testing.T) {
 	cases := []struct {
 		name, field string
@@ -67,10 +66,6 @@ func TestDegenerateSpecsAreErrors(t *testing.T) {
 		_, err := Run(opts(spec, tpch.Q6, 1))
 		if err == nil || !strings.Contains(err.Error(), c.field) {
 			t.Errorf("%s: workload.Run err = %v, want one naming %s", c.name, err, c.field)
-		}
-		_, err = oltp.Run(spec, oltp.DefaultConfig(), 1, 256)
-		if err == nil || !strings.Contains(err.Error(), c.field) {
-			t.Errorf("%s: oltp.Run err = %v, want one naming %s", c.name, err, c.field)
 		}
 	}
 }
@@ -237,20 +232,21 @@ func TestRunTrialsZeroClamped(t *testing.T) {
 
 func TestMixedWorkloadValidatesEachQuery(t *testing.T) {
 	o := opts(machine.VClassSpec(16, 256), tpch.Q6, 6)
-	o.Mix = []tpch.QueryID{tpch.Q6, tpch.Q21, tpch.Q12}
-	st, err := Run(o)
+	o.Program = Queries(tpch.Q6, tpch.Q21, tpch.Q12)
+	st, err := Run(o) // Check validates process i's answer against qs[i%3]
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []tpch.QueryID{tpch.Q6, tpch.Q21, tpch.Q12, tpch.Q6, tpch.Q21, tpch.Q12}
-	for i, p := range st.Procs {
-		if p.Query != want[i] {
-			t.Fatalf("proc %d ran %v, want %v", i, p.Query, want[i])
+	// Q21 processes (1 and 4) must have done far more work than Q6
+	// processes (0 and 3).
+	for _, i := range []int{0, 3} {
+		if st.Procs[i+1].Counters.Instructions <= st.Procs[i].Counters.Instructions {
+			t.Fatalf("proc %d (Q21) did no more work than proc %d (Q6): the mix lost per-query identity", i+1, i)
 		}
 	}
-	// Q21 processes must have done far more work than Q6 processes.
-	if st.Procs[1].Counters.Instructions <= st.Procs[0].Counters.Instructions {
-		t.Fatal("mix lost per-query identity")
+	o.Program = Queries()
+	if _, err := Run(o); err == nil || !strings.Contains(err.Error(), "no queries") {
+		t.Fatalf("empty query list: err = %v, want one saying so", err)
 	}
 }
 

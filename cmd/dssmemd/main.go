@@ -8,17 +8,15 @@
 //	dssmemd [-addr :8077] [-preset tiny|small|medium] [-cache-dir DIR]
 //	        [-workers N] [-run-timeout D] [-env-parallelism N]
 //	        [-drain-timeout D] [-max-queue N] [-hard-deadline D]
-//	        [-faults SPEC] [-fault-seed N]
 //	        [-log-format json|text] [-debug-addr ADDR] [-sample-quanta N]
 //
 // Overload and failure handling (DESIGN.md §10): requests beyond the worker
 // pool wait in a bounded queue (-max-queue); past that they are shed with
 // 429 + Retry-After. -hard-deadline arms a watchdog that abandons any
 // simulation still running past the deadline, even one wedged beyond the
-// reach of cooperative cancellation. -faults arms deterministic fault
-// injection for chaos drills against a live daemon, e.g.
-//
-//	dssmemd -preset tiny -faults 'disk.read.corrupt=0.1,compute.panic=0.05'
+// reach of cooperative cancellation. Failure drills run in tests: TestChaos
+// (internal/service) injects disk and run faults through two test seams into
+// these same code paths.
 //
 // Telemetry (DESIGN.md §12): every request is logged as one structured line
 // with per-phase timings and measured into per-endpoint and per-phase
@@ -54,13 +52,10 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"dssmem"
-	"dssmem/internal/fault"
-	"dssmem/internal/rescache"
 	"dssmem/internal/service"
 )
 
@@ -74,12 +69,14 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "graceful-shutdown budget before in-flight runs are aborted")
 	maxQueue := flag.Int("max-queue", 0, "max requests waiting for a worker before shedding with 429 (0 = 4x workers, <0 = unbounded)")
 	hardDeadline := flag.Duration("hard-deadline", 0, "watchdog deadline after which a run is abandoned (0 = 2x run-timeout, <0 = none)")
-	faultSpec := flag.String("faults", "", "arm fault injection: 'site=prob,...' (sites: "+strings.Join(siteNames(), " ")+")")
-	faultSeed := flag.Int64("fault-seed", 1, "seed for the fault injector's RNG")
 	logFormat := flag.String("log-format", "json", "log output format: json or text")
 	debugAddr := flag.String("debug-addr", "", "private debug listener with pprof and /metrics ('' = off)")
 	sampleQuanta := flag.Int("sample-quanta", 0, "default SMARTS sampling period for requests without sample_quanta (0/1 = exact)")
 	flag.Parse()
+	if *sampleQuanta < 0 {
+		fmt.Fprintf(os.Stderr, "dssmemd: bad -sample-quanta %d (must be at least 0)\n", *sampleQuanta)
+		os.Exit(1)
+	}
 
 	logger, err := newLogger(*logFormat)
 	if err != nil {
@@ -106,25 +103,6 @@ func main() {
 		HardDeadline:   *hardDeadline,
 		Log:            logger,
 		SampleQuanta:   *sampleQuanta,
-	}
-	if *faultSpec != "" {
-		probs, err := fault.ParseSpec(*faultSpec)
-		if err != nil {
-			fatal("-faults", err)
-		}
-		inj := fault.New(*faultSeed)
-		inj.Configure(probs)
-		cfg.Faults = inj
-		if *cacheDir != "" {
-			// Route the cache's disk I/O through the injector too, so disk
-			// sites fire; the store is otherwise identical to the default.
-			store, err := rescache.OpenFS(*cacheDir, fault.FS{Inner: rescache.OSFS{}, Inj: inj})
-			if err != nil {
-				fatal("opening fault-injecting store", err)
-			}
-			cfg.Store = store
-		}
-		logger.Warn("FAULT INJECTION ARMED", "seed", *faultSeed, "spec", inj.String())
 	}
 
 	logger.Info("generating dataset", "preset", p.Name, "sf", p.SF)
@@ -204,15 +182,6 @@ func serveDebug(addr string, srv *service.Server, logger *slog.Logger) {
 	if err := http.ListenAndServe(addr, mux); err != nil {
 		logger.Error("debug listener failed", "err", err)
 	}
-}
-
-func siteNames() []string {
-	sites := fault.Sites()
-	names := make([]string, len(sites))
-	for i, s := range sites {
-		names[i] = string(s)
-	}
-	return names
 }
 
 func cacheLabel(dir string) string {

@@ -166,7 +166,6 @@ func (e *Env) MeasureOpts(tag string, q tpch.QueryID, procs int, opts workload.O
 func (e *Env) CanonicalOptions(q tpch.QueryID, procs int, opts workload.Options) workload.Options {
 	opts.Data = nil
 	opts.Obs = nil
-	opts.SimFault = nil
 	opts.Query = q
 	opts.Processes = procs
 	opts.Validate = true

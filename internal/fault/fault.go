@@ -1,50 +1,31 @@
 // Package fault is the deterministic fault-injection layer behind the
 // daemon's robustness tests. An Injector holds per-site firing probabilities
-// over a seeded RNG, so a chaos run is reproducible from its seed; every
-// server-side failure path — disk I/O errors, corrupted or torn cache bytes,
-// latency stalls, compute panics, hung simulations — has a named site here,
-// and the hardened code paths (internal/rescache, internal/service) consume
-// faults through the same interfaces production uses, so the tested paths
-// are the shipped paths.
+// over a seeded RNG, so a chaos run is reproducible from its seed. The disk
+// sites are named here and fire through FS, a filesystem the result store
+// opens over (rescache.OpenFS) exactly as it opens over the real one; tests
+// draw run faults from their own sites through the service's run seam. No
+// production binary imports this package.
 //
-// A nil *Injector is valid and injects nothing; production code calls the
-// hook methods unconditionally.
+// A nil *Injector is valid and injects nothing.
 package fault
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
-	"time"
 )
 
 // Site names one injectable failure point.
 type Site string
 
-// The named sites. Disk sites are exercised by the FS wrapper around the
-// result store; compute sites by the service's gated runner; SimStall by the
-// simulation kernel's quantum-boundary hook.
+// The disk sites, exercised by the FS wrapper around the result store.
 const (
 	DiskReadErr     Site = "disk.read.err"     // ReadFile fails with a non-NotExist error
 	DiskReadCorrupt Site = "disk.read.corrupt" // ReadFile succeeds but a byte is flipped
 	DiskWriteErr    Site = "disk.write.err"    // WriteFile/Rename fails
 	DiskWriteTorn   Site = "disk.write.torn"   // WriteFile persists a truncated prefix yet reports success
-	SimStall        Site = "sim.stall"         // a scheduling quantum stalls for StallFor
-	ComputePanic    Site = "compute.panic"     // the run goroutine panics
-	ComputeHang     Site = "compute.hang"      // the run wedges, ignoring cancellation
 )
-
-// Sites lists every site in stable order: the vocabulary of dssmemd -faults.
-func Sites() []Site {
-	return []Site{
-		DiskReadErr, DiskReadCorrupt, DiskWriteErr, DiskWriteTorn,
-		SimStall, ComputePanic, ComputeHang,
-	}
-}
 
 // ErrInjected is the sentinel wrapped by every injected error, so tests and
 // callers can tell deliberate faults from organic ones with errors.Is.
@@ -57,7 +38,6 @@ type Injector struct {
 	rng   *rand.Rand
 	probs map[Site]float64
 	fired map[Site]uint64
-	stall time.Duration
 }
 
 // New returns an injector whose decisions are a pure function of seed and
@@ -81,23 +61,6 @@ func (in *Injector) Set(site Site, p float64) {
 	in.mu.Lock()
 	in.probs[site] = p
 	in.mu.Unlock()
-}
-
-// SetStall sets the duration one SimStall firing blocks for.
-func (in *Injector) SetStall(d time.Duration) {
-	in.mu.Lock()
-	in.stall = d
-	in.mu.Unlock()
-}
-
-// StallFor reports the configured stall duration.
-func (in *Injector) StallFor() time.Duration {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.stall
 }
 
 // DisableAll zeroes every site's probability; fired counts are kept.
@@ -164,60 +127,4 @@ func (in *Injector) Fired() map[Site]uint64 {
 		out[s] = n
 	}
 	return out
-}
-
-// String renders the non-zero configuration, for logs.
-func (in *Injector) String() string {
-	if in == nil {
-		return "fault: none"
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	var parts []string
-	for s, p := range in.probs {
-		if p > 0 {
-			parts = append(parts, fmt.Sprintf("%s=%g", s, p))
-		}
-	}
-	sort.Strings(parts)
-	if len(parts) == 0 {
-		return "fault: none"
-	}
-	return "fault: " + strings.Join(parts, ",")
-}
-
-// ParseSpec parses a "site=prob,site=prob" flag value (e.g.
-// "disk.read.err=0.05,compute.panic=0.01") against the known sites.
-func ParseSpec(spec string) (map[Site]float64, error) {
-	out := make(map[Site]float64)
-	if strings.TrimSpace(spec) == "" {
-		return out, nil
-	}
-	known := make(map[Site]bool, len(Sites()))
-	for _, s := range Sites() {
-		known[s] = true
-	}
-	for _, part := range strings.Split(spec, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return nil, fmt.Errorf("fault: bad spec element %q (want site=prob)", part)
-		}
-		site := Site(strings.TrimSpace(name))
-		if !known[site] {
-			return nil, fmt.Errorf("fault: unknown site %q (known: %v)", site, Sites())
-		}
-		p, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if err != nil || p < 0 || p > 1 {
-			return nil, fmt.Errorf("fault: bad probability %q for %s", val, site)
-		}
-		out[site] = p
-	}
-	return out, nil
-}
-
-// Configure applies a parsed spec to an injector.
-func (in *Injector) Configure(probs map[Site]float64) {
-	for s, p := range probs {
-		in.Set(s, p)
-	}
 }

@@ -35,7 +35,7 @@ func TestDeterministicFromSeed(t *testing.T) {
 
 func TestNilInjectorIsInert(t *testing.T) {
 	var in *Injector
-	if in.Hit(ComputePanic) {
+	if in.Hit(DiskWriteTorn) {
 		t.Fatal("nil injector fired")
 	}
 	if err := in.Err(DiskReadErr, "x"); err != nil {
@@ -43,9 +43,6 @@ func TestNilInjectorIsInert(t *testing.T) {
 	}
 	if b := in.Corrupt(DiskReadCorrupt, []byte("abc")); string(b) != "abc" {
 		t.Fatalf("nil injector corrupted: %q", b)
-	}
-	if d := in.StallFor(); d != 0 {
-		t.Fatalf("nil injector stall = %v", d)
 	}
 }
 
@@ -82,34 +79,16 @@ func TestErrWrapsSentinel(t *testing.T) {
 
 func TestDisableAllAndFired(t *testing.T) {
 	in := New(7)
-	in.Set(ComputePanic, 1)
-	if !in.Hit(ComputePanic) {
+	in.Set(DiskWriteErr, 1)
+	if !in.Hit(DiskWriteErr) {
 		t.Fatal("p=1 did not fire")
 	}
 	in.DisableAll()
-	if in.Hit(ComputePanic) {
+	if in.Hit(DiskWriteErr) {
 		t.Fatal("fired after DisableAll")
 	}
-	if n := in.Fired()[ComputePanic]; n != 1 {
+	if n := in.Fired()[DiskWriteErr]; n != 1 {
 		t.Fatalf("fired count = %d, want 1", n)
-	}
-}
-
-func TestParseSpec(t *testing.T) {
-	m, err := ParseSpec("disk.read.err=0.25, compute.panic=0.01")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m[DiskReadErr] != 0.25 || m[ComputePanic] != 0.01 {
-		t.Fatalf("parsed %v", m)
-	}
-	if m, err := ParseSpec(""); err != nil || len(m) != 0 {
-		t.Fatalf("empty spec: %v %v", m, err)
-	}
-	for _, bad := range []string{"nope=0.1", "disk.read.err=2", "disk.read.err", "disk.read.err=x"} {
-		if _, err := ParseSpec(bad); err == nil {
-			t.Errorf("spec %q accepted", bad)
-		}
 	}
 }
 

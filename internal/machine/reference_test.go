@@ -304,8 +304,9 @@ func (r *refMachine) upgrade(c int, rc *refCache, line uint64, now uint64) uint6
 // with caches so small that a few lines conflict: the Origin (128-byte L2
 // lines over 32-byte L1 lines, speculative replies), Starfire
 // (direct-mapped, plain MESI), an Origin whose L2 lines are as short as its
-// L1 lines, an Origin whose caches have four ways (a custom geometry), and
-// the single-level, migratory V-Class.
+// L1 lines, an Origin whose caches have four ways (a custom geometry), the
+// single-level, migratory V-Class, and that V-Class degraded to MSI as the
+// estate ablation builds it (no Exclusive grant, so no migratory handoff).
 func referenceSpecs(cpus int) []Spec {
 	short := OriginSpec(cpus, 4096)
 	l2 := *short.L2
@@ -317,7 +318,11 @@ func referenceSpecs(cpus int) []Spec {
 	wl2.Assoc = 4
 	wide.L1.Assoc, wide.L2 = 4, &wl2
 	wide.Name += " with 4-way caches"
-	return []Spec{OriginSpec(cpus, 4096), StarfireSpec(cpus, 4096), short, wide, VClassSpec(cpus, 4096)}
+	msi := VClassSpec(cpus, 4096)
+	msi.Protocol.NoExclusive = true
+	msi.Protocol.Migratory = false
+	msi.Name += " under MSI"
+	return []Spec{OriginSpec(cpus, 4096), StarfireSpec(cpus, 4096), short, wide, VClassSpec(cpus, 4096), msi}
 }
 
 // TestMachineMatchesReference drives Machine and the reference machine with

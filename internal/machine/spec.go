@@ -5,6 +5,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"dssmem/internal/cache"
@@ -74,13 +75,23 @@ func (s *Spec) CPUNode(cpu int) int {
 	return cpu % s.MemNodes
 }
 
-// Validate checks the geometry and clock.
+// Validate checks the geometry, the clock and the pipeline timing.
 func (s *Spec) Validate() error {
 	if s.CPUs <= 0 || s.CPUs > 64 {
 		return fmt.Errorf("machine %s: CPUs must be 1..64, got %d", s.Name, s.CPUs)
 	}
 	if s.ClockMHz <= 0 {
 		return fmt.Errorf("machine %s: ClockMHz must be positive, got %d", s.Name, s.ClockMHz)
+	}
+	// The negated comparisons also reject NaN.
+	if !(s.BaseCPI > 0) || math.IsInf(s.BaseCPI, 1) {
+		return fmt.Errorf("machine %s: BaseCPI must be finite and positive, got %v", s.Name, s.BaseCPI)
+	}
+	if !(s.ReadStallFactor >= 0 && s.ReadStallFactor <= 1) {
+		return fmt.Errorf("machine %s: ReadStallFactor must be in [0, 1], got %v", s.Name, s.ReadStallFactor)
+	}
+	if !(s.WriteStallFactor >= 0 && s.WriteStallFactor <= 1) {
+		return fmt.Errorf("machine %s: WriteStallFactor must be in [0, 1], got %v", s.Name, s.WriteStallFactor)
 	}
 	if err := s.L1.Validate(); err != nil {
 		return err

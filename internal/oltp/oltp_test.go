@@ -3,10 +3,12 @@ package oltp
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
 	"dssmem/internal/db/dbtest"
+	"dssmem/internal/db/engine"
 	"dssmem/internal/machine"
 	"dssmem/internal/workload"
 )
@@ -58,6 +60,12 @@ func TestDegenerateSpecsAreErrors(t *testing.T) {
 		{"65 cpus", "CPUs", func(s *machine.Spec) { s.CPUs = 65 }, false},
 		{"3-node hypercube", "MemNodes", func(s *machine.Spec) { s.MemNodes = 3 }, false},
 		{"zero clock", "ClockMHz", func(s *machine.Spec) { s.ClockMHz = 0 }, true},
+		// Timing fields a run would turn into a wrong CPI, not an error.
+		{"negative CPI", "BaseCPI", func(s *machine.Spec) { s.BaseCPI = -1 }, false},
+		{"NaN CPI", "BaseCPI", func(s *machine.Spec) { s.BaseCPI = math.NaN() }, false},
+		{"zero CPI", "BaseCPI", func(s *machine.Spec) { s.BaseCPI = 0 }, false},
+		{"negative read stall", "ReadStallFactor", func(s *machine.Spec) { s.ReadStallFactor = -5 }, false},
+		{"NaN write stall", "WriteStallFactor", func(s *machine.Spec) { s.WriteStallFactor = math.NaN() }, false},
 	}
 	for _, c := range cases {
 		spec := machine.OriginSpec(32, 256)
@@ -72,16 +80,27 @@ func TestDegenerateSpecsAreErrors(t *testing.T) {
 	}
 }
 
+// loadProbe runs a Program and records whether the run loaded its database.
+type loadProbe struct {
+	workload.Program
+	loaded bool
+}
+
+func (p *loadProbe) Load(o workload.Options) (*engine.Database, error) {
+	p.loaded = true
+	return p.Program.Load(o)
+}
+
 // An OLTP run whose context is already done aborts with the cause before it
-// simulates anything, as a query run does.
+// loads its tables, as a query run does.
 func TestRunContextPreCancelled(t *testing.T) {
 	cause := errors.New("client went away")
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cancel(cause)
-	fired := false
+	probe := &loadProbe{Program: NewProgram(tinyCfg())}
 	st, err := workload.RunContext(ctx, workload.Options{
 		Spec: machine.OriginSpec(32, 256), Processes: 4, OSTimeScale: 256,
-		Program: NewProgram(tinyCfg()), SimFault: func() { fired = true },
+		Program: probe,
 	})
 	if st != nil {
 		t.Fatalf("cancelled run returned stats for %d processes", st.Processes)
@@ -89,8 +108,8 @@ func TestRunContextPreCancelled(t *testing.T) {
 	if !errors.Is(err, cause) {
 		t.Fatalf("err = %v, want the cause in the chain", err)
 	}
-	if fired {
-		t.Fatal("the simulation ran: the fault hook fired")
+	if probe.loaded {
+		t.Fatal("the cancelled run loaded its tables")
 	}
 }
 

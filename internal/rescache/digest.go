@@ -46,10 +46,9 @@ const requestSchema = 1
 //
 // Deliberately excluded: workload.Options.Data (the dataset is identified by
 // its generator inputs SF and Seed — the generator is deterministic),
-// workload.Options.Obs (observation is passive and never perturbs results),
-// workload.Options.SimFault (wall-clock fault injection; simulated
-// clocks and results are untouched) and workload.Options.Program (code, not
-// data: experiments.Env.MeasureCached refuses to cache a run that sets one).
+// workload.Options.Obs (observation is passive and never perturbs results)
+// and workload.Options.Program (code, not data: experiments.Env.MeasureCached
+// refuses to cache a run that sets one).
 type Request struct {
 	Schema   int          `json:"schema"`
 	DataSF   float64      `json:"data_sf"`

@@ -1,8 +1,8 @@
 package service
 
-// Chaos test: hammer a daemon whose disk, compute, and simulation layers are
-// all failing probabilistically with a plain HTTP client, and hold every
-// response to the only two permissible outcomes:
+// Chaos test: hammer a daemon whose disk and runs are both failing
+// probabilistically with a plain HTTP client, and hold every response to the
+// only two permissible outcomes:
 //
 //   1. HTTP 200 with a digest and measurement byte-identical to the
 //      fault-free baseline (faults may slow an answer, never change it), or
@@ -17,8 +17,14 @@ package service
 // memory tier would mask it), and must recover to health once the faults
 // stop. CHAOS_ITERS scales the per-goroutine iteration count for the nightly
 // CI job.
+//
+// Faults enter through the two test seams only: disk faults through the
+// store's filesystem (rescache.OpenFS over fault.FS), run faults through
+// Server.runHook, inside the same admission, timeout, watchdog and panic
+// boundary every real run passes.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -34,7 +40,34 @@ import (
 
 	"dssmem/internal/fault"
 	"dssmem/internal/rescache"
+	"dssmem/internal/workload"
 )
+
+// The run-fault sites, drawn once per run by faultyRun.
+const (
+	runPanic fault.Site = "compute.panic" // the run panics
+	runHang  fault.Site = "compute.hang"  // the run wedges, ignoring cancellation
+	runSlow  fault.Site = "compute.slow"  // the run starts a few milliseconds late
+)
+
+// faultyRun is a runner for srv.runHook that draws the run faults from inj
+// and otherwise runs the simulation. A hung run ignores its context; only
+// srv.Close releases it, so it does not outlive the test.
+func faultyRun(srv *Server, inj *fault.Injector) func(context.Context, workload.Options) (*workload.Stats, error) {
+	return func(ctx context.Context, o workload.Options) (*workload.Stats, error) {
+		if inj.Hit(runPanic) {
+			panic(fmt.Errorf("%w: run panic", fault.ErrInjected))
+		}
+		if inj.Hit(runHang) {
+			<-srv.base.Done()
+			return nil, fmt.Errorf("hung run released by shutdown: %w", errShutdown)
+		}
+		if inj.Hit(runSlow) {
+			time.Sleep(3 * time.Millisecond)
+		}
+		return workload.RunContext(ctx, o)
+	}
+}
 
 type measureBody struct {
 	Digest      string          `json:"digest"`
@@ -82,8 +115,8 @@ func TestChaos(t *testing.T) {
 			MaxQueue:     16,
 			HardDeadline: 3 * time.Second,
 			Store:        store,
-			Faults:       inj,
 		})
+		srv.runHook = faultyRun(srv, inj)
 		return srv, httptest.NewServer(srv.Handler())
 	}
 
@@ -107,12 +140,9 @@ func TestChaos(t *testing.T) {
 		inj.Set(fault.DiskReadCorrupt, 0.10)
 		inj.Set(fault.DiskWriteErr, 0.10)
 		inj.Set(fault.DiskWriteTorn, 0.10)
-		inj.Set(fault.ComputePanic, 0.05)
-		inj.Set(fault.ComputeHang, 0.005)
-		// SimStall fires per quantum boundary (hundreds per run): keep the
-		// per-boundary probability and stall small or runs take seconds.
-		inj.Set(fault.SimStall, 0.02)
-		inj.SetStall(2 * time.Millisecond)
+		inj.Set(runPanic, 0.05)
+		inj.Set(runHang, 0.005)
+		inj.Set(runSlow, 0.25)
 	}
 
 	// check holds one response to the contract; it returns "" when the
@@ -164,7 +194,7 @@ func TestChaos(t *testing.T) {
 		// One forced compute panic per round, so the non-200 half of the
 		// contract is checked on every run and not only when a random fault
 		// happens to hit one of the few simulations the chaos load starts.
-		inj.Set(fault.ComputePanic, 1)
+		inj.Set(runPanic, 1)
 		const forced = "/v1/measure?machine=origin&query=Q6&procs=8"
 		if resp, body := get(t, ts, forced); resp.StatusCode == http.StatusOK {
 			t.Fatalf("round %d: forced panic answered 200", round)

@@ -150,8 +150,9 @@ func TestWatchdogAbandonsWedgedRun(t *testing.T) {
 // succeeds.
 func TestInjectedPanicIsRetriable503(t *testing.T) {
 	inj := fault.New(1)
-	inj.Set(fault.ComputePanic, 1)
-	srv := newTestServerCfg(t, Config{Workers: 2, Faults: inj})
+	inj.Set(runPanic, 1)
+	srv := newTestServerCfg(t, Config{Workers: 2})
+	srv.runHook = faultyRun(srv, inj)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

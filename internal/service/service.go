@@ -38,7 +38,6 @@ import (
 
 	"dssmem/internal/core"
 	"dssmem/internal/experiments"
-	"dssmem/internal/fault"
 	"dssmem/internal/machine"
 	"dssmem/internal/rescache"
 	"dssmem/internal/telemetry"
@@ -79,10 +78,6 @@ type Config struct {
 	// computations (0 = GOMAXPROCS). Total concurrency is still capped by
 	// Workers, which gates at the simulation level.
 	EnvParallelism int
-	// Faults, when non-nil, arms the service-level fault sites (compute
-	// panic/hang, scheduler stalls) for chaos testing. Disk sites are wired
-	// separately, via Store over a fault.FS.
-	Faults *fault.Injector
 	// SampleQuanta, when > 1, is the daemon-wide default SMARTS sampling
 	// period: requests that do not pass sample_quanta themselves run with
 	// interval sampling at this period. Sampled results live under their own
@@ -127,6 +122,8 @@ type Server struct {
 	phaseSeconds *telemetry.HistVec // per-phase time, by phase name
 
 	// runHook replaces the workload runner in tests (nil = workload.RunContext).
+	// It is how tests inject run faults (panics, hangs, slow runs): inside
+	// the same admission, timeout, watchdog and panic boundary as a real run.
 	runHook func(context.Context, workload.Options) (*workload.Stats, error)
 }
 
@@ -343,10 +340,10 @@ func (s *Server) sampleQuanta(r *http.Request) (int, error) {
 
 // gatedRun is the run lifecycle: admission control (bounded wait queue with
 // fast shedding), cancellation-aware worker-slot acquisition, per-run
-// timeout, fault injection, and the hard-deadline watchdog. Panic isolation
-// for the simulation itself lives one level up, in rescache.Store.Do, which
-// owns the compute goroutine; the watchdog goroutine here has its own
-// recover so an injected panic surfaces as an error either way.
+// timeout and the hard-deadline watchdog. Panic isolation for the simulation
+// itself lives one level up, in rescache.Store.Do, which owns the compute
+// goroutine; the run goroutine here has its own recover so a panicking run
+// surfaces as an error either way.
 func (s *Server) gatedRun(ctx context.Context, opts workload.Options) (*workload.Stats, error) {
 	req := telemetry.FromContext(ctx)
 	// Admission control: take a free worker slot if one exists; otherwise
@@ -390,7 +387,6 @@ func (s *Server) gatedRun(ctx context.Context, opts workload.Options) (*workload
 	if s.runHook != nil {
 		run = s.runHook
 	}
-	inj := s.cfg.Faults
 	s.inflight.Add(1)
 	s.runs.Inc()
 	begin := time.Now()
@@ -412,19 +408,6 @@ func (s *Server) gatedRun(ctx context.Context, opts workload.Options) (*workload
 			}
 			resc <- r
 		}()
-		if inj.Hit(fault.ComputePanic) {
-			panic(fmt.Errorf("%w: compute panic", fault.ErrInjected))
-		}
-		if inj.Hit(fault.ComputeHang) {
-			// A wedged simulation: ignores cancellation entirely. Unblocked
-			// only by server Close so the goroutine does not outlive tests.
-			<-s.base.Done()
-			r = result{err: fmt.Errorf("service: hung run released by shutdown: %w", errShutdown)}
-			return
-		}
-		if inj != nil {
-			opts.SimFault = s.simFault
-		}
 		st, err := run(runCtx, opts)
 		r = result{st: st, err: err}
 	}()
@@ -446,7 +429,8 @@ func (s *Server) gatedRun(ctx context.Context, opts workload.Options) (*workload
 		return r.st, r.err
 	case <-watchdog:
 		// The run blew through even the hard deadline: the quantum-boundary
-		// interrupt never fired (wedged scheduler, hung hook). Abandon it —
+		// interrupt never fired (a wedged scheduler, or a process body that
+		// never hands control back to it). Abandon it —
 		// reclaim the worker slot now, cancel what can be cancelled, and
 		// account for the zombie until it actually exits.
 		s.wdKills.Add(1)
@@ -458,19 +442,6 @@ func (s *Server) gatedRun(ctx context.Context, opts workload.Options) (*workload
 			s.hung.Add(-1)
 		}()
 		return nil, fmt.Errorf("service: run exceeded hard deadline %v: %w", s.cfg.HardDeadline, errWatchdog)
-	}
-}
-
-// simFault is the quantum-boundary hook handed to the simulation kernel
-// when fault injection is armed: SimStall sleeps wall-clock time mid-run
-// (simulated clocks and results untouched). The hook fires at every quantum
-// boundary — hundreds of times per run — so only per-boundary sites belong
-// here; per-run sites (ComputeHang, ComputePanic) are drawn once in gatedRun,
-// where one probability roll maps to one run.
-func (s *Server) simFault() {
-	inj := s.cfg.Faults
-	if inj.Hit(fault.SimStall) {
-		time.Sleep(inj.StallFor())
 	}
 }
 
@@ -522,8 +493,8 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	trial, err := parseIntDefault(r.URL.Query().Get("trial"), 0)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad trial %q", r.URL.Query().Get("trial")))
+	if err != nil || trial < 0 {
+		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad trial %q (must be at least 0)", r.URL.Query().Get("trial")))
 		return
 	}
 	sq, err := s.sampleQuanta(r)

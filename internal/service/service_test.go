@@ -142,6 +142,8 @@ func TestBadRequests(t *testing.T) {
 		// A malformed flag is an error, never the warm default.
 		"/v1/measure?cold=bogus",
 		"/v1/measure?cold=t",
+		// Trials count from 0; a negative one is no run of the sweep.
+		"/v1/measure?trial=-1",
 	} {
 		resp, body := get(t, ts, path)
 		if resp.StatusCode != http.StatusBadRequest {

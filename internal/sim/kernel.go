@@ -134,16 +134,6 @@ type Kernel struct {
 	events  chan yieldMsg
 	started bool
 
-	// FaultHook, when non-nil, is invoked in the scheduling goroutine at
-	// every quantum boundary, after the interrupt check and before the next
-	// process is resumed. It exists for the fault-injection layer: a hook
-	// that sleeps models a scheduler-level latency stall (wall-clock only —
-	// simulated clocks are untouched, so results are unperturbed); a hook
-	// that never returns wedges the simulation in a way even Interrupt
-	// cannot break, which is exactly the failure the service watchdog must
-	// catch. Set before Run; never mutated concurrently with it.
-	FaultHook func()
-
 	// Interruption. stop is closed (once) by Interrupt; the scheduler checks
 	// it before every quantum grant, so a run aborts within one quantum of
 	// the request. These are the only kernel fields touched from outside the
@@ -253,9 +243,6 @@ func (k *Kernel) schedule() error {
 			}
 			return firstErr
 		default:
-		}
-		if k.FaultHook != nil {
-			k.FaultHook()
 		}
 		// Pick the runnable process with the minimum clock (ties by ID). A
 		// linear scan beats re-sorting: the slice is small (≤ CPUs) and the

@@ -272,43 +272,3 @@ func TestSymmetryProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestFaultHookAtQuantumBoundaries: the fault hook runs in the scheduler at
-// every quantum boundary and never perturbs simulated clocks.
-func TestFaultHookAtQuantumBoundaries(t *testing.T) {
-	k := NewKernel(100)
-	p := k.Spawn(func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			p.Advance(100) // ten full quanta
-		}
-	})
-	calls := 0
-	k.FaultHook = func() { calls++ }
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// One call before each of the ~10 grants (plus the final done event's
-	// loop entry); the exact count is pinned by determinism.
-	if calls < 10 {
-		t.Fatalf("hook ran %d times, want >= 10", calls)
-	}
-	if p.Now() != 1000 {
-		t.Fatalf("hook perturbed the simulated clock: %d", p.Now())
-	}
-
-	// Determinism: an identical run makes the identical number of calls.
-	k2 := NewKernel(100)
-	k2.Spawn(func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			p.Advance(100)
-		}
-	})
-	calls2 := 0
-	k2.FaultHook = func() { calls2++ }
-	if err := k2.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if calls2 != calls {
-		t.Fatalf("hook call count nondeterministic: %d vs %d", calls, calls2)
-	}
-}

@@ -142,11 +142,6 @@ func (o *OS) Interrupt(cause error) { o.kernel.Interrupt(cause) }
 // charge the controller's estimate instead. Must be called before Run.
 func (o *OS) SetSampling(c *obs.SamplingController) { o.sampling = c }
 
-// SetFaultHook installs a scheduler-level fault-injection hook, invoked at
-// every quantum boundary; see sim.Kernel.FaultHook. Must be called before
-// Run.
-func (o *OS) SetFaultHook(h func()) { o.kernel.FaultHook = h }
-
 // Processes returns the spawned processes.
 func (o *OS) Processes() []*Process { return o.procs }
 

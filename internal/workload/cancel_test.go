@@ -9,19 +9,31 @@ import (
 	"testing"
 	"time"
 
+	"dssmem/internal/db/engine"
 	"dssmem/internal/machine"
 	"dssmem/internal/tpch"
 )
 
+// loadProbe runs a Program and records whether the run loaded its database.
+type loadProbe struct {
+	Program
+	loaded bool
+}
+
+func (p *loadProbe) Load(o Options) (*engine.Database, error) {
+	p.loaded = true
+	return p.Program.Load(o)
+}
+
 // TestRunContextPreCancelled: a run whose context is already done aborts
-// with the cause before it simulates anything.
+// with the cause before it loads its database, let alone simulates.
 func TestRunContextPreCancelled(t *testing.T) {
 	cause := errors.New("client went away")
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cancel(cause)
 	o := opts(machine.VClassSpec(16, 256), tpch.Q21, 4)
-	fired := false
-	o.SimFault = func() { fired = true }
+	probe := &loadProbe{Program: Queries(o.Query)}
+	o.Program = probe
 	st, err := RunContext(ctx, o)
 	if st != nil {
 		t.Fatalf("cancelled run returned stats for %d processes", st.Processes)
@@ -29,8 +41,8 @@ func TestRunContextPreCancelled(t *testing.T) {
 	if !errors.Is(err, cause) {
 		t.Fatalf("err = %v, want the cause in the chain", err)
 	}
-	if fired {
-		t.Fatal("the simulation ran: the fault hook fired")
+	if probe.loaded {
+		t.Fatal("the cancelled run loaded its database")
 	}
 }
 

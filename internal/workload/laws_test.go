@@ -17,8 +17,9 @@ import (
 // other on real runs: each CPU's perfctr.Counters, which the figures report,
 // and the directory's global Stats, which count the same transactions from
 // the protocol side. The per-region tallies, which an observer with region
-// attribution on collects, must also add up to the CPU totals. The runs are
-// exact, so no estimate enters any law. Warm runs at 1
+// attribution on collects, must also add up to the CPU totals, and so, on
+// query runs, must the operators' self counters. The runs are exact, so no
+// estimate enters any law. Warm runs at 1
 // and 4 processes do no I/O; a cold run of each query and machine at 4
 // processes adds the disk path to the switch law; the OLTP mix under
 // relation and row locks at 1, 4 and 8 processes adds the write-heavy path:
@@ -36,7 +37,8 @@ func TestConservationLaws(t *testing.T) {
 	var diskReads uint64
 	run := func(name string, o workload.Options) {
 		spec, cold := o.Spec, o.ColdRun
-		o.OSTimeScale, o.Obs = 256, obs.New(obs.Config{Regions: true})
+		ob := obs.New(obs.Config{Regions: true, ByOperator: true})
+		o.OSTimeScale, o.Obs = 256, ob
 		st, err := workload.Run(o)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -48,6 +50,17 @@ func TestConservationLaws(t *testing.T) {
 		exercised.Add(&ct)
 		diskReads += st.DiskReads
 		checkLaws(t, name, spec, st, &ct, cold)
+		// An OLTP run opens a span only around its index probes, so most of
+		// its work lies outside every operator; a query runs inside one.
+		if o.Program == nil {
+			var self perfctr.Counters
+			for _, op := range ob.Operators() {
+				self.Add(&op.Self)
+			}
+			if self != ct {
+				t.Errorf("%s: operator self counters != CPU totals:\n%+v\n%+v", name, self, ct)
+			}
+		}
 	}
 	for _, spec := range specs {
 		for _, q := range []tpch.QueryID{tpch.Q6, tpch.Q21, tpch.Q12} {

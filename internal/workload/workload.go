@@ -56,13 +56,6 @@ type Options struct {
 	// rebound to this run's CPU count and clock; observation is passive
 	// and does not perturb counters or timing.
 	Obs *obs.Observer
-	// SimFault, when non-nil, is installed as the simulation kernel's
-	// quantum-boundary fault hook (sim.Kernel.FaultHook): the chaos layer
-	// injects wall-clock stalls and hangs through it. Like Obs it never
-	// perturbs simulated results, and like Obs and Data it carries no run
-	// identity — it is excluded from the cache digest and cleared by
-	// experiments.Env.CanonicalOptions.
-	SimFault func()
 	// SampleQuanta enables SMARTS-style interval sampling with the given
 	// period in scheduling quanta: of every SampleQuanta quanta per CPU, the
 	// first is simulated in detail and measured, the last is simulated in
@@ -241,9 +234,6 @@ func run(ctx context.Context, opts Options) (*Stats, error) {
 		opts.Obs.BindRegions(db.Classify)
 		m.Observe(opts.Obs)
 		osys.Observe(opts.Obs)
-	}
-	if opts.SimFault != nil {
-		osys.SetFaultHook(opts.SimFault)
 	}
 	var sampler *obs.SamplingController
 	if opts.SampleQuanta > 1 {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -56,6 +57,12 @@ func TestDegenerateSpecsAreErrors(t *testing.T) {
 		{"65 cpus", "CPUs", func(s *machine.Spec) { s.CPUs = 65 }, false},
 		{"3-node hypercube", "MemNodes", func(s *machine.Spec) { s.MemNodes = 3 }, false},
 		{"zero clock", "ClockMHz", func(s *machine.Spec) { s.ClockMHz = 0 }, true},
+		// Timing fields a run would turn into a wrong CPI, not an error.
+		{"negative CPI", "BaseCPI", func(s *machine.Spec) { s.BaseCPI = -1 }, false},
+		{"NaN CPI", "BaseCPI", func(s *machine.Spec) { s.BaseCPI = math.NaN() }, false},
+		{"zero CPI", "BaseCPI", func(s *machine.Spec) { s.BaseCPI = 0 }, false},
+		{"negative read stall", "ReadStallFactor", func(s *machine.Spec) { s.ReadStallFactor = -5 }, false},
+		{"NaN write stall", "WriteStallFactor", func(s *machine.Spec) { s.WriteStallFactor = math.NaN() }, false},
 	}
 	for _, c := range cases {
 		spec := machine.OriginSpec(32, 256)

@@ -168,7 +168,7 @@ func BenchmarkAblationPlacement(b *testing.B)   { benchAblation(b, "placement") 
 func BenchmarkSingleRun(b *testing.B) {
 	data := smallData()
 	for i := 0; i < b.N; i++ {
-		_, err := workload.RunUnchecked(workload.Options{
+		_, err := workload.Run(workload.Options{
 			Spec:        machine.OriginSpec(32, 64),
 			Data:        data,
 			Query:       tpch.Q12,
@@ -265,7 +265,7 @@ func BenchmarkSingleRun8(b *testing.B) {
 	data := smallData()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := workload.RunUnchecked(workload.Options{
+		_, err := workload.Run(workload.Options{
 			Spec:        machine.OriginSpec(32, 64),
 			Data:        data,
 			Query:       tpch.Q6,
@@ -381,8 +381,9 @@ func BenchmarkTraceCaptureReplay(b *testing.B) {
 // the daemon serves it when no request is being tracked (a plain context):
 // the phase hooks in rescache must degrade to one context lookup plus no-op
 // closures, adding zero allocations (the single alloc here is the cache-key
-// concat, which predates telemetry). This is the benchcmp-gated proof that
-// request-scoped telemetry costs ~nothing when it is off.
+// concat, which predates telemetry). CI's allocation gate runs it on the base
+// and the change of every pull request: this is the proof that request-scoped
+// telemetry costs ~nothing when it is off.
 func BenchmarkTelemetryDisabled(b *testing.B) {
 	store := rescache.NewMemory()
 	dig := rescache.Digest("bench-telemetry-disabled")

@@ -38,7 +38,7 @@ func main() {
 	ablation := flag.String("ablation", "none", "ablation name, 'all', or 'none'")
 	format := flag.String("format", "table", "output format: table, csv or json")
 	jsonOut := flag.String("json", "", "also write a machine-readable benchmark document (figures, ablations, wall/sim timing) to this file ('-' = stdout)")
-	chart := flag.Bool("chart", false, "append terminal sparklines for sweep figures")
+	chart := flag.Bool("chart", false, "append terminal sparklines for sweep figures (-format table only)")
 	list := flag.Bool("list", false, "list available figures and ablations")
 	sampleQuanta := flag.Int("sample-quanta", 0, "SMARTS sampling period in scheduling quanta: simulate 1 of every N in detail (0 or 1 = exact; estimates, cached under their own digests)")
 	flag.Parse()
@@ -47,6 +47,9 @@ func main() {
 	case "table", "csv", "json":
 	default:
 		fatal(fmt.Errorf("unknown -format %q (table|csv|json)", *format))
+	}
+	if *chart && *format != "table" {
+		fatal(fmt.Errorf("-chart needs -format table, not %q", *format))
 	}
 	// Every name is checked before the data is generated, so a bad one
 	// fails at once instead of after the figures before it have run.

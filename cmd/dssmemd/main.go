@@ -73,9 +73,24 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "private debug listener with pprof and /metrics ('' = off)")
 	sampleQuanta := flag.Int("sample-quanta", 0, "default SMARTS sampling period for requests without sample_quanta (0/1 = exact)")
 	flag.Parse()
-	if *sampleQuanta < 0 {
-		fmt.Fprintf(os.Stderr, "dssmemd: bad -sample-quanta %d (must be at least 0)\n", *sampleQuanta)
+	// A negative value would silently mean the default (GOMAXPROCS) or turn
+	// the protection off (no run timeout and no watchdog, or an instant
+	// drain); -max-queue and -hard-deadline document their negative values.
+	usage := func(format string, a ...any) {
+		fmt.Fprintf(os.Stderr, "dssmemd: "+format+"\n", a...)
 		os.Exit(1)
+	}
+	switch {
+	case *sampleQuanta < 0:
+		usage("bad -sample-quanta %d (must be at least 0)", *sampleQuanta)
+	case *workers < 0:
+		usage("bad -workers %d (must be at least 0; 0 = GOMAXPROCS)", *workers)
+	case *envPar < 0:
+		usage("bad -env-parallelism %d (must be at least 0; 0 = GOMAXPROCS)", *envPar)
+	case *runTimeout < 0:
+		usage("bad -run-timeout %v (must be at least 0; 0 = none)", *runTimeout)
+	case *drainTimeout < 0:
+		usage("bad -drain-timeout %v (must be at least 0)", *drainTimeout)
 	}
 
 	logger, err := newLogger(*logFormat)

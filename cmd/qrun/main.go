@@ -38,7 +38,7 @@ func main() {
 	memScale := flag.Int("memscale", 64, "cache capacity divisor (see DESIGN.md §4)")
 	seed := flag.Uint64("seed", 7, "data generator seed")
 	sample := flag.Uint64("sample", 0, "sample counters every N simulated cycles (0 = off)")
-	sampleOut := flag.String("sample-out", "", "write sampled windows to this file (.json = JSON, else CSV)")
+	sampleOut := flag.String("sample-out", "", "write sampled windows to this file (.json = JSON, else CSV; needs -sample)")
 	events := flag.String("events", "", "write a Chrome trace-event JSON file (open in Perfetto)")
 	byOperator := flag.Bool("by-operator", false, "attribute counters to query-plan operators")
 	sampleQuanta := flag.Int("sample-quanta", 0, "SMARTS sampling period in scheduling quanta: simulate 1 of every N in detail (0 or 1 = exact)")
@@ -49,6 +49,9 @@ func main() {
 	}
 	if *sampleQuanta < 0 {
 		fatal(fmt.Errorf("bad -sample-quanta %d (must be at least 0)", *sampleQuanta))
+	}
+	if *sampleOut != "" && *sample == 0 {
+		fatal(fmt.Errorf("-sample-out needs -sample N: there are no sampled windows to write"))
 	}
 	q, err := tpch.QueryByName(*query)
 	if err != nil {

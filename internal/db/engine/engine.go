@@ -38,25 +38,20 @@ type Config struct {
 	// loaded tables with no hint bits set, so about a quarter of all tuple
 	// visits pay this path. Negative disables; 0 selects the default.
 	HintBitFraction float64
-	// HintRaceWindow is the simulated-cycle window within which concurrent
-	// scanners racing past the same tuple all repeat the visibility check and
-	// hint store (none of them sees the others' store in time). 0 selects
-	// the default.
-	HintRaceWindow uint64
 	// ColdPool starts the buffer pool empty: the first pin of each page pays
 	// a disk read of IOLatency cycles (a blocking I/O and thus a voluntary
 	// context switch). The paper's steady-state measurements ran warm — its
 	// pool held the whole database — so this models the first of its four
-	// trials. 0 latency with ColdPool selects DefaultIOLatency.
+	// trials.
 	ColdPool  bool
 	IOLatency uint64
 }
 
-// DefaultIOLatency approximates one 8 ms disk read at 200 MHz.
-const DefaultIOLatency = 1_600_000
-
-// DefaultHintRaceWindow spans a few scheduler quanta of lockstep skew.
-const DefaultHintRaceWindow = 100_000
+// hintRaceWindow is the simulated-cycle window within which concurrent
+// scanners racing past the same tuple all repeat the visibility check and
+// hint store (none of them sees the others' store in time). It spans a few
+// scheduler quanta of lockstep skew.
+const hintRaceWindow = 100_000
 
 // DefaultHintBitFraction reflects the paper's 4-trial averaging over a
 // freshly loaded database (see Config.HintBitFraction).
@@ -79,7 +74,6 @@ type Database struct {
 	freelistAddr memsys.Addr
 	pgLogBase    memsys.Addr
 	hintPermille uint64
-	hintRace     uint64
 	hintsSet     map[storage.TID]uint64 // TID -> time of the first hint store
 	ioLatency    uint64
 	resident     []bool // per pool page; nil when the pool starts warm
@@ -143,17 +137,10 @@ func Open(cfg Config) *Database {
 		frac = DefaultHintBitFraction
 	}
 	db.hintPermille = uint64(frac * 1000)
-	db.hintRace = cfg.HintRaceWindow
-	if db.hintRace == 0 {
-		db.hintRace = DefaultHintRaceWindow
-	}
 	db.hintsSet = make(map[storage.TID]uint64)
 	if cfg.ColdPool {
 		db.resident = make([]bool, cfg.PoolPages)
 		db.ioLatency = cfg.IOLatency
-		if db.ioLatency == 0 {
-			db.ioLatency = DefaultIOLatency
-		}
 	}
 	db.SharedBytes = uint64(poolBase) + uint64(cfg.PoolPages)*storage.PageSize
 	return db
@@ -313,7 +300,7 @@ func (s *Session) CheckHints(heap *storage.Heap, tid storage.TID) {
 		// within the concurrency window it has not seen that store and
 		// repeats the check and the store itself; otherwise the hint is
 		// visible and the check is free.
-		if now > setAt+db.hintRace {
+		if now > setAt+hintRaceWindow {
 			return
 		}
 		db.HintWrites++

@@ -205,12 +205,12 @@ func TestHintBitsDeterministicSubset(t *testing.T) {
 }
 
 func TestHintBitRaceWindow(t *testing.T) {
-	db := Open(Config{PoolPages: 64, HintBitFraction: 1.0, HintRaceWindow: 1000})
+	db := Open(Config{PoolPages: 64, HintBitFraction: 1.0})
 	rel := db.CreateTable("t", kvSchema())
 	tid := rel.Heap.Append([]int64{1, 2})
 	a := &dbtest.FakeProc{}
-	b := &dbtest.FakeProc{Clock: 500} // inside the race window
-	c := &dbtest.FakeProc{Clock: 50_000}
+	b := &dbtest.FakeProc{Clock: 50_000} // inside the race window
+	c := &dbtest.FakeProc{Clock: 500_000}
 	sa, sb, sc := db.NewSession(a, 0), db.NewSession(b, 1), db.NewSession(c, 2)
 	sa.CheckHints(rel.Heap, tid)
 	if db.HintWrites != 1 {

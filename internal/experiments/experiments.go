@@ -168,7 +168,6 @@ func (e *Env) CanonicalOptions(q tpch.QueryID, procs int, opts workload.Options)
 	opts.Obs = nil
 	opts.Query = q
 	opts.Processes = procs
-	opts.Validate = true
 	if opts.OSTimeScale == 0 {
 		opts.OSTimeScale = e.Preset.MemScale
 	}

@@ -54,8 +54,9 @@ type Request struct {
 	DataSF   float64      `json:"data_sf"`
 	DataSeed uint64       `json:"data_seed"`
 	Spec     machine.Spec `json:"spec"`
-	// OS and Quantum are always zero, as every request has always carried
-	// them: no workload option sets either any more, and keeping them in the
+	// OS and Quantum are always zero and Validate always true, as every
+	// request has always carried them: no workload option sets any of them
+	// any more (every run checks its answers), and keeping them in the
 	// encoding keeps every digest, and so every stored entry, valid.
 	OS              simos.Config `json:"os"`
 	Quantum         uint64       `json:"quantum"`
@@ -85,7 +86,7 @@ func CanonicalRequest(sf float64, seed uint64, opts workload.Options) Request {
 		Spec:            opts.Spec,
 		Query:           CanonicalString(opts.Query.String()),
 		Processes:       opts.Processes,
-		Validate:        opts.Validate,
+		Validate:        true,
 		SpinLimit:       opts.SpinLimit,
 		BufHeaderBytes:  opts.BufHeaderBytes,
 		OSTimeScale:     opts.OSTimeScale,

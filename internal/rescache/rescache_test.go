@@ -22,7 +22,6 @@ func baseOpts() workload.Options {
 		Spec:        machine.VClassSpec(16, 256),
 		Query:       tpch.Q6,
 		Processes:   4,
-		Validate:    true,
 		OSTimeScale: 256,
 	}
 }

@@ -202,6 +202,42 @@ func TestChaos(t *testing.T) {
 			t.Fatalf("round %d: forced panic: %s", round, msg)
 		}
 		errCount.Add(1)
+		// One forced hang in the first round, for the same reason: at the
+		// armed rate the hang site rarely fires on the few runs the load
+		// starts. Its run wedges beside the load, and the watchdog must turn
+		// it into a retriable 504 once HardDeadline passes.
+		var hungDone chan string
+		if round == 0 {
+			inj.Set(runPanic, 0)
+			inj.Set(runHang, 1)
+			const hung = "/v1/measure?machine=origin&query=Q12&procs=8"
+			hungDone = make(chan string, 1)
+			go func() {
+				begin := time.Now()
+				resp, err := ts.Client().Get(ts.URL + hung)
+				if err != nil {
+					hungDone <- err.Error()
+					return
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				switch {
+				case err != nil:
+					hungDone <- err.Error()
+				case resp.StatusCode != http.StatusGatewayTimeout:
+					hungDone <- fmt.Sprintf("status %d, want 504: %s", resp.StatusCode, body)
+				case time.Since(begin) < srv.cfg.HardDeadline:
+					hungDone <- fmt.Sprintf("answered after %v, before the %v hard deadline", time.Since(begin), srv.cfg.HardDeadline)
+				default:
+					hungDone <- check(hung, resp, body)
+				}
+			}()
+			for wait := time.Now().Add(10 * time.Second); inj.Fired()[runHang] == 0; time.Sleep(time.Millisecond) {
+				if time.Now().After(wait) {
+					t.Fatal("forced hang never reached the run")
+				}
+			}
+		}
 		arm()
 
 		var wg sync.WaitGroup
@@ -236,6 +272,12 @@ func TestChaos(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
+		if hungDone != nil {
+			if msg := <-hungDone; msg != "" {
+				t.Fatalf("round %d: forced hang: %s", round, msg)
+			}
+			errCount.Add(1)
+		}
 		if t.Failed() {
 			t.Fatalf("round %d: contract broken under fault injection (quarantine dir: %s)", round, srv.Store().QuarantineDir())
 		}
@@ -285,5 +327,8 @@ func TestChaos(t *testing.T) {
 	t.Logf("chaos: %d ok, %d retriable errors; faults fired: %v; store: %+v", okCount.Load(), errCount.Load(), inj.Fired(), st)
 	if okCount.Load() == 0 {
 		t.Fatal("chaos produced no successful requests — faults too aggressive to mean anything")
+	}
+	if inj.Fired()[runHang] == 0 {
+		t.Fatal("no run hung: the watchdog path went unchecked")
 	}
 }

@@ -140,6 +140,11 @@ func Replay(r io.Reader, mem storage.Mem) (uint64, error) {
 			if err != nil {
 				return events, fmt.Errorf("trace: truncated event %d: %w", events, err)
 			}
+			// The DBMS charges at most 16 bytes per access, and mem walks
+			// every line an access spans: an unchecked size hangs a replay.
+			if b == 0 || b > memsys.PageSize {
+				return events, fmt.Errorf("trace: event %d: access size %d outside 1..%d", events, b, memsys.PageSize)
+			}
 			last = uint64(int64(last) + unzigzag(a))
 			if op == opLoad {
 				mem.Load(memsys.Addr(last), int(b))

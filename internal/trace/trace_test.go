@@ -73,6 +73,62 @@ func TestReplayRejectsGarbage(t *testing.T) {
 	}
 }
 
+// A load of 2^40 bytes would have a machine walk 2^35 lines; a zero-size
+// access charges nothing. Both are errors naming the event and the size.
+func TestReplayRejectsBadSize(t *testing.T) {
+	for _, tc := range []struct {
+		raw  string
+		size string
+	}{
+		{"DSSTRC1\n\x00\x00\x80\x80\x80\x80\x80\x20", "1099511627776"},
+		{"DSSTRC1\n\x02\x05\x01\x00\x00", "0"},
+		{"DSSTRC1\n\x01\x00\x81\x20", "4097"},
+	} {
+		var rec recorder
+		_, err := Replay(strings.NewReader(tc.raw), &rec)
+		if err == nil || !strings.Contains(err.Error(), "access size "+tc.size+" outside 1..4096") {
+			t.Errorf("%q: err = %v, want access size %s rejected", tc.raw, err, tc.size)
+		}
+		for _, e := range rec.events {
+			if e.op != 2 {
+				t.Errorf("%q: replayed %+v before the error", tc.raw, e)
+			}
+		}
+	}
+}
+
+// boundedMem fails on any access a real machine could not take in one
+// piece; Replay must reject such an access before it reaches mem.
+type boundedMem struct{ t *testing.T }
+
+func (m boundedMem) Load(a memsys.Addr, size int)  { m.check(size) }
+func (m boundedMem) Store(a memsys.Addr, size int) { m.check(size) }
+func (m boundedMem) Work(uint64)                   {}
+
+func (m boundedMem) check(size int) {
+	if size < 1 || size > memsys.PageSize {
+		m.t.Fatalf("access of %d bytes reached mem", size)
+	}
+}
+
+// FuzzReplay feeds arbitrary bytes after a valid header: Replay returns an
+// error or an event count, never hands mem an out-of-range size, and never
+// panics. CI runs it as a short -fuzz smoke.
+func FuzzReplay(f *testing.F) {
+	var buf bytes.Buffer
+	w, _ := NewWriter(&buf)
+	w.Load(0x1000, 8)
+	w.Store(0x10, 16)
+	w.Work(3)
+	w.Flush()
+	f.Add(buf.Bytes()[len(header):])
+	f.Add([]byte("\x00\x00\x80\x80\x80\x80\x80\x20"))
+	f.Add([]byte("\x01\x00\x00"))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		Replay(bytes.NewReader(append(append([]byte{}, header...), body...)), boundedMem{t})
+	})
+}
+
 var errWriterBroken = errors.New("writer broken")
 
 // failAfter fails every Write once n bytes have been accepted.

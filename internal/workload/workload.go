@@ -1,8 +1,8 @@
 // Package workload runs the paper's experimental configurations: N
 // processes pinned to distinct CPUs of a simulated machine, each running a
 // Program (by default one TPC-H query), with hardware counters collected
-// over the measured region and the results validated by the program. run is
-// the one place a simulation is built, run and measured.
+// over the measured region and the results validated by the program.
+// RunContext is the one place a simulation is built, run and measured.
 package workload
 
 import (
@@ -31,9 +31,6 @@ type Options struct {
 	// a program, so experiments.Env.MeasureCached rejects one.
 	Program   Program
 	Processes int
-	// Validate has Queries compare each process's answer against the
-	// reference implementation (default on via Run; RunUnchecked skips).
-	Validate bool
 	// SpinLimit overrides the DBMS spin-before-backoff count (0 = default).
 	SpinLimit int
 	// BufHeaderBytes overrides the buffer-descriptor stride (0 = default).
@@ -124,7 +121,7 @@ type Program interface {
 }
 
 // Queries is the TPC-H program: process i runs qs[i%len(qs)], and Check
-// compares each answer with tpch.Ref when Options.Validate is set. Several
+// compares each answer with tpch.Ref. Several
 // queries model the reading of the paper's §4 title ("Multiple (Diff) Query
 // Execution") in which the concurrent processes run different queries.
 func Queries(qs ...tpch.QueryID) Program { return &queries{qs: qs} }
@@ -156,9 +153,6 @@ func (w *queries) Run(p *simos.Process, s *engine.Session) error {
 }
 
 func (w *queries) Check(opts Options) error {
-	if !opts.Validate {
-		return nil
-	}
 	wants := map[tpch.QueryID]uint64{}
 	for i, r := range w.results {
 		q := w.qs[i%len(w.qs)]
@@ -184,17 +178,6 @@ func Run(opts Options) (*Stats, error) {
 // next scheduling-quantum boundary and RunContext returns ctx's error — no
 // goroutine keeps simulating in the background.
 func RunContext(ctx context.Context, opts Options) (*Stats, error) {
-	opts.Validate = true
-	return run(ctx, opts)
-}
-
-// RunUnchecked executes without answer validation (benchmarks).
-func RunUnchecked(opts Options) (*Stats, error) {
-	opts.Validate = false
-	return run(context.Background(), opts)
-}
-
-func run(ctx context.Context, opts Options) (*Stats, error) {
 	if err := opts.Spec.Validate(); err != nil {
 		return nil, fmt.Errorf("workload: %w", err)
 	}

@@ -56,6 +56,18 @@ run() {
 	fi
 }
 
+# bench/run.sh keeps each tree's Go build cache in the tree's
+# .bench_build/gocache, so a cold tree would compile the standard library and
+# the module from scratch. The cache is content-addressed, so a tree that has
+# none gets a link to the one the allocation half below builds in.
+shared=$(go env GOCACHE)
+for t in "$base" "$head"; do
+	if [ ! -e "$t/.bench_build/gocache" ] && [ ! -L "$t/.bench_build/gocache" ]; then
+		mkdir -p "$t/.bench_build"
+		ln -s "$shared" "$t/.bench_build/gocache"
+	fi
+done
+
 for w in $workloads; do
 	for i in $(seq 1 $pairs); do
 		if [ $((i % 2)) = 1 ]; then

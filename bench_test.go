@@ -280,11 +280,12 @@ func BenchmarkSingleRun8(b *testing.B) {
 
 // --- interval sampling (DESIGN.md §14) ---
 
-// benchSampledFigure regenerates one figure per iteration on the fast path
-// dssbench -sample-quanta takes: SMARTS interval sampling at the gate's
-// default period. The reported metric is the sampled estimate of the same
-// headline number the exact benchmark reports, so the exact-vs-sampled pair
-// shows both the speedup and the estimation error side by side.
+// benchSampledFigure regenerates one figure per iteration under SMARTS
+// interval sampling at the gate's default period. The reported metric is the
+// sampled estimate of the same headline number the exact benchmark reports,
+// so the exact-vs-sampled pair shows both the speedup and the estimation
+// error side by side. They stay while the sampler does (DESIGN.md §14): the
+// paired gate fails when a base benchmark is missing from head.
 func benchSampledFigure(b *testing.B, id int, metric func(*experiments.Result) (string, float64)) {
 	b.Helper()
 	var last *experiments.Result

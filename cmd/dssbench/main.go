@@ -3,7 +3,7 @@
 // Usage:
 //
 //	dssbench [-preset tiny|small|medium] [-fig N|all] [-ablation name|all|none]
-//	         [-format table|csv|json] [-json FILE] [-sample-quanta N]
+//	         [-format table|csv|json] [-json FILE]
 //
 // Examples:
 //
@@ -37,10 +37,9 @@ func main() {
 	fig := flag.String("fig", "all", "figure number 2..10, or 'all', or 'none'")
 	ablation := flag.String("ablation", "none", "ablation name, 'all', or 'none'")
 	format := flag.String("format", "table", "output format: table, csv or json")
-	jsonOut := flag.String("json", "", "also write a machine-readable benchmark document (figures, ablations, wall/sim timing) to this file ('-' = stdout)")
+	jsonOut := flag.String("json", "", "also write a machine-readable benchmark document (figures, ablations, wall/sim timing) to this file ('-' = stdout, with -format table only)")
 	chart := flag.Bool("chart", false, "append terminal sparklines for sweep figures (-format table only)")
 	list := flag.Bool("list", false, "list available figures and ablations")
-	sampleQuanta := flag.Int("sample-quanta", 0, "SMARTS sampling period in scheduling quanta: simulate 1 of every N in detail (0 or 1 = exact; estimates, cached under their own digests)")
 	flag.Parse()
 
 	switch *format {
@@ -50,6 +49,11 @@ func main() {
 	}
 	if *chart && *format != "table" {
 		fatal(fmt.Errorf("-chart needs -format table, not %q", *format))
+	}
+	// csv and json already own stdout: a second document there would leave
+	// output that parses as neither.
+	if *jsonOut == "-" && *format != "table" {
+		fatal(fmt.Errorf("-json - needs -format table, not %q: write the document to a file", *format))
 	}
 	// Every name is checked before the data is generated, so a bad one
 	// fails at once instead of after the figures before it have run.
@@ -76,9 +80,6 @@ func main() {
 		}
 		abls = []string{*ablation}
 	}
-	if *sampleQuanta < 0 {
-		fatal(fmt.Errorf("bad -sample-quanta %d (must be at least 0)", *sampleQuanta))
-	}
 
 	if *list {
 		fmt.Println("figures: ", dssmem.FigureIDs())
@@ -92,7 +93,6 @@ func main() {
 	}
 	start := time.Now()
 	env := dssmem.NewEnv(p)
-	env.SampleQuanta = *sampleQuanta
 	// The runner sees every simulation and no cache hit: it sums the current
 	// entry's runs and their warm-up and measured host time.
 	var runs, warmupNS, measuredNS atomic.Int64

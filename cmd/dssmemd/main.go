@@ -8,7 +8,7 @@
 //	dssmemd [-addr :8077] [-preset tiny|small|medium] [-cache-dir DIR]
 //	        [-workers N] [-run-timeout D] [-env-parallelism N]
 //	        [-drain-timeout D] [-max-queue N] [-hard-deadline D]
-//	        [-log-format json|text] [-debug-addr ADDR] [-sample-quanta N]
+//	        [-log-format json|text] [-debug-addr ADDR]
 //
 // Overload and failure handling (DESIGN.md §10): requests beyond the worker
 // pool wait in a bounded queue (-max-queue); past that they are shed with
@@ -71,7 +71,6 @@ func main() {
 	hardDeadline := flag.Duration("hard-deadline", 0, "watchdog deadline after which a run is abandoned (0 = 2x run-timeout, <0 = none)")
 	logFormat := flag.String("log-format", "json", "log output format: json or text")
 	debugAddr := flag.String("debug-addr", "", "private debug listener with pprof and /metrics ('' = off)")
-	sampleQuanta := flag.Int("sample-quanta", 0, "default SMARTS sampling period for requests without sample_quanta (0/1 = exact)")
 	flag.Parse()
 	// A negative value would silently mean the default (GOMAXPROCS) or turn
 	// the protection off (no run timeout and no watchdog, or an instant
@@ -81,8 +80,6 @@ func main() {
 		os.Exit(1)
 	}
 	switch {
-	case *sampleQuanta < 0:
-		usage("bad -sample-quanta %d (must be at least 0)", *sampleQuanta)
 	case *workers < 0:
 		usage("bad -workers %d (must be at least 0; 0 = GOMAXPROCS)", *workers)
 	case *envPar < 0:
@@ -117,7 +114,6 @@ func main() {
 		MaxQueue:       *maxQueue,
 		HardDeadline:   *hardDeadline,
 		Log:            logger,
-		SampleQuanta:   *sampleQuanta,
 	}
 
 	logger.Info("generating dataset", "preset", p.Name, "sf", p.SF)

@@ -5,11 +5,8 @@
 // Usage:
 //
 //	qrun [-query Q6|Q21|Q12|Q1] [-machine vclass|origin|starfire] [-procs N] [-sf 0.004]
-//	     [-memscale 64] [-seed N] [-sample-quanta N]
+//	     [-memscale 64] [-seed N]
 //	     [-sample N] [-sample-out f.csv|f.json] [-events trace.json] [-by-operator]
-//
-// -sample-quanta N runs SMARTS interval sampling: only the first quantum of every N is simulated in detail and the
-// counters are estimates with printed confidence intervals (DESIGN.md §14).
 //
 // The telemetry flags attach the observability layer: -sample N snapshots
 // each CPU's counters every N simulated cycles (sparklines on stdout,
@@ -41,14 +38,10 @@ func main() {
 	sampleOut := flag.String("sample-out", "", "write sampled windows to this file (.json = JSON, else CSV; needs -sample)")
 	events := flag.String("events", "", "write a Chrome trace-event JSON file (open in Perfetto)")
 	byOperator := flag.Bool("by-operator", false, "attribute counters to query-plan operators")
-	sampleQuanta := flag.Int("sample-quanta", 0, "SMARTS sampling period in scheduling quanta: simulate 1 of every N in detail (0 or 1 = exact)")
 	flag.Parse()
 
 	if !(*sf > 0) {
 		fatal(fmt.Errorf("bad -sf %g: scale factor must be positive", *sf))
-	}
-	if *sampleQuanta < 0 {
-		fatal(fmt.Errorf("bad -sample-quanta %d (must be at least 0)", *sampleQuanta))
 	}
 	if *sampleOut != "" && *sample == 0 {
 		fatal(fmt.Errorf("-sample-out needs -sample N: there are no sampled windows to write"))
@@ -74,8 +67,7 @@ func main() {
 	data := dssmem.GenerateData(*sf, *seed)
 	ans := dssmem.ReferenceAnswer(q, data)
 	st, err := dssmem.Run(dssmem.RunOptions{
-		Spec: spec, Data: data, Query: q, Processes: *procs, OSTimeScale: *memScale,
-		Obs: ob, SampleQuanta: *sampleQuanta,
+		Spec: spec, Data: data, Query: q, Processes: *procs, OSTimeScale: *memScale, Obs: ob,
 	})
 	if err != nil {
 		fatal(err)
@@ -101,15 +93,6 @@ func main() {
 	fmt.Printf("\n-- host timing --\n")
 	fmt.Printf("warmup          %.1f ms\n", float64(st.WarmupHostNS)/1e6)
 	fmt.Printf("measured        %.1f ms\n", float64(st.MeasuredHostNS)/1e6)
-	if len(st.Sampling) > 0 {
-		fmt.Printf("\n-- sampling (P=%d) --\n", *sampleQuanta)
-		for i, e := range st.Sampling {
-			fmt.Printf("cpu %d: %d windows, %.3g instr detailed, %.3g accesses fast-forwarded\n",
-				i, e.Windows, float64(e.DetailedInstr), float64(e.FFAccesses))
-			fmt.Printf("       CPI %.3f ±%.3f, L1/Minstr %.0f ±%.0f, mem latency %.1f ±%.1f cycles (CI95)\n",
-				e.CPIMean, e.CPICI95, e.L1PerMMean, e.L1PerMCI95, e.MemLatMean, e.MemLatCI95)
-		}
-	}
 
 	if ob != nil {
 		fmt.Printf("\n-- telemetry --\n")

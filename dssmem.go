@@ -72,10 +72,6 @@ type (
 	ObsEvent = obs.Event
 	// OpStats aggregates one query-plan operator's attribution.
 	OpStats = obs.OpStats
-	// SampleEstimate summarizes one CPU's SMARTS interval-sampling quality
-	// (RunStats.Sampling): detailed vs fast-forwarded volume and CI95
-	// half-widths of the key per-window rates.
-	SampleEstimate = obs.SampleEstimate
 )
 
 // The three queries the paper studies, plus the Q1 extension.
@@ -162,12 +158,6 @@ func FigureIDs() []int { return experiments.FigureIDs() }
 
 // AblationNames lists the available ablations.
 func AblationNames() []string { return experiments.AblationNames() }
-
-// SamplingAccuracy cross-checks SMARTS interval sampling against exact
-// simulation on the accuracy gate's figure metrics (see internal/experiments).
-func SamplingAccuracy(e *Env, sampleQuanta int, tol float64) ([]experiments.AccuracyPoint, error) {
-	return experiments.SamplingAccuracy(e, sampleQuanta, tol)
-}
 
 // NewObserver creates an observability collector. Attach it to a run via
 // RunOptions.Obs; after the run, export with the Observer's WriteTrace

@@ -94,7 +94,9 @@ type Env struct {
 	// SampleQuanta, when > 1, applies SMARTS interval sampling (see
 	// workload.Options.SampleQuanta) to every measurement that does not set
 	// it explicitly. Sampled measurements carry their own content digests:
-	// estimates never collide with exact results.
+	// estimates never collide with exact results. No command or endpoint
+	// sets it; it stays for the benchmark's fig5-sampled workload, which
+	// regenerates Figure 5 sampled.
 	SampleQuanta int
 
 	initMu sync.Mutex // guards lazy Results init

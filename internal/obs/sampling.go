@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"dssmem/internal/perfctr"
-	"dssmem/internal/stats"
-)
+import "dssmem/internal/perfctr"
 
 // SamplingController implements SMARTS-style interval sampling over the
 // kernel's scheduling quanta. Simulated time is divided per CPU into periods
@@ -27,8 +24,11 @@ import (
 // After the run, Extrapolate scales the event counters a fast-forwarded
 // access never generated (misses, upgrades, memory requests/latency, stalls)
 // by the measured windows' per-access rates, producing an estimated counter
-// file that flows through the normal Stats -> Measurement pipeline; Estimate
-// reports per-window dispersion as CI95 half-widths (internal/stats).
+// file that flows through the normal Stats -> Measurement pipeline.
+//
+// No command or endpoint offers sampling: it flips the paper's Fig. 7 and
+// Fig. 9 signatures at the medium preset (DESIGN.md §14). It stays for
+// bench/dssperf's fig5-sampled workload and experiments.SamplingAccuracy.
 type SamplingController struct {
 	period  uint64
 	quantum uint64
@@ -38,14 +38,13 @@ type SamplingController struct {
 type samplingCPU struct {
 	measuring bool
 	winStart  perfctr.Counters
-	windows   []perfctr.Counters // measured-window counter deltas
+	measured  perfctr.Counters // summed counter deltas of the measured windows
 
 	// estFP is an EMA of detailed cycles per access in 48.16 fixed point —
 	// the charge applied to each fast-forwarded access.
 	estFP uint64
 
 	ffAccesses uint64
-	ffCycles   uint64
 }
 
 // emaShift sets the EMA horizon (2^6 = 64 accesses) — long enough to smooth
@@ -82,13 +81,10 @@ func (c *SamplingController) Access(cpu int, ct *perfctr.Counters, write bool, n
 	if measured != s.measuring {
 		if measured {
 			s.winStart = *ct
+			s.measuring = true
 		} else {
-			w := ct.Sub(&s.winStart)
-			if w.Instructions > 0 {
-				s.windows = append(s.windows, w)
-			}
+			s.closeWindow(ct)
 		}
-		s.measuring = measured
 	}
 	if measured || idx == c.period-1 {
 		return 0, false
@@ -105,7 +101,6 @@ func (c *SamplingController) Access(cpu int, ct *perfctr.Counters, write bool, n
 	}
 	ct.Cycles += cyc
 	s.ffAccesses++
-	s.ffCycles += cyc
 	return cyc, true
 }
 
@@ -116,15 +111,14 @@ func (c *SamplingController) Detailed(cpu int, cycles uint64) {
 	s.estFP += (cycles << 16 >> emaShift) - (s.estFP >> emaShift)
 }
 
-// closeWindow finalizes an open measured window at end of run.
+// closeWindow adds an open measured window's counter deltas to the total.
 func (s *samplingCPU) closeWindow(ct *perfctr.Counters) {
 	if !s.measuring {
 		return
 	}
 	s.measuring = false
-	w := ct.Sub(&s.winStart)
-	if w.Instructions > 0 {
-		s.windows = append(s.windows, w)
+	if w := ct.Sub(&s.winStart); w.Instructions > 0 {
+		s.measured.Add(&w)
 	}
 }
 
@@ -136,15 +130,9 @@ func (s *samplingCPU) closeWindow(ct *perfctr.Counters) {
 func (c *SamplingController) Extrapolate(cpu int, ct *perfctr.Counters) {
 	s := &c.cpus[cpu]
 	s.closeWindow(ct)
-	if s.ffAccesses == 0 || len(s.windows) == 0 {
-		return
-	}
-	var tot perfctr.Counters
-	for i := range s.windows {
-		tot.Add(&s.windows[i])
-	}
+	tot := &s.measured
 	det := tot.Loads + tot.Stores
-	if det == 0 {
+	if s.ffAccesses == 0 || det == 0 {
 		return
 	}
 	// All inputs are integers and float64 arithmetic is deterministic, so
@@ -163,40 +151,17 @@ func (c *SamplingController) Extrapolate(cpu int, ct *perfctr.Counters) {
 	ct.Dirty3HopMisses += scale(tot.Dirty3HopMisses)
 }
 
-// SampleEstimate summarizes one CPU's sampling quality: how much was
-// simulated in detail, how much was fast-forwarded, and the dispersion of the
-// key per-window rates as 95% confidence half-widths.
+// SampleEstimate is how much of one CPU's sampled run was simulated in detail
+// and how much was fast-forwarded. bench/dssperf reads both fields for its
+// obs.detailed_instr_frac and obs.ff_accesses metrics.
 type SampleEstimate struct {
-	Windows       int     `json:"windows"`
-	DetailedInstr uint64  `json:"detailed_instr"`
-	FFAccesses    uint64  `json:"ff_accesses"`
-	CPIMean       float64 `json:"cpi_mean"`
-	CPICI95       float64 `json:"cpi_ci95"`
-	L1PerMMean    float64 `json:"l1_per_m_mean"`
-	L1PerMCI95    float64 `json:"l1_per_m_ci95"`
-	MemLatMean    float64 `json:"memlat_mean"`
-	MemLatCI95    float64 `json:"memlat_ci95"`
+	DetailedInstr uint64 `json:"detailed_instr"`
+	FFAccesses    uint64 `json:"ff_accesses"`
 }
 
-// Estimate reports cpu's sampling summary. Call after Extrapolate (windows
-// are final then). Zero value when the CPU never measured a window.
+// Estimate reports cpu's detailed and fast-forwarded volume. Call after
+// Extrapolate (windows are final then).
 func (c *SamplingController) Estimate(cpu int) SampleEstimate {
 	s := &c.cpus[cpu]
-	e := SampleEstimate{Windows: len(s.windows), FFAccesses: s.ffAccesses}
-	var cpi, l1m, lat []float64
-	for i := range s.windows {
-		w := &s.windows[i]
-		e.DetailedInstr += w.Instructions
-		if w.Instructions > 0 {
-			cpi = append(cpi, float64(w.Cycles)/float64(w.Instructions))
-			l1m = append(l1m, float64(w.L1DMisses)/float64(w.Instructions)*1e6)
-		}
-		if w.MemRequests > 0 {
-			lat = append(lat, float64(w.MemLatencyCycles)/float64(w.MemRequests))
-		}
-	}
-	e.CPIMean, e.CPICI95 = stats.MeanCI95(cpi)
-	e.L1PerMMean, e.L1PerMCI95 = stats.MeanCI95(l1m)
-	e.MemLatMean, e.MemLatCI95 = stats.MeanCI95(lat)
-	return e
+	return SampleEstimate{DetailedInstr: s.measured.Instructions, FFAccesses: s.ffAccesses}
 }

@@ -72,7 +72,8 @@ type Request struct {
 	// SampleQuanta > 1 selects SMARTS interval sampling: counters are
 	// estimates, so sampled results must never share an address with exact
 	// ones. omitempty keeps every exact request's digest byte-stable with
-	// pre-sampling caches.
+	// pre-sampling caches. It stays while workload.Options.SampleQuanta does:
+	// the accuracy gate's sampled cells go through the store.
 	SampleQuanta int `json:"sample_quanta,omitempty"`
 }
 

@@ -38,3 +38,23 @@ func TestMeasureDigestGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestResponseDigestGolden pins the X-Digest of one figure and one sweep
+// response. Neither is stored, but clients key on them, so a change to
+// either encoding must be as deliberate as a measurement digest's.
+func TestResponseDigestGolden(t *testing.T) {
+	fig, err := figureDigest(experiments.Tiny, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "8870a0682e15c1e2fc0fa8c486ed2714f54ee5cade8db74d71967df99cbbb258"; string(fig) != want {
+		t.Errorf("figure 2: digest %s, want %s", fig, want)
+	}
+	sweep, err := sweepDigest(experiments.Tiny, machine.OriginSpec(32, experiments.Tiny.MemScale), tpch.Q21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "0a26d997357ef69960b50e35c64438b68a9b62df39ed6efa72184e64537de5bb"; string(sweep) != want {
+		t.Errorf("origin Q21 sweep: digest %s, want %s", sweep, want)
+	}
+}

@@ -5,11 +5,14 @@
 //
 // Endpoints:
 //
-//	GET /v1/measure?machine=vclass&query=Q6&procs=4[&trial=N][&cold=1]
+//	GET /v1/measure?machine=vclass&query=Q6&procs=4[&cpus=N][&trial=N][&cold=1]
 //	GET /v1/figure/{id}      one of the paper's figures (2..10)
-//	GET /v1/sweep?machine=origin&query=Q21
+//	GET /v1/sweep?machine=origin&query=Q21[&cpus=N]
 //	GET /healthz
 //	GET /metrics             Prometheus text format
+//
+// Each /v1 endpoint takes only the parameters shown, each at most once;
+// anything else is a 400 that names the parameter.
 //
 // Responses carry X-Digest, the content address of the result, and X-Cache:
 // hit when every measurement the response needed came from the result store
@@ -30,6 +33,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"runtime"
 	"slices"
 	"strconv"
@@ -78,11 +82,6 @@ type Config struct {
 	// computations (0 = GOMAXPROCS). Total concurrency is still capped by
 	// Workers, which gates at the simulation level.
 	EnvParallelism int
-	// SampleQuanta, when > 1, is the daemon-wide default SMARTS sampling
-	// period: requests that do not pass sample_quanta themselves run with
-	// interval sampling at this period. Sampled results live under their own
-	// content digests; 0 (or 1) keeps every run exact.
-	SampleQuanta int
 	// Log receives one structured line per API request (endpoint, status,
 	// per-phase timings). nil disables request logging.
 	Log *slog.Logger
@@ -316,28 +315,6 @@ func (s *Server) env(ctx context.Context) *experiments.Env {
 	}
 }
 
-// sampleQuanta resolves a request's effective sampling period: the
-// sample_quanta query parameter when present, else the daemon default. The
-// caller folds a non-zero result into the request's content digest (sampled
-// results must never collide with exact ones).
-func (s *Server) sampleQuanta(r *http.Request) (int, error) {
-	v := r.URL.Query().Get("sample_quanta")
-	if v == "" {
-		if s.cfg.SampleQuanta > 1 {
-			return s.cfg.SampleQuanta, nil
-		}
-		return 0, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("bad sample_quanta %q", v)
-	}
-	if n <= 1 {
-		return 0, nil // exact; 1 cannot sample (the controller clamps to 2)
-	}
-	return n, nil
-}
-
 // gatedRun is the run lifecycle: admission control (bounded wait queue with
 // fast shedding), cancellation-aware worker-slot acquisition, per-run
 // timeout and the hard-deadline watchdog. Panic isolation for the simulation
@@ -473,46 +450,41 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	ctx, done := s.requestCtx(r)
 	defer done()
 
-	spec, err := parseMachine(r.URL.Query().Get("machine"), r.URL.Query().Get("cpus"), s.cfg.Preset.MemScale)
+	v, err := params(r, "machine", "cpus", "query", "procs", "trial", "cold")
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	q, err := tpch.QueryByName(r.URL.Query().Get("query"))
+	spec, err := parseMachine(v.Get("machine"), v.Get("cpus"), s.cfg.Preset.MemScale)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	procs, err := parseIntDefault(r.URL.Query().Get("procs"), 1)
+	q, err := tpch.QueryByName(v.Get("query"))
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, err)
+		return
+	}
+	procs, err := parseIntDefault(v.Get("procs"), 1)
 	if err != nil || procs < 1 {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad procs %q", r.URL.Query().Get("procs")))
+		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad procs %q", v.Get("procs")))
 		return
 	}
 	if procs > spec.CPUs {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("procs %d exceed the machine's %d CPUs", procs, spec.CPUs))
 		return
 	}
-	trial, err := parseIntDefault(r.URL.Query().Get("trial"), 0)
+	trial, err := parseIntDefault(v.Get("trial"), 0)
 	if err != nil || trial < 0 {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad trial %q (must be at least 0)", r.URL.Query().Get("trial")))
+		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad trial %q (must be at least 0)", v.Get("trial")))
 		return
 	}
-	sq, err := s.sampleQuanta(r)
+	cold, err := parseBool("cold", v.Get("cold"))
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	cold, err := boolParam(r, "cold")
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	opts := workload.Options{
-		Spec:         spec,
-		Trial:        trial,
-		ColdRun:      cold,
-		SampleQuanta: sq,
-	}
+	opts := workload.Options{Spec: spec, Trial: trial, ColdRun: cold}
 
 	m, dig, hit, err := s.env(ctx).MeasureCached(spec.Name, q, procs, opts)
 	if err != nil {
@@ -530,6 +502,10 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	ctx, done := s.requestCtx(r)
 	defer done()
 
+	if _, err := params(r); err != nil {
+		s.fail(w, http.StatusBadRequest, err)
+		return
+	}
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad figure id %q", r.PathValue("id")))
@@ -539,19 +515,12 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotFound, fmt.Errorf("no figure %d (have %v)", id, ids))
 		return
 	}
-	sq, err := s.sampleQuanta(r)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	dig, err := figureDigest(s.cfg.Preset, id, sq)
+	dig, err := figureDigest(s.cfg.Preset, id)
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, err)
 		return
 	}
-	env := s.env(ctx)
-	env.SampleQuanta = sq
-	res, err := experiments.RunFigure(env, id, nil)
+	res, err := experiments.RunFigure(s.env(ctx), id, nil)
 	if err != nil {
 		s.failRun(w, err)
 		return
@@ -563,12 +532,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	ctx, done := s.requestCtx(r)
 	defer done()
 
-	spec, err := parseMachine(r.URL.Query().Get("machine"), r.URL.Query().Get("cpus"), s.cfg.Preset.MemScale)
+	v, err := params(r, "machine", "cpus", "query")
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	q, err := tpch.QueryByName(r.URL.Query().Get("query"))
+	spec, err := parseMachine(v.Get("machine"), v.Get("cpus"), s.cfg.Preset.MemScale)
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, err)
+		return
+	}
+	q, err := tpch.QueryByName(v.Get("query"))
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
@@ -577,12 +551,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("a sweep runs up to %d processes; cpus %d is too few", maxProcs, spec.CPUs))
 		return
 	}
-	sq, err := s.sampleQuanta(r)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	dig, err := sweepDigest(s.cfg.Preset, spec, q, sq)
+	dig, err := sweepDigest(s.cfg.Preset, spec, q)
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, err)
 		return
@@ -590,9 +559,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// Each point is cached under its own measurement digest as it finishes,
 	// so a sweep cut short (client gone, daemon killed) recomputes only the
 	// points it had not finished when re-issued.
-	env := s.env(ctx)
-	env.SampleQuanta = sq
-	series, err := env.Sweep(spec.Name, spec, q, workload.Options{})
+	series, err := s.env(ctx).Sweep(spec.Name, spec, q, workload.Options{})
 	if err != nil {
 		s.failRun(w, err)
 		return
@@ -602,35 +569,29 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 // --- content digests ---
 
-// figureDigest is the content address of one figure result under preset p,
-// computed with SMARTS interval sampling at the given period: the response's
-// X-Digest. Figures are not stored under it; they are rendered from their
-// cells. sampleQuanta 0 encodes to exactly the pre-sampling digest
-// (omitempty), so an exact figure keeps its X-Digest; any other period
-// addresses its own estimated result.
-func figureDigest(p experiments.Preset, id, sampleQuanta int) (rescache.Digest, error) {
+// figureDigest is the content address of one figure result under preset p:
+// the response's X-Digest. Figures are not stored under it; they are
+// rendered from their cells.
+func figureDigest(p experiments.Preset, id int) (rescache.Digest, error) {
 	return rescache.DigestJSON(struct {
-		Schema       int                `json:"schema"`
-		Kind         string             `json:"kind"`
-		Preset       experiments.Preset `json:"preset"`
-		Figure       int                `json:"figure"`
-		Procs        []int              `json:"procs"`
-		SampleQuanta int                `json:"sample_quanta,omitempty"`
-	}{1, "figure", p, id, experiments.ProcCounts, sampleQuanta})
+		Schema int                `json:"schema"`
+		Kind   string             `json:"kind"`
+		Preset experiments.Preset `json:"preset"`
+		Figure int                `json:"figure"`
+		Procs  []int              `json:"procs"`
+	}{1, "figure", p, id, experiments.ProcCounts})
 }
 
-// sweepDigest is the content address of one sweep result under preset p (see
-// figureDigest for the sampling compatibility contract).
-func sweepDigest(p experiments.Preset, spec machine.Spec, q tpch.QueryID, sampleQuanta int) (rescache.Digest, error) {
+// sweepDigest is the content address of one sweep result under preset p.
+func sweepDigest(p experiments.Preset, spec machine.Spec, q tpch.QueryID) (rescache.Digest, error) {
 	return rescache.DigestJSON(struct {
-		Schema       int                `json:"schema"`
-		Kind         string             `json:"kind"`
-		Preset       experiments.Preset `json:"preset"`
-		Machine      machine.Spec       `json:"machine"`
-		Query        string             `json:"query"`
-		Procs        []int              `json:"procs"`
-		SampleQuanta int                `json:"sample_quanta,omitempty"`
-	}{1, "sweep", p, spec, q.String(), experiments.ProcCounts, sampleQuanta})
+		Schema  int                `json:"schema"`
+		Kind    string             `json:"kind"`
+		Preset  experiments.Preset `json:"preset"`
+		Machine machine.Spec       `json:"machine"`
+		Query   string             `json:"query"`
+		Procs   []int              `json:"procs"`
+	}{1, "sweep", p, spec, q.String(), experiments.ProcCounts})
 }
 
 // MeasureDigest is the content address of one measurement under preset p:
@@ -736,6 +697,36 @@ func (s *Server) fail(w http.ResponseWriter, status int, err error) {
 
 // --- parameter parsing ---
 
+// params parses a request's query string once and holds it to the rule every
+// /v1 endpoint shares: only the endpoint's own parameters, each at most
+// once. Anything else is an error naming the first offender in sorted key
+// order, so a misspelled, unknown or repeated parameter is a bad request,
+// never a different run than the caller asked for.
+func params(r *http.Request, allowed ...string) (url.Values, error) {
+	v, err := url.ParseQuery(r.URL.RawQuery)
+	if err != nil {
+		return nil, fmt.Errorf("bad query string: %v", err)
+	}
+	keys := make([]string, 0, len(v))
+	for k := range v {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		if !slices.Contains(allowed, k) {
+			takes := "none"
+			if len(allowed) > 0 {
+				takes = strings.Join(allowed, ", ")
+			}
+			return nil, fmt.Errorf("unknown parameter %q (this endpoint takes %s)", k, takes)
+		}
+		if n := len(v[k]); n > 1 {
+			return nil, fmt.Errorf("parameter %q given %d times (at most once)", k, n)
+		}
+	}
+	return v, nil
+}
+
 // parseMachine resolves the machine/cpus API parameters into a validated spec
 // at the given memory scale; a spec machine.New would reject is a bad
 // request, not a failed run.
@@ -757,11 +748,11 @@ func parseIntDefault(s string, def int) (int, error) {
 	return strconv.Atoi(s)
 }
 
-// boolParam reads a flag parameter: 1, true, yes or on (any case) is true;
-// 0, false, no, off or an absent parameter is false; anything else is an
-// error naming the value, so a typo never silently selects the default.
-func boolParam(r *http.Request, name string) (bool, error) {
-	v := r.URL.Query().Get(name)
+// parseBool reads flag parameter name's value v: 1, true, yes or on (any
+// case) is true; 0, false, no, off or an absent parameter is false; anything
+// else is an error naming the value, so a typo never silently selects the
+// default.
+func parseBool(name, v string) (bool, error) {
 	switch strings.ToLower(v) {
 	case "1", "true", "yes", "on":
 		return true, nil

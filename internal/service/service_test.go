@@ -129,32 +129,46 @@ func TestBadRequests(t *testing.T) {
 	srv := newTestServer(t, "")
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	for _, path := range []string{
-		"/v1/measure?machine=cray",
-		"/v1/measure?query=Q99",
-		"/v1/measure?procs=zero",
-		"/v1/figure/notanumber",
+	for _, c := range []struct{ path, names string }{
+		{"/v1/measure?machine=cray", ""},
+		{"/v1/measure?query=Q99", ""},
+		{"/v1/measure?procs=zero", ""},
+		{"/v1/figure/notanumber", ""},
 		// Out-of-range machine geometry is the caller's mistake, never a
 		// retriable run failure: a retry cannot make it succeed.
-		"/v1/measure?machine=vclass&cpus=100&procs=1",
-		"/v1/measure?machine=vclass&cpus=4&procs=5",
-		"/v1/sweep?machine=origin&cpus=2",
+		{"/v1/measure?machine=vclass&cpus=100&procs=1", ""},
+		{"/v1/measure?machine=vclass&cpus=4&procs=5", ""},
+		{"/v1/sweep?machine=origin&cpus=2", ""},
 		// A malformed flag is an error, never the warm default.
-		"/v1/measure?cold=bogus",
-		"/v1/measure?cold=t",
+		{"/v1/measure?cold=bogus", ""},
+		{"/v1/measure?cold=t", ""},
 		// Trials count from 0; a negative one is no run of the sweep.
-		"/v1/measure?trial=-1",
+		{"/v1/measure?trial=-1", ""},
+		// A misspelled, unknown or repeated parameter is an error naming
+		// it, never a run of the defaults or of its first value.
+		{"/v1/measure?machine=vclass&query=Q6&proc=4", `"proc"`},
+		{"/v1/measure?machine=vclass&query=Q6&Trial=3", `"Trial"`},
+		{"/v1/measure?machine=vclass&query=Q6&procs=1&procs=4", `"procs"`},
+		{"/v1/sweep?machine=origin&query=Q21&procs=8", `"procs"`},
+		{"/v1/figure/2?x=1", `"x"`},
+		{"/v1/measure?machine=vclass&query=Q6&procs=4%zz", `"%zz"`},
+		// No endpoint offers a sampled run; asking for one is no exact run.
+		{"/v1/measure?machine=origin&query=Q6&procs=8&sample_quanta=8", `"sample_quanta"`},
+		{"/v1/figure/2?sample_quanta=8", `"sample_quanta"`},
 	} {
-		resp, body := get(t, ts, path)
+		resp, body := get(t, ts, c.path)
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: %d, want 400", path, resp.StatusCode)
+			t.Errorf("%s: %d, want 400", c.path, resp.StatusCode)
 		}
 		var eb errBody
 		if err := json.Unmarshal(body, &eb); err != nil || eb.Retriable {
-			t.Errorf("%s: body %s, want a non-retriable error", path, body)
+			t.Errorf("%s: body %s, want a non-retriable error", c.path, body)
+		}
+		if !strings.Contains(eb.Error, c.names) {
+			t.Errorf("%s: error %q does not name %s", c.path, eb.Error, c.names)
 		}
 		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			t.Errorf("%s: Retry-After %q on a bad request", path, ra)
+			t.Errorf("%s: Retry-After %q on a bad request", c.path, ra)
 		}
 	}
 	resp, _ := get(t, ts, "/v1/figure/42")
@@ -253,7 +267,7 @@ func TestFigureRenderedFromStoredCells(t *testing.T) {
 	}
 	runsTotal(t, srv, ts, 12)
 
-	dig, err := figureDigest(experiments.Tiny, 2, 0)
+	dig, err := figureDigest(experiments.Tiny, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

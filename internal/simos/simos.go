@@ -139,7 +139,9 @@ func (o *OS) Interrupt(cause error) { o.kernel.Interrupt(cause) }
 
 // SetSampling installs a SMARTS interval-sampling controller, consulted on
 // every memory access: fast-forwarded accesses skip the machine model and
-// charge the controller's estimate instead. Must be called before Run.
+// charge the controller's estimate instead. Must be called before Run. Only
+// workload.Options.SampleQuanta calls it, for the benchmark's fig5-sampled
+// workload and the accuracy gate (see obs.SamplingController).
 func (o *OS) SetSampling(c *obs.SamplingController) { o.sampling = c }
 
 // Processes returns the spawned processes.

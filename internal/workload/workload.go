@@ -59,7 +59,9 @@ type Options struct {
 	// detail as functional warming, and the rest fast-forward with estimated
 	// timing (see obs.SamplingController). 0 or 1 means exact simulation.
 	// Sampled counters are estimates, so SampleQuanta is part of the result
-	// identity (rescache digests sampled and exact runs differently).
+	// identity (rescache digests sampled and exact runs differently). No
+	// command or endpoint sets it; it stays for the benchmark's fig5-sampled
+	// workload and the accuracy gate.
 	SampleQuanta int
 }
 
@@ -94,9 +96,9 @@ type Stats struct {
 	// function of Options for digest-keyed caching and determinism tests.
 	WarmupHostNS   int64 `json:"-"`
 	MeasuredHostNS int64 `json:"-"`
-	// Sampling carries per-process sampling-estimator diagnostics (window
-	// counts, CI95 half-widths) when the run was sampled; nil for exact
-	// runs. Host-side diagnostics only, like WarmupHostNS.
+	// Sampling carries each process's detailed and fast-forwarded volume
+	// when the run was sampled; nil for exact runs. Host-side diagnostics
+	// only, like WarmupHostNS. The benchmark's fig5-sampled workload reads it.
 	Sampling []obs.SampleEstimate
 }
 

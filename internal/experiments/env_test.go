@@ -276,20 +276,12 @@ func TestMeasureCachedRejectsProgram(t *testing.T) {
 
 // TestColdWarmByteIdentical is the determinism contract of the result cache:
 // the same digest yields byte-identical Measurement JSON whether the result
-// was just simulated (cold), read back from the same store (warm memory), or
-// read by a fresh process-equivalent store from disk (warm disk) — and all
-// match a direct workload.Run of the canonical options.
+// was just simulated (cold) or read by a fresh process-equivalent store from
+// disk (warm disk), and both match the JSON of a direct workload.Run of the
+// canonical options.
 func TestColdWarmByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	spec := sharedEnv.VClass()
-
-	marshal := func(m core.Measurement) []byte {
-		b, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
 
 	cold := NewEnvWith(Tiny, sharedEnv.Data)
 	store1, err := rescache.Open(dir)
@@ -331,8 +323,8 @@ func TestColdWarmByteIdentical(t *testing.T) {
 	if !hit {
 		t.Fatal("disk-persisted result not found after 'restart'")
 	}
-	if !bytes.Equal(marshal(m1), marshal(m2)) {
-		t.Fatalf("cold/warm JSON differ:\ncold %s\nwarm %s", marshal(m1), marshal(m2))
+	if !bytes.Equal(m1, m2) {
+		t.Fatalf("cold/warm JSON differ:\ncold %s\nwarm %s", m1, m2)
 	}
 
 	// And both equal a direct, cache-free workload run.
@@ -342,8 +334,12 @@ func TestColdWarmByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(marshal(core.FromStats(st)), marshal(m1)) {
-		t.Fatal("cached measurement differs from a direct workload.Run")
+	b, err := json.Marshal(core.FromStats(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b, m1) {
+		t.Fatalf("cached measurement differs from a direct workload.Run:\ncached %s\ndirect %s", m1, b)
 	}
 }
 

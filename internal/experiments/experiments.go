@@ -157,8 +157,17 @@ func (e *Env) Measure(spec machine.Spec, q tpch.QueryID, procs int) (core.Measur
 // "vclass-nomigratory"). The cache key is the canonical digest of the full
 // configuration, so the tag carries no identity.
 func (e *Env) MeasureOpts(tag string, q tpch.QueryID, procs int, opts workload.Options) (core.Measurement, error) {
-	m, _, _, err := e.MeasureCached(tag, q, procs, opts)
-	return m, err
+	raw, dig, _, err := e.MeasureCached(tag, q, procs, opts)
+	if err != nil {
+		return core.Measurement{}, err
+	}
+	// Both cold and warm paths decode the stored JSON, so a given digest
+	// yields the same measurement regardless of cache state.
+	var m core.Measurement
+	if err := json.Unmarshal(raw, &m); err != nil {
+		return core.Measurement{}, fmt.Errorf("%s/%v/p%d: corrupt cached measurement %s: %w", tag, q, procs, dig.Short(), err)
+	}
+	return m, nil
 }
 
 // CanonicalOptions normalizes opts exactly as a measurement run applies it:
@@ -203,12 +212,14 @@ func (e *Env) runUncached(q tpch.QueryID, procs int, opts workload.Options) (*wo
 	return e.simulate(e.ctx(), opts)
 }
 
-// MeasureCached is MeasureOpts also returning the measurement's content
-// digest and whether it was answered from the cache (memory or disk) without
-// running a simulation.
-func (e *Env) MeasureCached(tag string, q tpch.QueryID, procs int, opts workload.Options) (core.Measurement, rescache.Digest, bool, error) {
+// MeasureCached is MeasureOpts before the decode: it returns the measurement
+// JSON the result store holds (json.Marshal of a core.Measurement), the
+// measurement's content digest, and whether it was answered from the cache
+// (memory or disk) without running a simulation. The bytes may be the store's
+// own slice (rescache.Store.Get): callers must not modify or append to them.
+func (e *Env) MeasureCached(tag string, q tpch.QueryID, procs int, opts workload.Options) (json.RawMessage, rescache.Digest, bool, error) {
 	if opts.Program != nil {
-		return core.Measurement{}, "", false, fmt.Errorf("%s/%v/p%d: no digest covers a Program; run it uncached", tag, q, procs)
+		return nil, "", false, fmt.Errorf("%s/%v/p%d: no digest covers a Program; run it uncached", tag, q, procs)
 	}
 	opts = e.CanonicalOptions(q, procs, opts)
 	dig := rescache.DigestOptions(e.Preset.SF, e.Preset.Seed, opts)
@@ -221,15 +232,9 @@ func (e *Env) MeasureCached(tag string, q tpch.QueryID, procs int, opts workload
 		return json.Marshal(core.FromStats(st))
 	})
 	if err != nil {
-		return core.Measurement{}, dig, false, fmt.Errorf("%s/%v/p%d: %w", tag, q, procs, err)
+		return nil, dig, false, fmt.Errorf("%s/%v/p%d: %w", tag, q, procs, err)
 	}
-	// Both cold and warm paths decode the stored JSON, so a given digest
-	// yields byte-identical re-encodings regardless of cache state.
-	var m core.Measurement
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return core.Measurement{}, dig, false, fmt.Errorf("%s/%v/p%d: corrupt cached measurement %s: %w", tag, q, procs, dig.Short(), err)
-	}
-	return m, dig, hit, nil
+	return raw, dig, hit, nil
 }
 
 // Cell is one measurement of a batch: Query at Procs processes on the machine

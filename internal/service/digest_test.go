@@ -1,6 +1,11 @@
 package service
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"dssmem/internal/experiments"
@@ -56,5 +61,48 @@ func TestResponseDigestGolden(t *testing.T) {
 	}
 	if want := "0a26d997357ef69960b50e35c64438b68a9b62df39ed6efa72184e64537de5bb"; string(sweep) != want {
 		t.Errorf("origin Q21 sweep: digest %s, want %s", sweep, want)
+	}
+}
+
+// TestMeasureBodyGolden pins the bytes of one /v1/measure answer in each
+// cache state: simulated (miss), answered from memory, and answered from disk
+// by a restarted server. A hit body is the miss body with its cache word
+// changed, and nothing else.
+func TestMeasureBodyGolden(t *testing.T) {
+	const path = "/v1/measure?machine=vclass&query=Q6&procs=1"
+	dir := t.TempDir()
+	fetch := func(ts *httptest.Server, cache string) []byte {
+		t.Helper()
+		resp, body := get(t, ts, path)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != cache {
+			t.Fatalf("%d X-Cache %q, want 200 %s: %s", resp.StatusCode, resp.Header.Get("X-Cache"), cache, body)
+		}
+		return body
+	}
+	srv := newTestServer(t, dir)
+	ts := httptest.NewServer(srv.Handler())
+	miss := fetch(ts, "miss")
+	memHit := fetch(ts, "hit")
+	ts.Close()
+	srv.Close()
+	ts2 := httptest.NewServer(newTestServer(t, dir).Handler())
+	defer ts2.Close()
+	diskHit := fetch(ts2, "hit")
+
+	const (
+		wantMiss = "4ba78ef40ea0e533a9eeda1218bbc188c241dfd87df056952fa884ca90a9d568"
+		wantHit  = "93f77158f9e60461eec814183760062d83e193b254910895ec239764a36ef2ea"
+	)
+	for _, c := range []struct {
+		name string
+		body []byte
+		want string
+	}{{"miss", miss, wantMiss}, {"memory hit", memHit, wantHit}, {"disk hit", diskHit, wantHit}} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(c.body)); got != c.want {
+			t.Errorf("%s: body sha256 %s, want %s", c.name, got, c.want)
+		}
+	}
+	if want := bytes.Replace(miss, []byte(`"cache":"miss"`), []byte(`"cache":"hit"`), 1); !bytes.Equal(memHit, want) {
+		t.Errorf("hit body is not the miss body with its cache word changed:\nmiss %s\nhit  %s", miss, memHit)
 	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"dssmem/internal/experiments"
 	"dssmem/internal/fault"
+	"dssmem/internal/machine"
 	"dssmem/internal/rescache"
 	"dssmem/internal/tpch"
 	"dssmem/internal/workload"
@@ -243,5 +244,34 @@ func TestBadRequestBodyShape(t *testing.T) {
 	}
 	if !strings.Contains(resp.Header.Get("Content-Type"), "application/json") {
 		t.Fatalf("content type %q", resp.Header.Get("Content-Type"))
+	}
+}
+
+// TestCorruptStoredMeasurementNeverServed: stored bytes that are not JSON
+// (a memory-tier entry no frame checksum covers) are never served as a
+// measurement, neither by /v1/measure nor by the figure and sweep path.
+func TestCorruptStoredMeasurementNeverServed(t *testing.T) {
+	srv := newTestServer(t, "")
+	spec := machine.VClassSpec(16, experiments.Tiny.MemScale)
+	dig := MeasureDigest(experiments.Tiny, tpch.Q6, 1, workload.Options{Spec: spec})
+	if err := srv.Store().Put(rescache.NSMeasurement, dig, []byte(`{"Machine":`)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp, body := get(t, ts, "/v1/measure?machine=vclass&query=Q6&procs=1")
+	var eb errBody
+	if err := json.Unmarshal(body, &eb); err != nil || resp.StatusCode != http.StatusInternalServerError || eb.Retriable {
+		t.Fatalf("corrupt entry: %d %s, want a non-retriable 500", resp.StatusCode, body)
+	}
+	if !strings.Contains(eb.Error, "corrupt cached measurement") {
+		t.Errorf("error %q does not say the cached measurement is corrupt", eb.Error)
+	}
+	if m, err := srv.env(context.Background()).MeasureOpts(spec.Name, tpch.Q6, 1, workload.Options{Spec: spec}); err == nil {
+		t.Errorf("MeasureOpts decoded a corrupt entry into %+v", m)
+	}
+	if runs := srv.runs.Load(); runs != 0 {
+		t.Errorf("%d simulations ran, want 0", runs)
 	}
 }

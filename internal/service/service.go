@@ -11,13 +11,15 @@
 //	GET /healthz
 //	GET /metrics             Prometheus text format
 //
-// Each /v1 endpoint takes only the parameters shown, each at most once;
-// anything else is a 400 that names the parameter.
+// Each /v1 endpoint takes only the parameters shown, each at most once and
+// with a value; anything else is a 400 that names the parameter. An absent
+// parameter takes its default.
 //
 // Responses carry X-Digest, the content address of the result, and X-Cache:
 // hit when every measurement the response needed came from the result store
 // without waiting on a simulation, miss otherwise. Only measurements are
-// stored; figures and sweeps are rendered from them on every request.
+// stored: /v1/measure serves the stored bytes, and figures and sweeps are
+// rendered from the decoded cells on every request.
 // Identical in-flight requests are deduplicated to one simulation; a client
 // disconnect aborts a run (at the next simulation scheduling quantum) once
 // its last waiter is gone; results persist across daemon restarts when a
@@ -40,7 +42,6 @@ import (
 	"strings"
 	"time"
 
-	"dssmem/internal/core"
 	"dssmem/internal/experiments"
 	"dssmem/internal/machine"
 	"dssmem/internal/rescache"
@@ -486,16 +487,30 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	}
 	opts := workload.Options{Spec: spec, Trial: trial, ColdRun: cold}
 
-	m, dig, hit, err := s.env(ctx).MeasureCached(spec.Name, q, procs, opts)
+	raw, dig, hit, err := s.env(ctx).MeasureCached(spec.Name, q, procs, opts)
 	if err != nil {
 		s.failRun(w, err)
 		return
 	}
-	s.respond(w, r, hit, dig, struct {
-		Digest      string           `json:"digest"`
-		Cache       string           `json:"cache"`
-		Measurement core.Measurement `json:"measurement"`
-	}{string(dig), cacheWord(hit), m})
+	// The stored bytes are json.Marshal of a core.Measurement, which decoding
+	// and re-encoding would reproduce exactly, so they are served as stored:
+	// checked, never decoded.
+	if !json.Valid(raw) {
+		s.fail(w, http.StatusInternalServerError, fmt.Errorf("%s/%v/p%d: corrupt cached measurement %s", spec.Name, q, procs, dig.Short()))
+		return
+	}
+	defer telemetry.FromContext(r.Context()).StartPhase(telemetry.PhaseEncode)()
+	// The digest is lowercase hex and the cache word hit or miss: neither
+	// needs escaping. The body is a copy; raw may be the store's own slice.
+	body := make([]byte, 0, len(raw)+128)
+	body = append(body, `{"digest":"`...)
+	body = append(body, dig...)
+	body = append(body, `","cache":"`...)
+	body = append(body, cacheWord(hit)...)
+	body = append(body, `","measurement":`...)
+	body = append(body, raw...)
+	body = append(body, "}\n"...)
+	writeJSON(w, hit, dig, body)
 }
 
 func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
@@ -620,11 +635,17 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, hit bool, dig r
 		return
 	}
 	defer telemetry.FromContext(r.Context()).StartPhase(telemetry.PhaseEncode)()
+	writeJSON(w, hit, dig, append(body, '\n'))
+}
+
+// writeJSON sends a newline-terminated JSON body with the X-Cache and X-Digest
+// headers.
+func writeJSON(w http.ResponseWriter, hit bool, dig rescache.Digest, body []byte) {
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
 	h.Set("X-Cache", cacheWord(hit))
 	h.Set("X-Digest", string(dig))
-	w.Write(append(body, '\n'))
+	w.Write(body)
 }
 
 // failRun maps run errors to HTTP statuses. Transient conditions — load
@@ -698,10 +719,11 @@ func (s *Server) fail(w http.ResponseWriter, status int, err error) {
 // --- parameter parsing ---
 
 // params parses a request's query string once and holds it to the rule every
-// /v1 endpoint shares: only the endpoint's own parameters, each at most
-// once. Anything else is an error naming the first offender in sorted key
-// order, so a misspelled, unknown or repeated parameter is a bad request,
-// never a different run than the caller asked for.
+// /v1 endpoint shares: only the endpoint's own parameters, each at most once
+// and with a value. Anything else is an error naming the first offender in
+// sorted key order, so a misspelled, unknown, repeated or empty parameter is
+// a bad request, never a different run than the caller asked for. An absent
+// parameter keeps its default.
 func params(r *http.Request, allowed ...string) (url.Values, error) {
 	v, err := url.ParseQuery(r.URL.RawQuery)
 	if err != nil {
@@ -722,6 +744,9 @@ func params(r *http.Request, allowed ...string) (url.Values, error) {
 		}
 		if n := len(v[k]); n > 1 {
 			return nil, fmt.Errorf("parameter %q given %d times (at most once)", k, n)
+		}
+		if v.Get(k) == "" {
+			return nil, fmt.Errorf("parameter %q has no value", k)
 		}
 	}
 	return v, nil

@@ -152,6 +152,14 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/sweep?machine=origin&query=Q21&procs=8", `"procs"`},
 		{"/v1/figure/2?x=1", `"x"`},
 		{"/v1/measure?machine=vclass&query=Q6&procs=4%zz", `"%zz"`},
+		// A parameter given with no value is an error, never its default.
+		{"/v1/measure?machine=vclass&query=Q6&procs=", `"procs"`},
+		{"/v1/measure?machine=vclass&query=Q6&trial=", `"trial"`},
+		{"/v1/measure?machine=vclass&query=Q6&cpus=", `"cpus"`},
+		{"/v1/measure?machine=vclass&query=Q6&cold=", `"cold"`},
+		{"/v1/measure?machine=&query=Q6", `"machine"`},
+		{"/v1/measure?machine=vclass&query=", `"query"`},
+		{"/v1/sweep?machine=&query=Q6", `"machine"`},
 		// No endpoint offers a sampled run; asking for one is no exact run.
 		{"/v1/measure?machine=origin&query=Q6&procs=8&sample_quanta=8", `"sample_quanta"`},
 		{"/v1/figure/2?sample_quanta=8", `"sample_quanta"`},

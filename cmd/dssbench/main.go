@@ -41,6 +41,9 @@ func main() {
 	chart := flag.Bool("chart", false, "append terminal sparklines for sweep figures (-format table only)")
 	list := flag.Bool("list", false, "list available figures and ablations")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fatal(fmt.Errorf("unexpected argument %q (flags only; a boolean flag takes -name=value)", flag.Arg(0)))
+	}
 
 	switch *format {
 	case "table", "csv", "json":

@@ -72,7 +72,8 @@ func main() {
 	logFormat := flag.String("log-format", "json", "log output format: json or text")
 	debugAddr := flag.String("debug-addr", "", "private debug listener with pprof and /metrics ('' = off)")
 	flag.Parse()
-	// A negative value would silently mean the default (GOMAXPROCS) or turn
+	// A stray argument would end flag parsing and drop every later flag. A
+	// negative value would silently mean the default (GOMAXPROCS) or turn
 	// the protection off (no run timeout and no watchdog, or an instant
 	// drain); -max-queue and -hard-deadline document their negative values.
 	usage := func(format string, a ...any) {
@@ -80,6 +81,8 @@ func main() {
 		os.Exit(1)
 	}
 	switch {
+	case flag.NArg() > 0:
+		usage("unexpected argument %q (flags only; a boolean flag takes -name=value)", flag.Arg(0))
 	case *workers < 0:
 		usage("bad -workers %d (must be at least 0; 0 = GOMAXPROCS)", *workers)
 	case *envPar < 0:

@@ -21,6 +21,10 @@ func main() {
 	memScale := flag.Int("memscale", 1, "cache capacity divisor")
 	iters := flag.Int("iters", 200_000, "loads per latency point")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "machinesim: unexpected argument %q (flags only; a boolean flag takes -name=value)\n", flag.Arg(0))
+		os.Exit(1)
+	}
 	if *iters < 1 {
 		// microbench.Latency averages over iters loads: 0 would print NaN.
 		fmt.Fprintf(os.Stderr, "machinesim: bad -iters %d (must be at least 1)\n", *iters)

@@ -39,6 +39,9 @@ func main() {
 	events := flag.String("events", "", "write a Chrome trace-event JSON file (open in Perfetto)")
 	byOperator := flag.Bool("by-operator", false, "attribute counters to query-plan operators")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fatal(fmt.Errorf("unexpected argument %q (flags only; a boolean flag takes -name=value)", flag.Arg(0)))
+	}
 
 	if !(*sf > 0) {
 		fatal(fmt.Errorf("bad -sf %g: scale factor must be positive", *sf))

@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"dssmem"
 )
@@ -21,10 +22,20 @@ func main() {
 	table := flag.String("table", "lineitem", "table to dump: lineitem, orders, supplier, nation, or summary")
 	limit := flag.Int("limit", 0, "max rows to dump (0 = all)")
 	flag.Parse()
-
-	if !(*sf > 0) {
-		fmt.Fprintf(os.Stderr, "tpchgen: bad -sf %g: scale factor must be positive\n", *sf)
+	usage := func(format string, a ...any) {
+		fmt.Fprintf(os.Stderr, "tpchgen: "+format+"\n", a...)
 		os.Exit(1)
+	}
+	// Every argument is checked before the data is generated.
+	switch {
+	case flag.NArg() > 0:
+		usage("unexpected argument %q (flags only; a boolean flag takes -name=value)", flag.Arg(0))
+	case !(*sf > 0):
+		usage("bad -sf %g: scale factor must be positive", *sf)
+	case *limit < 0:
+		usage("bad -limit %d (must be at least 0; 0 = all)", *limit)
+	case !slices.Contains([]string{"summary", "lineitem", "orders", "supplier", "nation"}, *table):
+		usage("unknown table %q", *table)
 	}
 	d := dssmem.GenerateData(*sf, *seed)
 	w := bufio.NewWriter(os.Stdout)
@@ -65,8 +76,5 @@ func main() {
 		for i, r := range d.Nations[:capped(len(d.Nations))] {
 			fmt.Fprintf(w, "%d,%d\n", i, r)
 		}
-	default:
-		fmt.Fprintf(os.Stderr, "tpchgen: unknown table %q\n", *table)
-		os.Exit(1)
 	}
 }

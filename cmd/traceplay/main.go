@@ -30,6 +30,9 @@ func main() {
 	mach := flag.String("machine", "vclass", "machine for -replay: vclass, origin or starfire")
 	memScale := flag.Int("memscale", 128, "cache divisor for -replay")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fatal(fmt.Errorf("unexpected argument %q (flags only; a boolean flag takes -name=value)", flag.Arg(0)))
+	}
 
 	if !(*sf > 0) {
 		fatal(fmt.Errorf("bad -sf %g: scale factor must be positive", *sf))

@@ -58,6 +58,9 @@ const hintRaceWindow = 100_000
 const DefaultHintBitFraction = 0.25
 
 // Database is one DBMS instance over one simulated machine's shared memory.
+// Pool and Catalog (heaps and B+trees included) are what a bulk load builds,
+// placed by the layout that PoolPages and BufHeaderBytes fix; Reopen shares
+// them. The rest is per-run state that every Open or Reopen starts fresh.
 type Database struct {
 	cfg Config
 
@@ -107,6 +110,26 @@ func Open(cfg Config) *Database {
 	if cfg.PoolPages <= 0 {
 		panic("engine: PoolPages must be positive")
 	}
+	return open(cfg, nil)
+}
+
+// Reopen returns a database over db's pool and catalog, as its bulk load
+// left them, with fresh per-run state from cfg: a new BufMgrLock and lock
+// manager, no hint bits set, cfg's cold-pool residency and zero counters.
+// Runs on reopened databases may proceed concurrently as long as none
+// writes the pool. cfg must give db's PoolPages and BufHeaderBytes, since
+// they place the pool; it panics otherwise, as configs are code.
+func (db *Database) Reopen(cfg Config) *Database {
+	r := open(cfg, db)
+	if r.cfg.PoolPages != db.cfg.PoolPages || r.cfg.BufHeaderBytes != db.cfg.BufHeaderBytes {
+		panic("engine: Reopen with another PoolPages or BufHeaderBytes")
+	}
+	return r
+}
+
+// open builds a database with fresh per-run state over loaded's pool and
+// catalog, or over an empty pool and catalog when loaded is nil.
+func open(cfg Config, loaded *Database) *Database {
 	if cfg.BufHeaderBytes <= 0 {
 		cfg.BufHeaderBytes = DefaultBufHeaderBytes
 	}
@@ -117,12 +140,16 @@ func Open(cfg Config) *Database {
 
 	db := &Database{
 		cfg:         cfg,
-		Pool:        storage.NewPool(poolBase, cfg.PoolPages),
-		Catalog:     catalog.New(memsys.SharedBase+catalogOff, bufHashOff-catalogOff),
 		LockMgr:     lock.NewManager(memsys.SharedBase+lockMgrOff, 64),
 		BufMgrLock:  lock.NewSpinLock(memsys.SharedBase + bufMgrLockOff),
 		bufHdrBase:  bufHdrBase,
 		bufHashBase: memsys.SharedBase + bufHashOff,
+	}
+	if loaded != nil {
+		db.Pool, db.Catalog = loaded.Pool, loaded.Catalog
+	} else {
+		db.Pool = storage.NewPool(poolBase, cfg.PoolPages)
+		db.Catalog = catalog.New(memsys.SharedBase+catalogOff, bufHashOff-catalogOff)
 	}
 	if cfg.SpinLimit > 0 {
 		db.BufMgrLock.SpinLimit = cfg.SpinLimit

@@ -260,3 +260,59 @@ func TestColdPoolFallbackWithoutIOWaiter(t *testing.T) {
 		t.Fatal("resident page re-read")
 	}
 }
+
+// Reopen shares the bulk load and its layout but starts every piece of
+// per-run state fresh: a run cannot see an earlier run's hint bits, lock
+// windows, cold-pool residency or counters.
+func TestReopenSharesLoadWithFreshRunState(t *testing.T) {
+	db := Open(Config{PoolPages: 64, HintBitFraction: 1.0, ColdPool: true, IOLatency: 5000})
+	rel := db.CreateTable("t", kvSchema())
+	tid := rel.Heap.Append([]int64{1, 2})
+	s := db.NewSession(&dbtest.FakeProc{}, 0)
+	s.PinPage(int(tid.Page))
+	s.CheckHints(rel.Heap, tid)
+	s.UnpinPage(int(tid.Page))
+	if db.DiskReads != 1 || db.HintWrites != 1 || db.BufMgrLock.Acquires != 1 {
+		t.Fatalf("first run: disk reads %d, hint writes %d, acquires %d", db.DiskReads, db.HintWrites, db.BufMgrLock.Acquires)
+	}
+
+	r := db.Reopen(Config{PoolPages: 64, BufHeaderBytes: DefaultBufHeaderBytes, SpinLimit: 9,
+		HintBitFraction: 1.0, ColdPool: true, IOLatency: 5000})
+	if r.Pool != db.Pool || r.Catalog != db.Catalog || r.SharedBytes != db.SharedBytes ||
+		r.headerAddr(5) != db.headerAddr(5) {
+		t.Fatal("reopen does not share the load and its layout")
+	}
+	if r.LockMgr == db.LockMgr || r.BufMgrLock == db.BufMgrLock || r.BufMgrLock.SpinLimit != 9 {
+		t.Fatal("reopen shares the locks or ignores SpinLimit")
+	}
+	if r.DiskReads != 0 || r.HintWrites != 0 || r.BufMgrLock.Acquires != 0 {
+		t.Fatal("reopen inherits counters")
+	}
+	p := &dbtest.FakeProc{Clock: 10_000_000} // far past the first run's hint store
+	s = r.NewSession(p, 0)
+	s.PinPage(int(tid.Page))
+	s.CheckHints(rel.Heap, tid)
+	if r.DiskReads != 1 || r.HintWrites != 1 {
+		t.Fatalf("reopened run: disk reads %d, hint writes %d (want 1 and 1)", r.DiskReads, r.HintWrites)
+	}
+	if db.DiskReads != 1 || db.HintWrites != 1 {
+		t.Fatal("the reopened run counted into the loaded database")
+	}
+	if s.Lookup("t") != rel {
+		t.Fatal("reopen lost the catalog")
+	}
+}
+
+func TestReopenRejectsAnotherLayout(t *testing.T) {
+	db := testDB()
+	for _, cfg := range []Config{{PoolPages: 65}, {PoolPages: 64, BufHeaderBytes: 128}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Reopen(%+v) of a 64-page, 32-byte-header load did not panic", cfg)
+				}
+			}()
+			db.Reopen(cfg)
+		}()
+	}
+}

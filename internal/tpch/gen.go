@@ -8,6 +8,7 @@
 package tpch
 
 import (
+	"sync"
 	"time"
 
 	"dssmem/internal/db/engine"
@@ -109,13 +110,19 @@ type Supplier struct {
 	NationKey int32
 }
 
-// Data is a generated database image.
+// Data is a generated database image. Open and RefDigest memoize a bulk
+// load per layout and a reference answer per query on the Data itself, so a
+// Data must not be modified after its first Open or RefDigest.
 type Data struct {
 	SF        float64
 	Lineitem  []LineItem
 	Orders    []Order
 	Suppliers []Supplier
 	Nations   []int32 // region of each nation
+
+	mu    sync.Mutex
+	loads map[[2]int]*engine.Database // by PoolPages and BufHeaderBytes
+	refs  map[QueryID]uint64
 }
 
 // rng is a splitmix64 generator: deterministic across runs and platforms.
@@ -291,4 +298,29 @@ func Load(db *engine.Database, d *Data) {
 	db.BuildIndex(ord, "orders_pk", OOrderKey)
 	db.BuildIndex(sup, "supplier_pk", SSuppKey)
 	db.BuildIndex(nat, "nation_pk", NNationKey)
+}
+
+// Open returns a database over d's bulk load for cfg's layout, with cfg's
+// per-run state (see engine.Database.Reopen). The first call per layout
+// opens and loads one; every call reopens it, and the loaded database itself
+// is never handed out. Query runs only read the pool, so they all share one
+// load; a program that writes the pool must open and load its own.
+func Open(d *Data, cfg engine.Config) *engine.Database {
+	hdr := cfg.BufHeaderBytes
+	if hdr <= 0 {
+		hdr = engine.DefaultBufHeaderBytes
+	}
+	key := [2]int{cfg.PoolPages, hdr}
+	d.mu.Lock()
+	db := d.loads[key]
+	if db == nil {
+		db = engine.Open(cfg)
+		Load(db, d)
+		if d.loads == nil {
+			d.loads = make(map[[2]int]*engine.Database)
+		}
+		d.loads[key] = db
+	}
+	d.mu.Unlock()
+	return db.Reopen(cfg)
 }

@@ -136,3 +136,18 @@ func Ref(q QueryID, d *Data) *Result {
 	}
 	panic("tpch: unknown query")
 }
+
+// RefDigest is Ref(q, d).Digest(), computed once per query for d.
+func RefDigest(q QueryID, d *Data) uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	dig, ok := d.refs[q]
+	if !ok {
+		dig = Ref(q, d).Digest()
+		if d.refs == nil {
+			d.refs = make(map[QueryID]uint64)
+		}
+		d.refs[q] = dig
+	}
+	return dig
+}

@@ -281,3 +281,30 @@ func TestQueryByName(t *testing.T) {
 		}
 	}
 }
+
+// Open loads d once per layout and hands out reopens of that load; its
+// answers are the reference's, and RefDigest is the reference's digest.
+func TestOpenSharesOneLoadPerLayout(t *testing.T) {
+	d := testData(t)
+	pages := PoolPagesFor(d)
+	a := Open(d, engine.Config{PoolPages: pages})
+	b := Open(d, engine.Config{PoolPages: pages, BufHeaderBytes: engine.DefaultBufHeaderBytes, ColdPool: true})
+	if a == b || a.Pool != b.Pool || a.BufMgrLock == b.BufMgrLock {
+		t.Fatal("one layout: want two reopens of one pool, each with its own locks")
+	}
+	if c := Open(d, engine.Config{PoolPages: pages, BufHeaderBytes: 128}); c.Pool == a.Pool {
+		t.Fatal("128-byte buffer headers share the 32-byte layout's pool")
+	}
+	if e := Open(testData(t), engine.Config{PoolPages: pages}); e.Pool == a.Pool {
+		t.Fatal("two Data values share one load")
+	}
+	for _, q := range []QueryID{Q6, Q21, Q12, Q1} {
+		want := Ref(q, d).Digest()
+		if got := RefDigest(q, d); got != want {
+			t.Fatalf("RefDigest(%v) = %x, want %x", q, got, want)
+		}
+		if got := Run(q, sessionFor(b)).Digest(); got != want {
+			t.Fatalf("%v on a reopened load: digest %x, want %x", q, got, want)
+		}
+	}
+}

@@ -90,10 +90,12 @@ type Stats struct {
 	// DiskReads counts cold-pool device reads (0 for warm runs).
 	DiskReads uint64
 	// WarmupHostNS and MeasuredHostNS split the run's host wall-clock time
-	// between the warmup prelude (bulk load) and the measured region
-	// (simulation). Host-side accounting only: core.FromStats ignores them.
-	// They are excluded from the JSON encoding: Stats JSON must stay a pure
-	// function of Options for digest-keyed caching and determinism tests.
+	// between the warmup prelude (Program.Load) and the measured region
+	// (simulation). A query run's prelude is the bulk load for the first run
+	// per data set and layout, and a reopen of that load (microseconds) for
+	// every later one. Host-side accounting only: core.FromStats ignores
+	// them. They are excluded from the JSON encoding: Stats JSON must stay a
+	// pure function of Options for digest-keyed caching and determinism tests.
 	WarmupHostNS   int64 `json:"-"`
 	MeasuredHostNS int64 `json:"-"`
 	// Sampling carries each process's detailed and fast-forwarded volume
@@ -110,22 +112,25 @@ type SessStats struct {
 	RelationAcquires uint64
 }
 
-// Program is what a run's processes execute. Load builds the database and
-// is the warm-up prelude; Run is one process's body, on a session whose PID
-// is the process index; Check validates the results once every process has
-// finished. Everything else (the machine, the OS, observation, sampling,
-// cancellation and the Stats) belongs to the run. A Program value may keep
-// per-run state, so it serves one run at a time.
+// Program is what a run's processes execute. Load returns the run's
+// database and is the warm-up prelude: a program that only reads the pool
+// may reopen a shared load, and one that writes it loads its own. Run is one
+// process's body, on a session whose PID is the process index; Check
+// validates the results once every process has finished. Everything else
+// (the machine, the OS, observation, sampling, cancellation and the Stats)
+// belongs to the run. A Program value may keep per-run state, so it serves
+// one run at a time.
 type Program interface {
 	Load(Options) (*engine.Database, error)
 	Run(*simos.Process, *engine.Session) error
 	Check(Options) error
 }
 
-// Queries is the TPC-H program: process i runs qs[i%len(qs)], and Check
-// compares each answer with tpch.Ref. Several
-// queries model the reading of the paper's §4 title ("Multiple (Diff) Query
-// Execution") in which the concurrent processes run different queries.
+// Queries is the TPC-H program: process i runs qs[i%len(qs)] on a reopen of
+// the data's shared bulk load (tpch.Open), and Check compares each answer
+// with the data's reference digest (tpch.RefDigest). Several queries model
+// the reading of the paper's §4 title ("Multiple (Diff) Query Execution") in
+// which the concurrent processes run different queries.
 func Queries(qs ...tpch.QueryID) Program { return &queries{qs: qs} }
 
 type queries struct {
@@ -141,9 +146,7 @@ func (w *queries) Load(opts Options) (*engine.Database, error) {
 		return nil, fmt.Errorf("workload: no queries")
 	}
 	w.results = make([]*tpch.Result, opts.Processes)
-	db := engine.Open(engineConfig(opts))
-	tpch.Load(db, opts.Data)
-	return db, nil
+	return tpch.Open(opts.Data, engineConfig(opts)), nil
 }
 
 func (w *queries) Run(p *simos.Process, s *engine.Session) error {
@@ -155,15 +158,9 @@ func (w *queries) Run(p *simos.Process, s *engine.Session) error {
 }
 
 func (w *queries) Check(opts Options) error {
-	wants := map[tpch.QueryID]uint64{}
 	for i, r := range w.results {
 		q := w.qs[i%len(w.qs)]
-		want, ok := wants[q]
-		if !ok {
-			want = tpch.Ref(q, opts.Data).Digest()
-			wants[q] = want
-		}
-		if r == nil || r.Digest() != want {
+		if r == nil || r.Digest() != tpch.RefDigest(q, opts.Data) {
 			return fmt.Errorf("workload: process %d returned a wrong %v answer", i, q)
 		}
 	}

@@ -20,7 +20,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"slices"
@@ -94,6 +93,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// The document's file is created before any data is generated, so a bad
+	// path fails at once; fatal removes it again.
+	jsonFile := os.Stdout
+	if *jsonOut != "" && *jsonOut != "-" {
+		jsonFile = create(*jsonOut)
+	}
 	start := time.Now()
 	env := dssmem.NewEnv(p)
 	// The runner sees every simulation and no cache hit: it sums the current
@@ -164,7 +169,7 @@ func main() {
 	}
 	if *jsonOut != "" {
 		doc.TotalWallMS = float64(time.Since(start).Microseconds()) / 1e3
-		if err := writeBenchDoc(*jsonOut, &doc); err != nil {
+		if err := writeBenchDoc(jsonFile, &doc); err != nil {
 			fatal(err)
 		}
 		if *format == "table" && *jsonOut != "-" {
@@ -232,32 +237,34 @@ func (d *benchDoc) add(r *dssmem.FigureResult, wall time.Duration, split runSpli
 	}
 }
 
-func writeBenchDoc(path string, doc *benchDoc) error {
-	write := func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(doc)
-	}
-	if path == "-" {
-		return write(os.Stdout)
-	}
-	return emitFile(path, write)
-}
-
-// emitFile creates path, runs emit on it and surfaces close errors.
-func emitFile(path string, emit func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := emit(f); err != nil {
-		f.Close()
+// writeBenchDoc encodes doc to f and closes f unless it is stdout.
+func writeBenchDoc(f *os.File, doc *benchDoc) error {
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(doc); err != nil || f == os.Stdout {
 		return err
 	}
 	return f.Close()
 }
 
+// created lists the output files this run made; fatal removes them, so a
+// failed run leaves none behind.
+var created []string
+
+// create makes an output file before the run, failing at once on a bad path.
+func create(path string) *os.File {
+	f, err := os.Create(path)
+	if err != nil {
+		fatal(err)
+	}
+	created = append(created, path)
+	return f
+}
+
 func fatal(err error) {
+	for _, path := range created {
+		os.Remove(path)
+	}
 	fmt.Fprintln(os.Stderr, "dssbench:", err)
 	os.Exit(1)
 }

@@ -16,9 +16,9 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
@@ -57,6 +57,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+
+	// Output files are created before any data is generated, so a bad path
+	// fails at once; fatal removes them again.
+	sampleFile, eventsFile := create(*sampleOut), create(*events)
 
 	var ob *dssmem.Observer
 	if *sample > 0 || *events != "" || *byOperator {
@@ -103,18 +107,17 @@ func main() {
 			fatal(err)
 		}
 		if *sampleOut != "" {
-			if err := writeFile(*sampleOut, func(w io.Writer) error {
-				if strings.HasSuffix(*sampleOut, ".json") {
-					return ob.WriteSamplesJSON(w)
-				}
-				return ob.WriteSamplesCSV(w)
-			}); err != nil {
+			write := ob.WriteSamplesCSV
+			if strings.HasSuffix(*sampleOut, ".json") {
+				write = ob.WriteSamplesJSON
+			}
+			if err := errors.Join(write(sampleFile), sampleFile.Close()); err != nil {
 				fatal(err)
 			}
 			fmt.Printf("samples written to %s\n", *sampleOut)
 		}
 		if *events != "" {
-			if err := writeFile(*events, ob.WriteTrace); err != nil {
+			if err := errors.Join(ob.WriteTrace(eventsFile), eventsFile.Close()); err != nil {
 				fatal(err)
 			}
 			fmt.Printf("trace written to %s (open in Perfetto or chrome://tracing)\n", *events)
@@ -122,17 +125,22 @@ func main() {
 	}
 }
 
-// writeFile creates path, runs emit on it and surfaces close errors.
-func writeFile(path string, emit func(io.Writer) error) error {
+// created lists the output files this run made; fatal removes them, so a
+// failed run leaves none behind.
+var created []string
+
+// create makes an output file before the run, failing at once on a bad path;
+// an empty path makes none.
+func create(path string) *os.File {
+	if path == "" {
+		return nil
+	}
 	f, err := os.Create(path)
 	if err != nil {
-		return err
+		fatal(err)
 	}
-	if err := emit(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	created = append(created, path)
+	return f
 }
 
 func printAnswer(r *dssmem.QueryResult) {
@@ -162,6 +170,9 @@ func printAnswer(r *dssmem.QueryResult) {
 }
 
 func fatal(err error) {
+	for _, path := range created {
+		os.Remove(path)
+	}
 	fmt.Fprintln(os.Stderr, "qrun:", err)
 	os.Exit(1)
 }

@@ -34,6 +34,27 @@ func main() {
 		fatal(fmt.Errorf("unexpected argument %q (flags only; a boolean flag takes -name=value)", flag.Arg(0)))
 	}
 
+	// One mode per run, with only that mode's flags: any other would be
+	// ignored while the run exits 0.
+	modes := 0
+	for _, path := range []string{*record, *analyze, *replay} {
+		if path != "" {
+			modes++
+		}
+	}
+	if modes == 0 {
+		flag.Usage()
+		os.Exit(2)
+	}
+	if modes > 1 {
+		fatal(fmt.Errorf("-record, -analyze and -replay are separate modes: give one"))
+	}
+	owner := map[string]string{"query": "record", "sf": "record", "seed": "record", "machine": "replay", "memscale": "replay"}
+	flag.Visit(func(f *flag.Flag) {
+		if mode := owner[f.Name]; mode != "" && flag.Lookup(mode).Value.String() == "" {
+			fatal(fmt.Errorf("-%s applies only to -%s", f.Name, mode))
+		}
+	})
 	if !(*sf > 0) {
 		fatal(fmt.Errorf("bad -sf %g: scale factor must be positive", *sf))
 	}
@@ -92,10 +113,6 @@ func main() {
 			fmt.Printf("L2 D misses   %d\n", ct.L2DMisses)
 		}
 		fmt.Printf("avg mem lat   %.1f cycles\n", ct.AvgMemLatency())
-
-	default:
-		flag.Usage()
-		os.Exit(2)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 
+	"dssmem/internal/core"
 	"dssmem/internal/machine"
 	"dssmem/internal/tpch"
 	"dssmem/internal/workload"
@@ -14,85 +15,69 @@ import (
 // the default machine against a variant with one mechanism changed and
 // reports the metric that mechanism is supposed to move.
 
-// AblationMigratory turns the V-Class migratory enhancement off. The paper
-// credits it with cheap lock hand-offs (one intervention instead of an
-// intervention plus an upgrade).
-func AblationMigratory(e *Env) (*Result, error) {
-	on := e.VClass()
-	off := e.VClass()
-	off.Protocol.Migratory = false
-	r := &Result{
-		ID:      "ablation-migratory",
-		Title:   "V-Class migratory enhancement on/off (8 processes)",
-		Headers: []string{"query", "variant", "thread cyc", "mem latency", "dirty-3hop/M", "vol/M"},
-	}
-	g, err := e.measureGrid([]variant{plain(on), {"vclass-nomigratory", workload.Options{Spec: off}}}, tpch.AllQueries, []int{8})
+// compare measures base and alt on every query at procs processes as one
+// grid and appends to r, for each query, one row per variant: the query, the
+// variant's label, then cols of its measurement.
+func (e *Env) compare(r *Result, base, alt variant, labels [2]string, procs int, cols func(core.Measurement) []string) (*Result, error) {
+	g, err := e.measureGrid([]variant{base, alt}, tpch.AllQueries, []int{procs})
 	if err != nil {
 		return nil, err
 	}
 	for _, q := range tpch.AllQueries {
-		a, b := g.of(0, q)[0], g.of(1, q)[0]
-		r.Rows = append(r.Rows,
-			[]string{q.String(), "migratory", fm(a.ThreadCycles), f1(a.MemLatencyCycles), f1(a.Dirty3HopPerM), f1(a.VolPerM)},
-			[]string{q.String(), "plain MESI", fm(b.ThreadCycles), f1(b.MemLatencyCycles), f1(b.Dirty3HopPerM), f1(b.VolPerM)},
-		)
+		for v, label := range labels {
+			r.Rows = append(r.Rows, append([]string{q.String(), label}, cols(g.of(v, q)[0])...))
+		}
 	}
 	return r, nil
+}
+
+// AblationMigratory turns the V-Class migratory enhancement off. The paper
+// credits it with cheap lock hand-offs (one intervention instead of an
+// intervention plus an upgrade).
+func AblationMigratory(e *Env) (*Result, error) {
+	off := e.VClass()
+	off.Protocol.Migratory = false
+	return e.compare(&Result{
+		ID:      "ablation-migratory",
+		Title:   "V-Class migratory enhancement on/off (8 processes)",
+		Headers: []string{"query", "variant", "thread cyc", "mem latency", "dirty-3hop/M", "vol/M"},
+	}, plain(e.VClass()), variant{"vclass-nomigratory", workload.Options{Spec: off}}, [2]string{"migratory", "plain MESI"}, 8,
+		func(m core.Measurement) []string {
+			return []string{fm(m.ThreadCycles), f1(m.MemLatencyCycles), f1(m.Dirty3HopPerM), f1(m.VolPerM)}
+		})
 }
 
 // AblationSpeculation turns the Origin's speculative memory reply off: clean
 // interventions then cost a full 3-hop trip.
 func AblationSpeculation(e *Env) (*Result, error) {
-	on := e.Origin()
 	off := e.Origin()
 	off.Protocol.Speculative = false
-	r := &Result{
+	return e.compare(&Result{
 		ID:      "ablation-speculation",
 		Title:   "Origin speculative reply on/off (8 processes)",
 		Headers: []string{"query", "variant", "thread cyc", "mem latency"},
-	}
-	g, err := e.measureGrid([]variant{plain(on), {"origin-nospec", workload.Options{Spec: off}}}, tpch.AllQueries, []int{8})
-	if err != nil {
-		return nil, err
-	}
-	for _, q := range tpch.AllQueries {
-		a, b := g.of(0, q)[0], g.of(1, q)[0]
-		r.Rows = append(r.Rows,
-			[]string{q.String(), "speculative", fm(a.ThreadCycles), f1(a.MemLatencyCycles)},
-			[]string{q.String(), "no speculation", fm(b.ThreadCycles), f1(b.MemLatencyCycles)},
-		)
-	}
-	r.Notes = append(r.Notes, "expect: latency rises without speculation, most for read-shared scans")
-	return r, nil
+		Notes:   []string{"expect: latency rises without speculation, most for read-shared scans"},
+	}, plain(e.Origin()), variant{"origin-nospec", workload.Options{Spec: off}}, [2]string{"speculative", "no speculation"}, 8,
+		func(m core.Measurement) []string { return []string{fm(m.ThreadCycles), f1(m.MemLatencyCycles)} })
 }
 
 // AblationL2Line shrinks the Origin L2 line from 128 B to 32 B. The paper
 // attributes much of the L2's benefit on index queries to the longer lines.
 func AblationL2Line(e *Env) (*Result, error) {
-	long := e.Origin()
 	short := e.Origin()
 	l2 := *short.L2
 	l2.LineSize = 32
 	l2.Name = "R10K-L2-32B"
 	short.L2 = &l2
-	r := &Result{
+	return e.compare(&Result{
 		ID:      "ablation-l2line",
 		Title:   "Origin L2 line size 128B vs 32B (1 process)",
 		Headers: []string{"query", "variant", "L2 misses", "L2/M instr", "thread cyc"},
-	}
-	g, err := e.measureGrid([]variant{plain(long), {"origin-l2line32", workload.Options{Spec: short}}}, tpch.AllQueries, []int{1})
-	if err != nil {
-		return nil, err
-	}
-	for _, q := range tpch.AllQueries {
-		a, b := g.of(0, q)[0], g.of(1, q)[0]
-		r.Rows = append(r.Rows,
-			[]string{q.String(), "128B lines", fk(a.L2Misses), f0(a.L2MissesPerM), fm(a.ThreadCycles)},
-			[]string{q.String(), "32B lines", fk(b.L2Misses), f0(b.L2MissesPerM), fm(b.ThreadCycles)},
-		)
-	}
-	r.Notes = append(r.Notes, "paper: longer lines cut misses for both query types; the larger capacity matters more for the index query")
-	return r, nil
+		Notes:   []string{"paper: longer lines cut misses for both query types; the larger capacity matters more for the index query"},
+	}, plain(e.Origin()), variant{"origin-l2line32", workload.Options{Spec: short}}, [2]string{"128B lines", "32B lines"}, 1,
+		func(m core.Measurement) []string {
+			return []string{fk(m.L2Misses), f0(m.L2MissesPerM), fm(m.ThreadCycles)}
+		})
 }
 
 // AblationBackoff compares the PostgreSQL select() back-off against pure
@@ -121,46 +106,28 @@ func AblationBackoff(e *Env) (*Result, error) {
 // sharing of neighbouring headers (era PostgreSQL packed them).
 func AblationHeaders(e *Env) (*Result, error) {
 	spec := e.Origin()
-	r := &Result{
+	return e.compare(&Result{
 		ID:      "ablation-headers",
 		Title:   "Buffer descriptor padding: 32B packed vs 128B line-private (Origin, 8 processes)",
 		Headers: []string{"query", "variant", "L2/M instr", "coherence share", "thread cyc"},
-	}
-	g, err := e.measureGrid([]variant{plain(spec), {"origin-paddedhdrs", workload.Options{Spec: spec, BufHeaderBytes: 128}}}, tpch.AllQueries, []int{8})
-	if err != nil {
-		return nil, err
-	}
-	for _, q := range tpch.AllQueries {
-		a, b := g.of(0, q)[0], g.of(1, q)[0]
-		r.Rows = append(r.Rows,
-			[]string{q.String(), "packed 32B", f0(a.L2MissesPerM), pct(a.CoherenceFraction), fm(a.ThreadCycles)},
-			[]string{q.String(), "padded 128B", f0(b.L2MissesPerM), pct(b.CoherenceFraction), fm(b.ThreadCycles)},
-		)
-	}
-	return r, nil
+	}, plain(spec), variant{"origin-paddedhdrs", workload.Options{Spec: spec, BufHeaderBytes: 128}}, [2]string{"packed 32B", "padded 128B"}, 8,
+		func(m core.Measurement) []string {
+			return []string{f0(m.L2MissesPerM), pct(m.CoherenceFraction), fm(m.ThreadCycles)}
+		})
 }
 
 // AblationHints disables hint-bit stores, isolating the shared record-page
 // writes from the rest of the communication.
 func AblationHints(e *Env) (*Result, error) {
 	spec := e.Origin()
-	r := &Result{
+	return e.compare(&Result{
 		ID:      "ablation-hints",
 		Title:   "Hint-bit stores on/off (Origin, 8 processes)",
 		Headers: []string{"query", "variant", "dirty-3hop/M", "coherence share", "mem latency"},
-	}
-	g, err := e.measureGrid([]variant{plain(spec), {"origin-nohints", workload.Options{Spec: spec, HintBitFraction: -1}}}, tpch.AllQueries, []int{8})
-	if err != nil {
-		return nil, err
-	}
-	for _, q := range tpch.AllQueries {
-		a, b := g.of(0, q)[0], g.of(1, q)[0]
-		r.Rows = append(r.Rows,
-			[]string{q.String(), "hint bits", f1(a.Dirty3HopPerM), pct(a.CoherenceFraction), f1(a.MemLatencyCycles)},
-			[]string{q.String(), "no hint bits", f1(b.Dirty3HopPerM), pct(b.CoherenceFraction), f1(b.MemLatencyCycles)},
-		)
-	}
-	return r, nil
+	}, plain(spec), variant{"origin-nohints", workload.Options{Spec: spec, HintBitFraction: -1}}, [2]string{"hint bits", "no hint bits"}, 8,
+		func(m core.Measurement) []string {
+			return []string{f1(m.Dirty3HopPerM), pct(m.CoherenceFraction), f1(m.MemLatencyCycles)}
+		})
 }
 
 // AblationPlacement interleaves the Origin's shared pages across all nodes

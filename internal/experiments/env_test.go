@@ -431,3 +431,97 @@ func TestMeasureAllCancelledStartsNoMoreCells(t *testing.T) {
 		t.Fatalf("store misses = %d, want 1: a cell started after cancellation", m)
 	}
 }
+
+// TestColdRunRepeatRunsNothing: coldrun's cold runs are stored cells like
+// its warm ones, so a second ColdRun on the same env simulates nothing and
+// renders the same rows, and the cold cell /v1/measure asks for is a hit.
+func TestColdRunRepeatRunsNothing(t *testing.T) {
+	var calls atomic.Int64
+	e := NewEnvWith(Tiny, sharedEnv.Data)
+	e.Runner = func(ctx context.Context, o workload.Options) (*workload.Stats, error) {
+		calls.Add(1)
+		return workload.RunContext(ctx, o)
+	}
+	first, err := ColdRun(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := calls.Load()
+	second, err := ColdRun(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if extra := calls.Load() - n; extra != 0 {
+		t.Fatalf("the repeated ColdRun ran %d simulations, want 0", extra)
+	}
+	if !slices.EqualFunc(first.Rows, second.Rows, slices.Equal) {
+		t.Fatalf("rows differ between runs:\n%v\n%v", first.Rows, second.Rows)
+	}
+	// handleMeasure's options for machine=vclass&query=Q6&procs=1&cold=1.
+	if _, _, hit, err := e.MeasureCached("vclass", tpch.Q6, 1, workload.Options{Spec: e.VClass(), ColdRun: true}); err != nil || !hit {
+		t.Fatalf("the cold Q6 cell: hit=%v err=%v, want the cell ColdRun stored", hit, err)
+	}
+}
+
+// TestColdRunDiskReadsMatchDirectRun pins coldrun's derived columns: a cold
+// row's vol switches and disk reads, computed from the stored measurement,
+// equal the voluntary switches and DiskReads of a direct cold run.
+func TestColdRunDiskReadsMatchDirectRun(t *testing.T) {
+	e := NewEnvWith(Tiny, sharedEnv.Data)
+	r, err := ColdRun(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []tpch.QueryID{tpch.Q6, tpch.Q21, tpch.Q12} {
+		opts := e.CanonicalOptions(q, 1, workload.Options{Spec: e.VClass(), ColdRun: true})
+		opts.Data = e.Data
+		st, err := workload.Run(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := slices.IndexFunc(r.Rows, func(row []string) bool { return row[0] == q.String() && row[1] == "cold (trial 1)" })
+		if i < 0 {
+			t.Fatalf("no cold row for %v", q)
+		}
+		want := []string{fmt.Sprint(st.Procs[0].Vol), fmt.Sprint(st.DiskReads)}
+		if got := r.Rows[i][4:6]; !slices.Equal(got, want) || st.DiskReads == 0 {
+			t.Errorf("%v: vol switches, disk reads = %v, direct cold run %v", q, got, want)
+		}
+	}
+}
+
+// TestMissesCountJoiners: Env.Misses counts every measurement the store did
+// not answer as a hit, the one that joined another cell's flight included,
+// and a repeat of the batch, answered from the store, adds none.
+func TestMissesCountJoiners(t *testing.T) {
+	gate := make(chan struct{})
+	var calls atomic.Int64
+	e := fakeEnv(func(_ context.Context, o workload.Options) (*workload.Stats, error) {
+		calls.Add(1)
+		<-gate
+		return fakeStats(o), nil
+	})
+	e.Parallelism = 2
+	cell := Cell{Tag: "vclass", Query: tpch.Q6, Procs: 1, Opts: workload.Options{Spec: e.VClass()}}
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.MeasureAll([]Cell{cell, cell})
+		done <- err
+	}()
+	for e.Results.Stats().Shared < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if n := e.Misses(); n != 2 || calls.Load() != 1 {
+		t.Fatalf("misses = %d after %d run(s), want 2 after 1", n, calls.Load())
+	}
+	if _, err := e.MeasureAll([]Cell{cell, cell}); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.Misses(); n != 2 {
+		t.Fatalf("misses = %d after the repeat, want 2: store hits counted", n)
+	}
+}

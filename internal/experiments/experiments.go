@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"dssmem/internal/core"
 	"dssmem/internal/machine"
@@ -99,7 +100,8 @@ type Env struct {
 	// regenerates Figure 5 sampled.
 	SampleQuanta int
 
-	initMu sync.Mutex // guards lazy Results init
+	initMu sync.Mutex   // guards lazy Results init
+	misses atomic.Int64 // MeasureCached calls the store did not answer as a hit
 }
 
 // NewEnv generates the preset's database once and returns the environment.
@@ -231,11 +233,19 @@ func (e *Env) MeasureCached(tag string, q tpch.QueryID, procs int, opts workload
 		}
 		return json.Marshal(core.FromStats(st))
 	})
+	if !hit {
+		e.misses.Add(1)
+	}
 	if err != nil {
 		return nil, dig, false, fmt.Errorf("%s/%v/p%d: %w", tag, q, procs, err)
 	}
 	return raw, dig, hit, nil
 }
+
+// Misses returns how many measurements waited on a simulation: MeasureCached
+// calls whose answer was not a store hit, whether this env started the run or
+// joined one in flight. 0 means every measurement came from the store.
+func (e *Env) Misses() int64 { return e.misses.Load() }
 
 // Cell is one measurement of a batch: Query at Procs processes on the machine
 // variant Opts.Spec. Tag names the variant in error messages, as in

@@ -343,25 +343,16 @@ func TestDoJoinerSurvivesInitiatorCancel(t *testing.T) {
 		}
 	}
 
-	// Both requests waited on the compute, so both record a miss.
-	if !initReq.Missed() || !joinReq.Missed() {
-		t.Fatalf("missed: initiator %v, joiner %v; want both", initReq.Missed(), joinReq.Missed())
-	}
-
 	// The flight was never orphaned, and its result is cached for everyone.
 	if st := s.Stats(); st.Aborted != 0 || st.Misses != 1 || st.Shared != 1 {
 		t.Fatalf("stats after joiner survival: %+v", st)
 	}
-	hitReq := telemetry.NewRequest()
-	v, hit, err := s.Do(telemetry.NewContext(context.Background(), hitReq), NSMeasurement, "joined", func(context.Context) ([]byte, error) {
+	v, hit, err := s.Do(context.Background(), NSMeasurement, "joined", func(context.Context) ([]byte, error) {
 		t.Error("compute ran on a digest the survived flight already cached")
 		return nil, nil
 	})
 	if err != nil || !hit || string(v) != "survived" {
 		t.Fatalf("post-flight Do: v=%q hit=%v err=%v", v, hit, err)
-	}
-	if hitReq.Missed() {
-		t.Fatal("a cache hit recorded a miss on its request")
 	}
 }
 

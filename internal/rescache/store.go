@@ -326,9 +326,7 @@ func (s *Store) putFailed(err error) error {
 
 // Do returns the cached bytes for (ns, d), computing them at most once across
 // all concurrent callers. hit reports whether the result came from the cache
-// without waiting on a compute; a miss is also recorded on the request
-// tracked by ctx (telemetry.Request.Miss), so a request that runs many Do
-// calls knows whether all of them hit.
+// without waiting on a compute.
 //
 // Lifecycle contract:
 //   - compute runs on its own goroutine with a context that is cancelled
@@ -376,7 +374,6 @@ func (s *Store) Do(ctx context.Context, ns string, d Digest, compute func(contex
 		s.mu.Unlock()
 		s.shared.Add(1)
 	}
-	q.Miss()
 
 	select {
 	case <-f.done:

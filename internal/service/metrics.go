@@ -63,13 +63,13 @@ func (s *Server) initMetrics() {
 	s.shed = r.Counter("dssmem_runs_shed_total", "Runs rejected by admission control (429).")
 	s.wdKills = r.Counter("dssmem_watchdog_kills_total", "Runs abandoned by the hard-deadline watchdog.")
 	s.hung = r.Gauge("dssmem_runs_abandoned_live", "Abandoned runs that have not exited yet.")
-	s.runSeconds = r.Histogram("dssmem_run_seconds", "Wall-clock simulation time.", nil)
+	s.runSeconds = r.Histogram("dssmem_run_seconds", "Wall-clock simulation time.")
 
 	s.reqTotal = r.Counter("dssmem_requests_total", "API requests handled.")
 	s.reqErrors = r.Counter("dssmem_request_errors_total", "API requests that failed.")
-	s.reqSeconds = r.HistogramVec("dssmem_request_seconds", "End-to-end API request latency.", nil, "endpoint")
+	s.reqSeconds = r.HistogramVec("dssmem_request_seconds", "End-to-end API request latency.", "endpoint")
 	s.phaseSeconds = r.HistogramVec("dssmem_phase_seconds",
-		"Request time by phase: queue, cache_mem, cache_disk, compute, encode.", nil, "phase")
+		"Request time by phase: queue, cache_mem, cache_disk, compute, encode.", "phase")
 	r.PollGauge("dssmem_uptime_seconds", "Seconds since the daemon started.",
 		nil, func(emit func(float64, ...string)) {
 			emit(time.Since(s.start).Seconds())

@@ -535,12 +535,13 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusInternalServerError, err)
 		return
 	}
-	res, err := experiments.RunFigure(s.env(ctx), id, nil)
+	env := s.env(ctx)
+	res, err := experiments.RunFigure(env, id, nil)
 	if err != nil {
 		s.failRun(w, err)
 		return
 	}
-	s.respond(w, r, !telemetry.FromContext(ctx).Missed(), dig, res)
+	s.respond(w, r, env.Misses() == 0, dig, res)
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -574,12 +575,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// Each point is cached under its own measurement digest as it finishes,
 	// so a sweep cut short (client gone, daemon killed) recomputes only the
 	// points it had not finished when re-issued.
-	series, err := s.env(ctx).Sweep(spec.Name, spec, q, workload.Options{})
+	env := s.env(ctx)
+	series, err := env.Sweep(spec.Name, spec, q, workload.Options{})
 	if err != nil {
 		s.failRun(w, err)
 		return
 	}
-	s.respond(w, r, !telemetry.FromContext(ctx).Missed(), dig, series)
+	s.respond(w, r, env.Misses() == 0, dig, series)
 }
 
 // --- content digests ---

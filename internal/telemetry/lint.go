@@ -5,10 +5,14 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
 )
+
+var validName = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+var validLabel = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
 
 // LintReport is the outcome of parsing a Prometheus text exposition.
 type LintReport struct {

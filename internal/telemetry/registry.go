@@ -15,9 +15,11 @@
 //     child) is mutated with a single atomic op — no locks, no allocation.
 //     Label resolution (With) takes a read-lock and allocates a key, so hot
 //     callers resolve their children once and keep the pointer.
-//  3. Aggregatable. Every series is label-structured so a scraper can sum
-//     across daemons; histograms use fixed buckets for the same reason
-//     (equal buckets merge by addition).
+//  3. One layout, one registration. Every histogram observes into
+//     DefBuckets, so per-phase and per-endpoint series merge by addition,
+//     and the daemon registers each family name once: the registry keeps
+//     no name index and does not check its own constant names (the
+//     exposition lint, a test oracle, does).
 //  4. Nil-safety. A nil *Request is valid everywhere and every method on it
 //     is a no-op, so instrumented code paths cost one predictable branch
 //     when telemetry is absent (CLI runs, benchmarks).
@@ -28,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"regexp"
 	"slices"
 	"sort"
 	"strconv"
@@ -46,21 +47,15 @@ var DefBuckets = []float64{
 	1, 2.5, 5, 10, 30, 60, 120, 300, 600,
 }
 
-var validName = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
-var validLabel = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
-
 // Registry holds metric families and renders them in the Prometheus text
 // exposition format. All methods are safe for concurrent use.
 type Registry struct {
 	mu       sync.RWMutex
 	families []*family
-	index    map[string]*family
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{index: make(map[string]*family)}
-}
+func NewRegistry() *Registry { return new(Registry) }
 
 type kind int
 
@@ -87,11 +82,10 @@ func (k kind) String() string {
 type PollFunc func(emit func(v float64, labelValues ...string))
 
 type family struct {
-	name    string
-	help    string
-	kind    kind
-	labels  []string
-	buckets []float64 // histogramKind only
+	name   string
+	help   string
+	kind   kind
+	labels []string
 
 	mu     sync.RWMutex
 	series map[string]any // label-values key -> *Counter | *Gauge | *Hist
@@ -100,34 +94,18 @@ type family struct {
 	poll PollFunc // non-nil for polled families
 }
 
-// family registers (or returns the existing) family under name. Registering
-// the same name with a different kind or label set is a programming error
-// and panics.
-func (r *Registry) family(name, help string, k kind, labels []string, buckets []float64, poll PollFunc) *family {
-	if !validName.MatchString(name) {
-		panic(fmt.Sprintf("telemetry: invalid metric name %q", name))
-	}
-	for _, l := range labels {
-		if !validLabel.MatchString(l) || l == "le" {
-			panic(fmt.Sprintf("telemetry: invalid label name %q on %s", l, name))
-		}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f, ok := r.index[name]; ok {
-		if f.kind != k || !slices.Equal(f.labels, labels) {
-			panic(fmt.Sprintf("telemetry: conflicting re-registration of %s", name))
-		}
-		return f
-	}
+// family registers a new family under name. Each name is registered once: a
+// second family of the same name would render a second HELP/TYPE pair.
+func (r *Registry) family(name, help string, k kind, labels []string, poll PollFunc) *family {
 	f := &family{
 		name: name, help: help, kind: k,
-		labels: slices.Clone(labels), buckets: buckets,
+		labels: slices.Clone(labels),
 		series: make(map[string]any),
 		poll:   poll,
 	}
-	r.index[name] = f
+	r.mu.Lock()
 	r.families = append(r.families, f)
+	r.mu.Unlock()
 	return f
 }
 
@@ -169,48 +147,44 @@ func (c *Counter) Load() uint64 { return c.v.Load() }
 
 // Counter registers an unlabeled counter.
 func (r *Registry) Counter(name, help string) *Counter {
-	return r.family(name, help, counterKind, nil, nil, nil).
+	return r.family(name, help, counterKind, nil, nil).
 		child(nil, func() any { return new(Counter) }).(*Counter)
 }
 
 // ---- gauges ----
 
-// Gauge is a settable integer series. Mutations are one atomic op.
+// Gauge is an integer series that moves both ways. Mutations are one atomic
+// op.
 type Gauge struct{ v atomic.Int64 }
-
-// Set stores n.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
 // Add adds delta (which may be negative) and returns the new value, so
 // callers can gate on the level they just reached (admission control does).
 func (g *Gauge) Add(delta int64) int64 { return g.v.Add(delta) }
-
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.v.Add(-1) }
 
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // Gauge registers an unlabeled gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.family(name, help, gaugeKind, nil, nil, nil).
+	return r.family(name, help, gaugeKind, nil, nil).
 		child(nil, func() any { return new(Gauge) }).(*Gauge)
 }
 
 // ---- histograms ----
 
-// Hist is a fixed-bucket histogram. Observe is lock-free: one atomic add per
-// bucket, count and sum.
+// Hist is a histogram over DefBuckets. Observe is lock-free: one atomic add
+// per bucket, count and sum.
 type Hist struct {
-	bounds []float64
-	counts []atomic.Uint64 // len(bounds)+1; last is the +Inf overflow
+	counts []atomic.Uint64 // len(DefBuckets)+1; last is the +Inf overflow
 	count  atomic.Uint64
 	sum    atomicFloat
 }
 
+func newHist() any { return &Hist{counts: make([]atomic.Uint64, len(DefBuckets)+1)} }
+
 // Observe records one value.
 func (h *Hist) Observe(v float64) {
-	h.counts[sort.SearchFloat64s(h.bounds, v)].Add(1)
+	h.counts[sort.SearchFloat64s(DefBuckets, v)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
 }
@@ -220,43 +194,23 @@ func (h *Hist) Snapshot() (count uint64, sum float64) {
 	return h.count.Load(), h.sum.Load()
 }
 
-// HistVec is a labeled histogram family. All children share the family's
-// bucket layout, so they aggregate by addition.
+// HistVec is a labeled histogram family.
 type HistVec struct{ f *family }
 
 // With resolves the child for the given label values, creating it on first
 // use. Resolve once and keep the pointer on hot paths.
 func (v *HistVec) With(labelValues ...string) *Hist {
-	return v.f.child(labelValues, func() any { return newHist(v.f.buckets) }).(*Hist)
+	return v.f.child(labelValues, newHist).(*Hist)
 }
 
-func newHist(bounds []float64) *Hist {
-	return &Hist{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
+// Histogram registers an unlabeled histogram.
+func (r *Registry) Histogram(name, help string) *Hist {
+	return r.family(name, help, histogramKind, nil, nil).child(nil, newHist).(*Hist)
 }
 
-func checkBuckets(buckets []float64) []float64 {
-	if buckets == nil {
-		buckets = DefBuckets
-	}
-	b := slices.Clone(buckets)
-	for i := 1; i < len(b); i++ {
-		if b[i] <= b[i-1] {
-			panic(fmt.Sprintf("telemetry: histogram buckets not strictly increasing at %v", b[i]))
-		}
-	}
-	return b
-}
-
-// Histogram registers an unlabeled histogram (nil buckets = DefBuckets).
-func (r *Registry) Histogram(name, help string, buckets []float64) *Hist {
-	f := r.family(name, help, histogramKind, nil, checkBuckets(buckets), nil)
-	return f.child(nil, func() any { return newHist(f.buckets) }).(*Hist)
-}
-
-// HistogramVec registers a labeled histogram family (nil buckets =
-// DefBuckets).
-func (r *Registry) HistogramVec(name, help string, buckets []float64, labelNames ...string) *HistVec {
-	return &HistVec{r.family(name, help, histogramKind, labelNames, checkBuckets(buckets), nil)}
+// HistogramVec registers a labeled histogram family.
+func (r *Registry) HistogramVec(name, help string, labelNames ...string) *HistVec {
+	return &HistVec{r.family(name, help, histogramKind, labelNames, nil)}
 }
 
 // ---- polled families ----
@@ -265,12 +219,12 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labelNames
 // scrape time (sources that keep their own atomic counters, like
 // rescache.Stats).
 func (r *Registry) PollCounter(name, help string, labelNames []string, fn PollFunc) {
-	r.family(name, help, counterKind, labelNames, nil, fn)
+	r.family(name, help, counterKind, labelNames, fn)
 }
 
 // PollGauge is PollCounter for gauges.
 func (r *Registry) PollGauge(name, help string, labelNames []string, fn PollFunc) {
-	r.family(name, help, gaugeKind, labelNames, nil, fn)
+	r.family(name, help, gaugeKind, labelNames, fn)
 }
 
 // ---- atomic float ----
@@ -332,7 +286,7 @@ func (f *family) write(bw *bufio.Writer) {
 			writeSample(bw, f.name, f.labels, values, "", "", float64(m.Load()))
 		case *Hist:
 			cum := uint64(0)
-			for bi, b := range f.buckets {
+			for bi, b := range DefBuckets {
 				cum += m.counts[bi].Load()
 				writeSample(bw, f.name+"_bucket", f.labels, values, "le", formatFloat(b), float64(cum))
 			}

@@ -23,8 +23,8 @@ func TestCounterGaugeRender(t *testing.T) {
 	c.Add(3)
 	c.Inc()
 	g := r.Gauge("test_depth", "Depth.")
-	g.Set(7)
-	g.Dec()
+	g.Add(7)
+	g.Add(-1)
 	r.PollCounter("test_hits_total", "Hits by tier.", []string{"tier"}, func(emit func(float64, ...string)) {
 		emit(2, "mem")
 		emit(1, "disk")
@@ -48,7 +48,7 @@ func TestCounterGaugeRender(t *testing.T) {
 
 func TestHistogramRender(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("test_seconds", "Latency.", []float64{0.1, 1, 10})
+	h := r.Histogram("test_seconds", "Latency.")
 	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
 		h.Observe(v)
 	}
@@ -73,7 +73,7 @@ func TestHistogramRender(t *testing.T) {
 
 func TestHistogramBucketEdge(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("edge_seconds", "x", []float64{1, 2})
+	h := r.Histogram("edge_seconds", "x")
 	h.Observe(1) // le is inclusive: lands in the first bucket
 	out := render(t, r)
 	if !strings.Contains(out, `edge_seconds_bucket{le="1"} 1`) {
@@ -125,21 +125,6 @@ func TestPolledFamilies(t *testing.T) {
 	}
 }
 
-func TestIdempotentRegistration(t *testing.T) {
-	r := NewRegistry()
-	a := r.Counter("test_x_total", "x")
-	b := r.Counter("test_x_total", "x")
-	if a != b {
-		t.Fatal("same name must return the same counter")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("conflicting kind must panic")
-		}
-	}()
-	r.Gauge("test_x_total", "x")
-}
-
 // TestLintFullOutput is the parser-based lint of a complete realistic
 // exposition: HELP/TYPE pairing, label escaping, histogram structure, no
 // duplicate series.
@@ -147,8 +132,8 @@ func TestLintFullOutput(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("app_requests_total", "Requests.").Add(10)
 	r.PollCounter("app_hits_total", "Hits.", []string{"tier"}, func(emit func(float64, ...string)) { emit(5, "mem") })
-	r.Gauge("app_inflight", "Inflight.").Set(2)
-	hv := r.HistogramVec("app_seconds", "Latency.", nil, "endpoint")
+	r.Gauge("app_inflight", "Inflight.").Add(2)
+	hv := r.HistogramVec("app_seconds", "Latency.", "endpoint")
 	hv.With("/v1/measure").Observe(0.2)
 	hv.With("/v1/sweep").Observe(3)
 	out := render(t, r)
@@ -210,7 +195,7 @@ func TestRegistryRace(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("race_ops_total", "x")
 	g := r.Gauge("race_depth", "x")
-	hv := r.HistogramVec("race_seconds", "x", nil, "phase")
+	hv := r.HistogramVec("race_seconds", "x", "phase")
 	r.PollGauge("race_polled", "x", nil, func(emit func(float64, ...string)) { emit(float64(c.Load())) })
 
 	var wg sync.WaitGroup

@@ -21,13 +21,11 @@ const (
 	PhaseEncode    = "encode"
 )
 
-// Request is one API request's per-phase time breakdown, plus whether it
-// waited on a compute. A nil *Request is valid and every method no-ops, so
-// instrumented layers (rescache, workload) record phases unconditionally and
-// pay nothing when no request is in flight.
+// Request is one API request's per-phase time breakdown. A nil *Request is
+// valid and every method no-ops, so instrumented layers (rescache, workload)
+// record phases unconditionally and pay nothing when no request is in flight.
 type Request struct {
 	mu     sync.Mutex
-	missed bool
 	phases map[string]float64 // seconds charged, by phase name
 	order  []string           // phase names in first-charge order
 }
@@ -66,28 +64,6 @@ func (q *Request) StartPhase(name string) func() {
 	}
 	begin := time.Now()
 	return func() { q.AddPhase(name, time.Since(begin)) }
-}
-
-// Miss records that a result the request needed was not in the cache, so
-// the request waited on a compute.
-func (q *Request) Miss() {
-	if q == nil {
-		return
-	}
-	q.mu.Lock()
-	q.missed = true
-	q.mu.Unlock()
-}
-
-// Missed reports whether Miss was called: false means every result the
-// request needed came from the cache.
-func (q *Request) Missed() bool {
-	if q == nil {
-		return false
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.missed
 }
 
 // Phases returns the aggregated phase breakdown in first-charge order.

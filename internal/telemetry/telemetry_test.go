@@ -22,21 +22,13 @@ func TestRequestPhases(t *testing.T) {
 	if ph[1].Name != PhaseCompute || ph[1].Seconds < 0.049 || ph[1].Seconds > 0.051 {
 		t.Errorf("phase 1 = %+v", ph[1])
 	}
-	if q.Missed() {
-		t.Error("a new request reports a miss")
-	}
-	q.Miss()
-	if !q.Missed() {
-		t.Error("Miss not recorded")
-	}
 }
 
 func TestRequestNilSafety(t *testing.T) {
 	var q *Request
 	q.AddPhase(PhaseQueue, time.Second)
 	q.StartPhase(PhaseCompute)()
-	q.Miss()
-	if q.Missed() || q.Phases() != nil {
+	if q.Phases() != nil {
 		t.Fatal("nil Request must be inert")
 	}
 }
